@@ -33,7 +33,7 @@ std::optional<Port> random_port(Ctx& ctx, Rng& rng) {
   return static_cast<Port>(rng.below(ctx.degree()));
 }
 
-/// The schedule contract every program (coroutine or compiled) relies on:
+/// The schedule contract every adversary program relies on:
 /// windows nonempty, sorted, disjoint, and not before the wake round. A
 /// malformed schedule would silently skew sleep accounting (ChargeGate's
 /// >= advance happens to swallow empty [a, a) windows, for instance), so
@@ -52,152 +52,13 @@ void validate_schedule(const ByzSchedule& sched) {
   }
 }
 
-// Every strategy loop starts a round with this: sleep out the initial
-// charged prefix and, later, every charged window of subsequent waves.
-// Single-wave schedules have no windows, so behavior (and RNG draws) are
-// bit-identical to the pre-schedule code there.
-#define BDG_BYZ_SKIP_CHARGED(gate, ctx)                                 \
-  for (Round d_ = (gate).pending((ctx).round()); d_ != Round(0);        \
-       d_ = (gate).pending((ctx).round()))                              \
-  co_await (ctx).sleep_rounds(d_)
-
-Proc crash_program(Ctx ctx) {
-  (void)ctx;
-  co_return;
-}
-
-Proc random_walker(Ctx ctx, ByzSchedule sched, Rng rng) {
-  ChargeGate gate{std::move(sched)};
-  if (gate.sched.wake != 0) co_await ctx.sleep_rounds(gate.sched.wake);
-  for (;;) {
-    BDG_BYZ_SKIP_CHARGED(gate, ctx);
-    ctx.broadcast(kMsgStatus, {kStateToBeSettled});
-    co_await ctx.end_round(random_port(ctx, rng));
-  }
-}
-
-Proc squatter(Ctx ctx, ByzSchedule sched) {
-  ChargeGate gate{std::move(sched)};
-  if (gate.sched.wake != 0) co_await ctx.sleep_rounds(gate.sched.wake);
-  for (;;) {
-    BDG_BYZ_SKIP_CHARGED(gate, ctx);
-    ctx.broadcast(kMsgStatus, {kStateSettled});
-    co_await ctx.end_round(std::nullopt);
-  }
-}
-
-Proc fake_settler(Ctx ctx, ByzSchedule sched, Rng rng) {
-  ChargeGate gate{std::move(sched)};
-  if (gate.sched.wake != 0) co_await ctx.sleep_rounds(gate.sched.wake);
-  const std::uint64_t squat_len = 2 + rng.below(2 * ctx.n());
-  for (;;) {
-    // Claim to be settled here for a while...
-    for (std::uint64_t i = 0; i < squat_len; ++i) {
-      BDG_BYZ_SKIP_CHARGED(gate, ctx);
-      ctx.broadcast(kMsgStatus, {kStateSettled});
-      co_await ctx.end_round(std::nullopt);
-    }
-    // ...then sneak a few hops away and claim again (classic A_r bait).
-    const std::uint64_t hops = 1 + rng.below(3);
-    for (std::uint64_t i = 0; i < hops; ++i) {
-      BDG_BYZ_SKIP_CHARGED(gate, ctx);
-      co_await ctx.end_round(random_port(ctx, rng));
-    }
-  }
-}
-
-Proc silent_settler(Ctx ctx, ByzSchedule sched) {
-  ChargeGate gate{std::move(sched)};
-  if (gate.sched.wake != 0) co_await ctx.sleep_rounds(gate.sched.wake);
-  // Claim Settled briefly, then vanish from the airwaves: visitors that
-  // recorded us must blacklist us for the missing beacon (paper step 4).
-  for (int i = 0; i < 3; ++i) {
-    BDG_BYZ_SKIP_CHARGED(gate, ctx);
-    ctx.broadcast(kMsgStatus, {kStateSettled});
-    co_await ctx.end_round(std::nullopt);
-  }
-  co_return;
-}
-
-Proc intent_spammer(Ctx ctx, ByzSchedule sched, Rng rng) {
-  ChargeGate gate{std::move(sched)};
-  if (gate.sched.wake != 0) co_await ctx.sleep_rounds(gate.sched.wake);
-  for (;;) {
-    BDG_BYZ_SKIP_CHARGED(gate, ctx);
-    // Announce settling without ever staying put; forces honest robots to
-    // record us and exercise the relocation blacklist rule.
-    ctx.broadcast(kMsgStatus, {kStateToBeSettled});
-    ctx.broadcast(kMsgIntent);
-    ctx.broadcast(kMsgSettled);
-    co_await ctx.end_round(random_port(ctx, rng));
-  }
-}
-
-Proc map_liar(Ctx ctx, ByzSchedule sched, Rng rng) {
-  ChargeGate gate{std::move(sched)};
-  if (gate.sched.wake != 0) co_await ctx.sleep_rounds(gate.sched.wake);
-  for (;;) {
-    BDG_BYZ_SKIP_CHARGED(gate, ctx);
-    // Lie on every map-finding channel at once: fake token presence, fake
-    // instructions, garbage map codes.
-    ctx.broadcast(explore::kMsgTokenHere);
-    ctx.broadcast(explore::kMsgInstr,
-                  {static_cast<std::int64_t>(explore::MapOp::kTMove),
-                   static_cast<std::int64_t>(rng.below(4))});
-    ctx.broadcast(explore::kMsgMapCode, {1, 0});
-    co_await ctx.next_subround();
-    ctx.broadcast(explore::kMsgTokenHere);
-    // The move draw is hoisted out of the co_await argument: GCC 12
-    // evaluates BOTH arms of a side-effecting conditional placed inside a
-    // co_await call argument (observed: random_port's draw consumed even
-    // when the chance failed, with arm order varying across builds), which
-    // silently changed the draw sequence between binaries.
-    std::optional<Port> port;
-    if (rng.chance(1, 2)) port = random_port(ctx, rng);
-    co_await ctx.end_round(port);
-  }
-}
-
-// The strong-robot requirement is enforced by the program factory BEFORE
-// this coroutine first runs (a misconfigured weak spoofer must abort at
-// t=0, not after a possibly astronomically long charged prefix).
-Proc spoofer(Ctx ctx, ByzSchedule sched, std::vector<sim::RobotId> peers,
-             Rng rng) {
-  ChargeGate gate{std::move(sched)};
-  if (gate.sched.wake != 0) co_await ctx.sleep_rounds(gate.sched.wake);
-  for (;;) {
-    BDG_BYZ_SKIP_CHARGED(gate, ctx);
-    // Forge votes under several peers' identities on all channels.
-    for (int i = 0; i < 3 && !peers.empty(); ++i) {
-      const sim::RobotId victim = peers[rng.below(peers.size())];
-      ctx.spoof_broadcast(victim, kMsgStatus, {kStateSettled});
-      ctx.spoof_broadcast(victim, explore::kMsgTokenHere);
-      ctx.spoof_broadcast(victim, explore::kMsgInstr,
-                          {static_cast<std::int64_t>(explore::MapOp::kTMove),
-                           static_cast<std::int64_t>(rng.below(4))});
-      ctx.spoof_broadcast(victim, explore::kMsgMapCode, {1, 0});
-      ctx.spoof_broadcast(victim, kMsgSettled);
-    }
-    co_await ctx.next_subround();
-    for (int i = 0; i < 2 && !peers.empty(); ++i) {
-      const sim::RobotId victim = peers[rng.below(peers.size())];
-      ctx.spoof_broadcast(victim, explore::kMsgTokenHere);
-    }
-    // Hoisted for the same GCC 12 both-arms miscompile as map_liar above.
-    std::optional<Port> port;
-    if (rng.chance(1, 2)) port = random_port(ctx, rng);
-    co_await ctx.end_round(port);
-  }
-}
-
-#undef BDG_BYZ_SKIP_CHARGED
-
 // ---------------------------------------------------------------------------
 // Compiled-strategy interpreter
 // ---------------------------------------------------------------------------
 
-/// Phase length at (re-)entry; the draw (if any) consumes exactly the
-/// rng.below the coroutine strategy consumed at the same point.
+/// Phase length at (re-)entry. Live and bulk execution call this at the
+/// same point of the op walk, so the draw (if any) lands at the same place
+/// in the RNG stream either way.
 std::uint64_t draw_phase_len(const CompiledStrategy::Phase& p, std::uint32_t n,
                              Rng& rng) {
   const std::uint64_t bound = p.n_scaled ? p.bound * n : p.bound;
@@ -226,7 +87,7 @@ void fill_payload(const std::vector<CompiledStrategy::PayloadElem>& elems,
   }
 }
 
-/// Replay-side twin of make_payload: consume the draws, skip the bytes.
+/// Replay-side twin of fill_payload: consume the draws, skip the bytes.
 void consume_payload_draws(
     const std::vector<CompiledStrategy::PayloadElem>& elems, Rng& rng) {
   for (const auto& e : elems)
@@ -249,21 +110,25 @@ std::optional<Port> draw_move(CompiledStrategy::MoveRule rule, Ctx& ctx,
   return std::nullopt;
 }
 
-/// The one interpreter behind every compiled strategy. Live rounds and
-/// replayed (fast-forwarded) rounds walk the SAME op list, so the RNG
-/// draw order, message contents/order, move timing and charged-window
-/// sleeps are bit-identical to the coroutine strategies by construction —
-/// only the execution shape differs: between rounds the robot parks via
-/// end_round_ambient instead of holding the engine awake.
+/// The one interpreter behind every adversary. Live rounds and replayed
+/// (fast-forwarded) rounds walk the SAME op list, so bulk execution (parked
+/// via end_round_ambient, replaying the rounds the engine skipped) and live
+/// execution (an observer is attached, so the engine resumes the robot in
+/// every round) agree bit-for-bit on RNG draw order, message contents and
+/// order, move timing and charged-window sleeps; only simulated_rounds,
+/// resumes and wall clock differ.
 Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
                   std::vector<sim::RobotId> peers, Rng rng) {
   using LenRule = CompiledStrategy::LenRule;
   using OpKind = CompiledStrategy::OpKind;
+  // An empty program (crash) finishes at its first resume, before the
+  // wake sleep: it never wakes the engine again.
+  if (cs.phases.empty()) co_return;
   ChargeGate gate{std::move(sched)};
   if (gate.sched.wake != 0) co_await ctx.sleep_rounds(gate.sched.wake);
 
-  // kDrawOnce lengths are drawn exactly where the coroutines draw them:
-  // right after the wake sleep, before the first active round.
+  // kDrawOnce lengths are drawn once, right after the wake sleep and
+  // before the first active round, in live and bulk execution alike.
   std::vector<std::uint64_t> once_len(cs.phases.size(), 0);
   for (std::size_t i = 0; i < cs.phases.size(); ++i)
     if (cs.phases[i].len == LenRule::kDrawOnce)
@@ -324,12 +189,12 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
 
   std::size_t phase = 0;
   std::uint64_t left = 0;  // rounds left in the phase (kForever: unused)
-  bool finished = cs.phases.empty();
+  bool finished = false;
 
   // Enter phases from `phase` on until one grants a nonzero budget.
-  // kDrawEachEntry draws here — the same point in the RNG sequence as the
-  // coroutine, since no draw can intervene between a phase's final round
-  // and the next phase's entry.
+  // kDrawEachEntry draws here. Live and bulk rounds both end by calling
+  // this, and no draw can intervene between a phase's final round and the
+  // next phase's entry, so the draw lands at the same point either way.
   const auto enter_phase = [&](bool advance) {
     if (finished) return;
     if (advance) ++phase;
@@ -369,7 +234,7 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
     if (now < ctx.round()) {
       // ----- replay: `now` was fast-forwarded past while parked -------
       if (const Round d = gate.pending(now); d != Round(0)) {
-        // The per-round path slept out this charged stretch: no draws,
+        // Live execution sleeps out this charged stretch: no draws,
         // no messages, no moves. Jump the cursor.
         const Round horizon = ctx.round() - now;
         now += d < horizon ? d : horizon;
@@ -554,49 +419,7 @@ const std::vector<ByzStrategy>& weak_strategies() {
   return kAll;
 }
 
-sim::ProgramFactory make_byzantine_program(ByzStrategy strategy,
-                                           std::vector<sim::RobotId> peer_ids,
-                                           std::uint64_t seed) {
-  return make_byzantine_program(strategy, std::move(peer_ids), seed,
-                                ByzSchedule{});
-}
-
-sim::ProgramFactory make_byzantine_program(ByzStrategy strategy,
-                                           std::vector<sim::RobotId> peer_ids,
-                                           std::uint64_t seed,
-                                           ByzSchedule schedule) {
-  validate_schedule(schedule);
-  switch (strategy) {
-    case ByzStrategy::kCrash:
-      return [](Ctx c) { return crash_program(c); };
-    case ByzStrategy::kRandomWalker:
-      return [=](Ctx c) { return random_walker(c, schedule, Rng(seed)); };
-    case ByzStrategy::kSquatter:
-      return [=](Ctx c) { return squatter(c, schedule); };
-    case ByzStrategy::kFakeSettler:
-      return [=](Ctx c) { return fake_settler(c, schedule, Rng(seed)); };
-    case ByzStrategy::kSilentSettler:
-      return [=](Ctx c) { return silent_settler(c, schedule); };
-    case ByzStrategy::kIntentSpammer:
-      return [=](Ctx c) { return intent_spammer(c, schedule, Rng(seed)); };
-    case ByzStrategy::kMapLiar:
-      return [=](Ctx c) { return map_liar(c, schedule, Rng(seed)); };
-    case ByzStrategy::kSpoofer:
-      return [=, peers = std::move(peer_ids)](Ctx c) {
-        // Validate at program start, before any sleep: the factory body
-        // runs synchronously when the engine starts the program, so a
-        // weak robot handed the spoofer aborts the run at round 0 instead
-        // of failing only once its charged prefix (possibly > 2^64
-        // rounds) finally ends.
-        if (c.faultiness() != sim::Faultiness::kStrongByzantine)
-          throw std::logic_error("spoofer strategy requires a strong robot");
-        return spoofer(c, schedule, peers, Rng(seed));
-      };
-  }
-  throw std::invalid_argument("make_byzantine_program: bad strategy");
-}
-
-std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
+CompiledStrategy compile_strategy(ByzStrategy s) {
   using CS = CompiledStrategy;
   const auto lit = [](std::int64_t v) { return CS::PayloadElem{v, false}; };
   const CS::PayloadElem draw4{0, true};
@@ -635,7 +458,8 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
   CS cs;
   switch (s) {
     case ByzStrategy::kCrash:
-      return std::nullopt;  // finishes at round 0; nothing to compile
+      cs.loop = false;  // no phases: finishes at round 0, never speaks
+      return cs;
     case ByzStrategy::kRandomWalker:
       cs.phases.push_back({CS::LenRule::kForever,
                            0,
@@ -653,8 +477,9 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
                            CS::MoveRule::kStay});
       return finalize(std::move(cs));
     case ByzStrategy::kFakeSettler:
-      // squat_len = 2 + below(2n) drawn once; hops = 1 + below(3) drawn
-      // at each entry of the relocation phase.
+      // Claim Settled for squat_len = 2 + below(2n) rounds (drawn once),
+      // then sneak hops = 1 + below(3) hops away (drawn at each entry) and
+      // claim again: classic A_r bait.
       cs.phases.push_back({CS::LenRule::kDrawOnce,
                            2,
                            2,
@@ -675,9 +500,13 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
                            false,
                            {bcast(kMsgStatus, {lit(kStateSettled)})},
                            CS::MoveRule::kStay});
-      cs.loop = false;  // then vanish from the airwaves for good
+      // Then vanish from the airwaves for good: visitors that recorded us
+      // must blacklist us for the missing beacon (paper step 4).
+      cs.loop = false;
       return finalize(std::move(cs));
     case ByzStrategy::kIntentSpammer:
+      // Announce settling without ever staying put: honest robots must
+      // record us and exercise the relocation blacklist rule.
       cs.phases.push_back({CS::LenRule::kForever,
                            0,
                            0,
@@ -687,6 +516,8 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
                            CS::MoveRule::kRandomPort});
       return finalize(std::move(cs));
     case ByzStrategy::kMapLiar:
+      // Lie on every map-finding channel at once: fake token presence,
+      // fake instructions, garbage map codes.
       cs.phases.push_back(
           {CS::LenRule::kForever,
            0,
@@ -701,6 +532,7 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
            CS::MoveRule::kChancePort});
       return finalize(std::move(cs));
     case ByzStrategy::kSpoofer: {
+      // Forge votes under several peers' identities on all channels.
       CS::Phase p;
       p.len = CS::LenRule::kForever;
       p.move = CS::MoveRule::kChancePort;
@@ -727,18 +559,17 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
   throw std::invalid_argument("compile_strategy: bad strategy");
 }
 
-sim::ProgramFactory make_compiled_byzantine_program(
-    ByzStrategy strategy, std::vector<sim::RobotId> peer_ids,
-    std::uint64_t seed, ByzSchedule schedule) {
-  std::optional<CompiledStrategy> cs = compile_strategy(strategy);
-  if (!cs.has_value())
-    return make_byzantine_program(strategy, std::move(peer_ids), seed,
-                                  std::move(schedule));
+sim::ProgramFactory make_byzantine_program(ByzStrategy strategy,
+                                           std::vector<sim::RobotId> peer_ids,
+                                           std::uint64_t seed,
+                                           ByzSchedule schedule) {
   validate_schedule(schedule);
-  return [cs = std::move(*cs), schedule = std::move(schedule),
+  return [cs = compile_strategy(strategy), schedule = std::move(schedule),
           peers = std::move(peer_ids), seed](Ctx c) {
-    // Same t=0 enforcement as the coroutine factory: a weak robot handed
-    // the spoofer aborts before any sleep.
+    // Validate at program start, before any sleep: the factory body runs
+    // synchronously when the engine starts the program, so a weak robot
+    // handed the spoofer aborts the run at round 0 instead of failing only
+    // once its charged prefix (possibly > 2^64 rounds) finally ends.
     if (cs.spoofing && c.faultiness() != sim::Faultiness::kStrongByzantine)
       throw std::logic_error("spoofer strategy requires a strong robot");
     return run_compiled(c, cs, schedule, peers, Rng(seed));

@@ -43,7 +43,7 @@ enum class ByzStrategy {
 /// that stays awake only defeats the engine's round fast-forwarding. The
 /// scenario harness therefore hands each Byzantine robot its wave's wake
 /// round plus the charged windows of every LATER wave (Theorem 8 wave
-/// scheduling), and the strategies sleep through all of them — so
+/// scheduling), and the program sleeps through all of them — so
 /// multi-wave k > n sweeps fast-forward their oracle prefixes exactly like
 /// single-wave runs.
 struct ByzSchedule {
@@ -64,9 +64,9 @@ struct ByzSchedule {
 /// Cursor over a schedule's charged windows. pending() returns how long to
 /// sleep from `now` to clear the window containing it (0 = outside every
 /// window). Windows are sorted, so the cursor only ever advances —
-/// checking costs O(1) per awake round. Shared by the coroutine strategies
-/// and the compiled-strategy interpreter (which also uses until_next to
-/// bound bulk range effects).
+/// checking costs O(1) per awake round. The compiled-strategy interpreter
+/// consults it in live rounds and replayed rounds alike, and uses
+/// until_next to bound bulk range effects.
 struct ChargeGate {
   ByzSchedule sched;
   std::size_t next = 0;
@@ -82,18 +82,22 @@ struct ChargeGate {
 // Compiled strategies (range-effect IR)
 // ---------------------------------------------------------------------------
 //
-// Every per-round strategy coroutine above a crash is a tiny loop: emit a
-// fixed op list each round, draw a move, occasionally switch phase.
-// CompiledStrategy captures that loop as data — phases of round-ranges
-// with per-round ops — so ONE interpreter coroutine (behind
-// make_compiled_byzantine_program) can either act live in a simulated
-// round or *replay* a fast-forwarded round by executing the same ops with
-// broadcasts suppressed (but counted) and moves applied immediately. The
-// interpreter parks via Ctx::end_round_ambient between rounds, so an
-// always-broadcasting adversary no longer blocks the engine's O(1)
-// fast-forward over honest sleep windows; per-round semantics (message
-// contents and order, RNG draw order, move timing) are preserved
-// bit-identically because live and replay paths share the op walk.
+// Every strategy is a tiny loop: emit a fixed op list each round, draw a
+// move, occasionally switch phase. CompiledStrategy captures that loop as
+// data — phases of round-ranges with per-round ops — and ONE interpreter
+// coroutine (behind make_byzantine_program) runs it in one of two modes,
+// chosen by the engine rather than by any option:
+//  * bulk (no observer): the interpreter parks via Ctx::end_round_ambient
+//    between rounds, so an always-broadcasting adversary never blocks the
+//    engine's O(1) fast-forward over honest sleep windows, and replays
+//    every skipped round by executing the same ops with broadcasts
+//    suppressed (but counted) and moves applied immediately;
+//  * live (an observer is attached): the engine turns the ambient park
+//    into a plain end_round, so the robot acts in every round and the
+//    observer sees each of its messages and moves.
+// Both modes walk the same op list, so verdicts, rounds, moves, messages,
+// message contents and order, RNG draw order and move timing are
+// bit-identical; only simulated_rounds, resumes and wall clock differ.
 struct CompiledStrategy {
   /// Payload element: a literal, or one rng.below(4) draw at emission
   /// time (draw order = element order within the op list).
@@ -144,32 +148,20 @@ struct CompiledStrategy {
   bool spoofing = false; ///< requires a strong robot (kSpoofer)
 };
 
-/// Range-effect form of `s`; nullopt for kCrash (nothing to compile — the
-/// crash program finishes immediately and never wakes the engine).
-[[nodiscard]] std::optional<CompiledStrategy> compile_strategy(ByzStrategy s);
+/// Range-effect form of `s`. kCrash compiles to an empty program
+/// (loop = false): it finishes at its first resume and never wakes the
+/// engine again.
+[[nodiscard]] CompiledStrategy compile_strategy(ByzStrategy s);
 
-/// Build the engine program for a Byzantine robot.
-/// `peer_ids` lists all robot IDs (used for spoofing and targeted lies);
-/// `seed` derives the robot's private randomness.
+/// Build the engine program for a Byzantine robot: compile_strategy(strategy)
+/// run by the interpreter. `peer_ids` lists all robot IDs (used for
+/// spoofing and targeted lies); `seed` derives the robot's private
+/// randomness. The robot sleeps until schedule.wake first and stays asleep
+/// through every later charged window. Throws std::invalid_argument on a
+/// malformed schedule (an empty [a, a) window, unsorted/overlapping
+/// windows, or a window starting before wake).
 [[nodiscard]] sim::ProgramFactory make_byzantine_program(
     ByzStrategy strategy, std::vector<sim::RobotId> peer_ids,
-    std::uint64_t seed);
-
-/// Same, but the robot honors `schedule`: it sleeps until schedule.wake
-/// first and stays asleep through every later charged window. Throws
-/// std::invalid_argument on a malformed schedule (an empty [a, a) window,
-/// unsorted/overlapping windows, or a window starting before wake).
-[[nodiscard]] sim::ProgramFactory make_byzantine_program(
-    ByzStrategy strategy, std::vector<sim::RobotId> peer_ids,
-    std::uint64_t seed, ByzSchedule schedule);
-
-/// Compiled variant of make_byzantine_program: same observable behavior
-/// bit-for-bit (verdicts, rounds, moves, messages, RNG draws, final
-/// position), but executed as range effects through Ctx::end_round_ambient
-/// so the engine can fast-forward honest sleep windows the adversary would
-/// otherwise keep awake. Falls back to the coroutine program for kCrash.
-[[nodiscard]] sim::ProgramFactory make_compiled_byzantine_program(
-    ByzStrategy strategy, std::vector<sim::RobotId> peer_ids,
-    std::uint64_t seed, ByzSchedule schedule);
+    std::uint64_t seed, ByzSchedule schedule = {});
 
 }  // namespace bdg::core

@@ -27,7 +27,11 @@ std::string to_string(Algorithm a) {
     case Algorithm::kCrashRealGathering: return "crash-real-gathering(ext)";
     case Algorithm::kRingBaseline: return "ring-baseline[34,36]";
   }
-  return "unknown";
+  // An out-of-range value is corrupted or foreign data: a silent "unknown"
+  // would round-trip through algorithm_from_string to nullopt and quietly
+  // re-run the checkpoint record. Fail.
+  throw std::invalid_argument("to_string(Algorithm): invalid algorithm value " +
+                              std::to_string(static_cast<int>(a)));
 }
 
 std::optional<Algorithm> algorithm_from_string(const std::string& name) {
@@ -264,19 +268,13 @@ ScenarioResult run_scenario(const Graph& g, const ScenarioConfig& cfg) {
       sched.wake = offsets[w] + plans[w].byz_wake_round;
       for (const auto& win : charged)
         if (win.first >= sched.wake) sched.charged.push_back(win);
-      // Draw the robot's seed exactly once so the compiled and coroutine
-      // paths consume the scenario RNG identically.
       const std::uint64_t byz_seed = rng.next();
-      const bool compiled =
-          cfg.compiled_adversary && cfg.observer == nullptr;
       eng.add_robot(ids[i],
                     strong ? sim::Faultiness::kStrongByzantine
                            : sim::Faultiness::kWeakByzantine,
                     starts[i],
-                    compiled ? make_compiled_byzantine_program(
-                                   strategy, ids, byz_seed, std::move(sched))
-                             : make_byzantine_program(strategy, ids, byz_seed,
-                                                      std::move(sched)));
+                    make_byzantine_program(strategy, ids, byz_seed,
+                                           std::move(sched)));
     } else {
       eng.add_robot(ids[i], sim::Faultiness::kHonest, starts[i],
                     plans[w].honest(ids[i], starts[i]), offsets[w]);

@@ -89,16 +89,10 @@ struct ScenarioConfig {
   /// turn it off to pin that verdicts and charged round totals are
   /// bit-identical to the original rebuild-every-window protocol.
   bool batched_pairing = true;
-  /// Run Byzantine robots through the compiled range-effect interpreter
-  /// (make_compiled_byzantine_program) instead of the per-round strategy
-  /// coroutines, so adversarial points fast-forward honest sleep windows
-  /// like f=0 points do. Observable behavior is bit-identical (verdicts,
-  /// rounds, moves, messages, derived seeds); only simulated_rounds /
-  /// resumes / wall clock change. The conformance tests turn it off to pin
-  /// exactly that. Ignored (coroutine fallback) when an observer is
-  /// attached: per-round traces need the adversary live in every round.
-  bool compiled_adversary = true;
   /// Optional engine instrumentation (see sim::TraceRecorder); not owned.
+  /// The adversary runs the same interpreter either way; attached, it acts
+  /// live in every round so the observer sees all of its traffic (see
+  /// core/byzantine.h), with identical verdicts, rounds, moves and messages.
   sim::Observer* observer = nullptr;
 };
 

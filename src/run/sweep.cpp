@@ -284,7 +284,9 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
   h = mix(h, spec.cost.scaled ? 1 : 0);
   h = mix(h, spec.byz_smallest_ids ? 1 : 0);
   h = mix(h, spec.measure_seconds ? 1 : 0);
-  h = mix(h, spec.compiled_adversary ? 1 : 0);
+  // Former adversary-path flag, always 1 in practice: kept so checkpoints
+  // written before its removal keep resuming.
+  h = mix(h, 1);
   return h;
 }
 
@@ -396,7 +398,6 @@ PointResult run_point(const SweepSpec& spec, const SweepPoint& p) {
   cfg.strong_byzantine = core::handles_strong(p.algorithm);
   cfg.seed = mix(r.derived_seed, 0x5CE42AE05C0F5AB1ULL);
   cfg.cost = spec.cost;
-  cfg.compiled_adversary = spec.compiled_adversary;
 
   const auto t0 = std::chrono::steady_clock::now();
   try {

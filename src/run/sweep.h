@@ -126,12 +126,6 @@ struct SweepSpec {
   gather::CostModel cost{/*scaled=*/true};
   /// Give the f smallest IDs to Byzantine robots (worst case).
   bool byz_smallest_ids = true;
-  /// Run adversaries through the compiled range-effect interpreter
-  /// (core::ScenarioConfig::compiled_adversary). Point results are
-  /// bit-identical either way — the conformance tier pins it — but the
-  /// flag folds into spec_fingerprint anyway so checkpoints state which
-  /// execution path produced them.
-  bool compiled_adversary = true;
   /// Shard selection: expand_grid keeps only points whose index in the
   /// full (deduplicated) grid satisfies index % shard_count == shard_index.
   /// The union of the m stripes is exactly the unsharded grid, so m

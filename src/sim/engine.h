@@ -164,6 +164,9 @@ class Ctx {
   /// strategies (core/byzantine.h) are the intended caller. Ambient
   /// robots never keep the run alive by themselves (matching the rule
   /// that Byzantine programs that never finish do not block completion).
+  /// While an observer is attached the park is a plain end_round(port):
+  /// the robot runs live in every round, so the observer sees all of its
+  /// messages and moves, and it never has a gap to replay or a drain.
   [[nodiscard]] auto end_round_ambient(std::optional<Port> port);
 
   // --- ambient replay accounting ---------------------------------------
@@ -194,7 +197,10 @@ struct WakeAwaiter;
 
 /// Optional engine instrumentation: register with Engine::set_observer to
 /// receive model-level events (used by the trace recorder, the CLI and
-/// debugging sessions; zero cost when unset).
+/// debugging sessions; zero cost when unset). Attaching one keeps
+/// end_round_ambient robots live in every round, so their events are
+/// reported like everyone else's; for the compiled adversary only
+/// simulated_rounds and resumes change.
 class Observer {
  public:
   virtual ~Observer() = default;
@@ -385,6 +391,9 @@ struct WakeAwaiter {
 inline void Engine::set_command(std::uint32_t idx, WakeKind kind,
                                 std::optional<Port> port, Round rounds,
                                 std::coroutine_handle<> leaf) {
+  // Observed runs keep ambient robots live (see Ctx::end_round_ambient).
+  if (kind == WakeKind::kAmbient && observer_ != nullptr)
+    kind = WakeKind::kEndRound;
   Robot& r = robots_[idx];
   r.wake = kind;
   r.leaf = leaf;

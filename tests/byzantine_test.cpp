@@ -59,6 +59,17 @@ TEST(Byzantine, CrashIsSilent) {
   EXPECT_EQ(h.byz_end, 0u);
 }
 
+TEST(Byzantine, CrashFinishesBeforeItsWakeRound) {
+  // Crash is the empty program: it finishes at its first resume and never
+  // sleeps out its wake round, so a wake round costs it nothing.
+  const Heard now = observe(ByzStrategy::kCrash,
+                            sim::Faultiness::kWeakByzantine, 12, 0);
+  const Heard later = observe(ByzStrategy::kCrash,
+                              sim::Faultiness::kWeakByzantine, 12, 8);
+  EXPECT_EQ(now.stats.resumes, later.stats.resumes);
+  EXPECT_EQ(now.stats.simulated_rounds, later.stats.simulated_rounds);
+}
+
 TEST(Byzantine, SquatterClaimsSettledAndStays) {
   const Heard h =
       observe(ByzStrategy::kSquatter, sim::Faultiness::kWeakByzantine);
@@ -160,19 +171,6 @@ TEST(Byzantine, SpooferOnWeakRobotThrowsBeforeWake) {
   EXPECT_THROW(eng.run(8), std::logic_error);
 }
 
-TEST(Byzantine, CompiledSpooferOnWeakRobotThrowsBeforeWake) {
-  const Graph g = make_complete(4);
-  sim::Engine eng(g);
-  ByzSchedule sched{std::uint64_t{1} << 40};
-  eng.add_robot(5, sim::Faultiness::kWeakByzantine, 0,
-                make_compiled_byzantine_program(ByzStrategy::kSpoofer, {5, 9},
-                                                42, std::move(sched)));
-  std::vector<sim::Msg> heard;
-  eng.add_robot(9, sim::Faultiness::kHonest, 0,
-                [&](sim::Ctx c) { return listen_robot(c, 4, &heard); });
-  EXPECT_THROW(eng.run(8), std::logic_error);
-}
-
 TEST(Byzantine, EmptyChargedWindowIsRejected) {
   // ChargeGate only skips an [a, a) window by accident of its >= compare;
   // schedule validation pins the invariant at construction instead.
@@ -180,9 +178,6 @@ TEST(Byzantine, EmptyChargedWindowIsRejected) {
   sched.charged = {{5, 5}};
   EXPECT_THROW(
       make_byzantine_program(ByzStrategy::kSquatter, {5}, 1, sched),
-      std::invalid_argument);
-  EXPECT_THROW(
-      make_compiled_byzantine_program(ByzStrategy::kSquatter, {5}, 1, sched),
       std::invalid_argument);
   // Unsorted / overlapping / pre-wake windows are rejected too.
   ByzSchedule bad{4};
@@ -192,10 +187,13 @@ TEST(Byzantine, EmptyChargedWindowIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-vs-coroutine conformance: same messages (kind, claimed, source,
-// payload, order), same final position, same move/message/round totals —
-// live (listener awake every round) and across engine fast-forwards
-// (listener asleep, forcing the compiled program to replay the gap).
+// Live-vs-bulk conformance of the one adversary interpreter: with a no-op
+// observer attached the engine resumes the adversary in every round
+// (live); without one it parks ambient and replays skipped rounds (bulk).
+// Both must produce the same messages (kind, claimed, source, payload,
+// order), final position and move/message/round totals — with the
+// listener awake every round and across engine fast-forwards (listener
+// asleep, forcing the bulk program to replay the gap).
 // ---------------------------------------------------------------------------
 
 sim::Proc listen_after(sim::Ctx ctx, std::uint64_t sleep_first,
@@ -210,17 +208,15 @@ sim::Proc listen_after(sim::Ctx ctx, std::uint64_t sleep_first,
   }
 }
 
-Heard observe_program(ByzStrategy strategy, sim::Faultiness fault,
-                      bool compiled, std::uint64_t sleep_first,
-                      std::uint64_t rounds, const ByzSchedule& sched) {
+Heard observe_program(ByzStrategy strategy, sim::Faultiness fault, bool live,
+                      std::uint64_t sleep_first, std::uint64_t rounds,
+                      const ByzSchedule& sched) {
   const Graph g = make_complete(4);
   sim::Engine eng(g);
+  sim::Observer noop;
+  if (live) eng.set_observer(&noop);
   Heard h;
-  eng.add_robot(
-      5, fault, 0,
-      compiled
-          ? make_compiled_byzantine_program(strategy, {5, 9}, 42, sched)
-          : make_byzantine_program(strategy, {5, 9}, 42, sched));
+  eng.add_robot(5, fault, 0, make_byzantine_program(strategy, {5, 9}, 42, sched));
   eng.add_robot(9, sim::Faultiness::kHonest, 0, [&](sim::Ctx c) {
     return listen_after(c, sleep_first, rounds, &h.msgs);
   });
@@ -229,21 +225,21 @@ Heard observe_program(ByzStrategy strategy, sim::Faultiness fault,
   return h;
 }
 
-void expect_identical_observation(const Heard& coroutine, const Heard& compiled,
+void expect_identical_observation(const Heard& live, const Heard& bulk,
                                   const std::string& label) {
   SCOPED_TRACE(label);
-  ASSERT_EQ(coroutine.msgs.size(), compiled.msgs.size());
-  for (std::size_t i = 0; i < coroutine.msgs.size(); ++i) {
-    EXPECT_EQ(coroutine.msgs[i].claimed, compiled.msgs[i].claimed) << i;
-    EXPECT_EQ(coroutine.msgs[i].source, compiled.msgs[i].source) << i;
-    EXPECT_EQ(coroutine.msgs[i].kind, compiled.msgs[i].kind) << i;
-    EXPECT_EQ(coroutine.msgs[i].data, compiled.msgs[i].data) << i;
+  ASSERT_EQ(live.msgs.size(), bulk.msgs.size());
+  for (std::size_t i = 0; i < live.msgs.size(); ++i) {
+    EXPECT_EQ(live.msgs[i].claimed, bulk.msgs[i].claimed) << i;
+    EXPECT_EQ(live.msgs[i].source, bulk.msgs[i].source) << i;
+    EXPECT_EQ(live.msgs[i].kind, bulk.msgs[i].kind) << i;
+    EXPECT_EQ(live.msgs[i].data, bulk.msgs[i].data) << i;
   }
-  EXPECT_EQ(coroutine.byz_end, compiled.byz_end);
-  EXPECT_EQ(coroutine.stats.rounds, compiled.stats.rounds);
-  EXPECT_EQ(coroutine.stats.moves, compiled.stats.moves);
-  EXPECT_EQ(coroutine.stats.messages, compiled.stats.messages);
-  EXPECT_LE(compiled.stats.simulated_rounds, coroutine.stats.simulated_rounds);
+  EXPECT_EQ(live.byz_end, bulk.byz_end);
+  EXPECT_EQ(live.stats.rounds, bulk.stats.rounds);
+  EXPECT_EQ(live.stats.moves, bulk.stats.moves);
+  EXPECT_EQ(live.stats.messages, bulk.stats.messages);
+  EXPECT_LE(bulk.stats.simulated_rounds, live.stats.simulated_rounds);
 }
 
 std::vector<std::pair<ByzStrategy, sim::Faultiness>> conformance_cases() {
@@ -255,33 +251,39 @@ std::vector<std::pair<ByzStrategy, sim::Faultiness>> conformance_cases() {
   return cases;
 }
 
-TEST(CompiledStrategy, MatchesCoroutineLive) {
+TEST(CompiledStrategy, LiveMatchesBulkWithListenerAwake) {
   for (const auto& [s, fault] : conformance_cases()) {
-    const Heard a = observe_program(s, fault, false, 0, 14, ByzSchedule{0});
-    const Heard b = observe_program(s, fault, true, 0, 14, ByzSchedule{0});
-    expect_identical_observation(a, b, to_string(s) + " live");
+    const Heard live = observe_program(s, fault, true, 0, 14, ByzSchedule{0});
+    const Heard bulk = observe_program(s, fault, false, 0, 14, ByzSchedule{0});
+    expect_identical_observation(live, bulk, to_string(s) + " awake");
   }
 }
 
-TEST(CompiledStrategy, MatchesCoroutineAcrossFastForward) {
-  // Listener sleeps 9 rounds first: the compiled adversary is the only
+TEST(CompiledStrategy, LiveMatchesBulkAcrossFastForward) {
+  // Listener sleeps 9 rounds first. Bulk: the adversary is the only
   // ambient robot, the engine fast-forwards the gap, and the interpreter
   // must replay it (draws, suppressed messages, immediate hops) so the
-  // listener wakes to a bit-identical world.
+  // listener wakes to a bit-identical world. Live: every round runs.
   for (const auto& [s, fault] : conformance_cases()) {
-    const Heard a = observe_program(s, fault, false, 9, 10, ByzSchedule{0});
-    const Heard b = observe_program(s, fault, true, 9, 10, ByzSchedule{0});
-    expect_identical_observation(a, b, to_string(s) + " fast-forward");
+    const Heard live = observe_program(s, fault, true, 9, 10, ByzSchedule{0});
+    const Heard bulk = observe_program(s, fault, false, 9, 10, ByzSchedule{0});
+    expect_identical_observation(live, bulk, to_string(s) + " fast-forward");
+    // Only the crash program (finished at round 0) leaves nothing to run
+    // live through the listener's sleep.
+    if (s != ByzStrategy::kCrash) {
+      EXPECT_LT(bulk.stats.simulated_rounds, live.stats.simulated_rounds)
+          << to_string(s);
+    }
   }
 }
 
-TEST(CompiledStrategy, MatchesCoroutineWithChargedWindows) {
+TEST(CompiledStrategy, LiveMatchesBulkWithChargedWindows) {
   ByzSchedule sched{3};
   sched.charged = {{5, 8}, {11, 13}};
   for (const auto& [s, fault] : conformance_cases()) {
-    const Heard a = observe_program(s, fault, false, 7, 12, sched);
-    const Heard b = observe_program(s, fault, true, 7, 12, sched);
-    expect_identical_observation(a, b, to_string(s) + " charged");
+    const Heard live = observe_program(s, fault, true, 7, 12, sched);
+    const Heard bulk = observe_program(s, fault, false, 7, 12, sched);
+    expect_identical_observation(live, bulk, to_string(s) + " charged");
   }
 }
 

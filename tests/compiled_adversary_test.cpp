@@ -1,12 +1,14 @@
-// Sweep-level conformance tier for adversary compilation: toggling ONLY
-// SweepSpec::compiled_adversary across a grid of every strategy x
+// Scenario-level conformance tier for the adversary interpreter: attaching
+// ONLY a no-op observer (live: the engine resumes every Byzantine robot in
+// every round) instead of none (bulk: robots park ambient and replay the
+// rounds the engine fast-forwarded) across a grid of every strategy x
 // {tournament, group, crash-real} x {single-wave k = n, multi-wave k > n}
-// must leave every per-point result bit-identical — verdict, rounds,
-// planned_rounds, derived_seed, moves, messages — because the compiled
-// interpreter replays the exact per-round semantics of the strategy
-// coroutines as range effects. Runs under the tsan preset job in CI, so
-// the ambient-parking engine paths the compiled adversary exercises are
-// also raced against the parallel sweep runner.
+// x adversary mixes must leave every result bit-identical — verdict,
+// rounds, planned_rounds, moves, messages — because both modes walk the
+// same op list. Runs at run_scenario level (a sweep spec carries no
+// observer). Scenarios run on parallel threads, and the tsan preset job
+// in CI runs this tier, so both engine paths (ambient parking and the
+// observer's live rounds) are raced there too.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,120 +16,131 @@
 #include "core/byzantine.h"
 #include "core/scenario.h"
 #include "run/sweep.h"
+#include "util/parallel.h"
 
-namespace bdg::run {
+namespace bdg::core {
 namespace {
 
-using core::Algorithm;
-using core::ByzStrategy;
+struct GridCase {
+  Algorithm algorithm{};
+  std::string family = "er";
+  std::uint32_t n = 8;
+  std::uint32_t k = 0;  ///< 0 = k = n
+  std::vector<ByzStrategy> mix;
+  ByzStrategy strategy = ByzStrategy::kFakeSettler;
+};
 
-/// Run `spec` with the compiled adversary on and off and require every
-/// point to match on all observable fields (seconds excluded: the specs
-/// run with measure_seconds off, so reports are pure functions of the
-/// spec and any drift is a conformance failure, not noise).
-void expect_compiled_conformance(SweepSpec spec) {
-  spec.measure_seconds = false;
-  spec.compiled_adversary = true;
-  const SweepResult compiled = run_sweep(spec);
-  spec.compiled_adversary = false;
-  const SweepResult plain = run_sweep(spec);
-  ASSERT_EQ(compiled.points.size(), plain.points.size());
-  std::size_t ran = 0;
-  for (std::size_t i = 0; i < compiled.points.size(); ++i) {
-    const PointResult& c = compiled.points[i];
-    const PointResult& p = plain.points[i];
-    SCOPED_TRACE(core::to_string(c.point.algorithm) + " on " +
-                 c.point.family + " n=" + std::to_string(c.point.n) +
-                 " k=" + std::to_string(c.point.k) +
-                 " f=" + std::to_string(c.point.f) + " strategy=" +
-                 core::to_string(c.point.strategy));
-    EXPECT_EQ(c.derived_seed, p.derived_seed);
-    EXPECT_EQ(c.skipped, p.skipped);
-    if (c.skipped || p.skipped) continue;
-    ++ran;
-    EXPECT_EQ(c.ok, p.ok) << c.detail << " vs " << p.detail;
-    EXPECT_EQ(c.stats.rounds, p.stats.rounds);
-    EXPECT_EQ(c.planned_rounds, p.planned_rounds);
-    EXPECT_EQ(c.stats.moves, p.stats.moves);
-    EXPECT_EQ(c.stats.messages, p.stats.messages);
-    EXPECT_LE(c.stats.simulated_rounds, p.stats.simulated_rounds);
+/// Run every case at its claimed tolerance over two seeds, bulk and live,
+/// and require all observable fields to match. Scenarios run across four
+/// threads (each in its own Engine), so the TSan job races both execution
+/// modes against each other. Returns the number of scenarios compared.
+std::size_t expect_live_matches_bulk(const std::vector<GridCase>& cases) {
+  struct Scenario {
+    const GridCase* c = nullptr;
+    Graph g;
+    ScenarioConfig cfg;
+    ScenarioResult bulk, live;
+  };
+  std::vector<Scenario> runs;
+  for (const GridCase& c : cases) {
+    const std::uint32_t k = c.k == 0 ? c.n : c.k;
+    if (!run::algorithm_supports_k(c.algorithm, k, c.n)) continue;
+    for (const std::uint64_t seed : {1ULL, 7ULL}) {
+      std::optional<Graph> g = run::build_family_graph(c.family, c.n, seed);
+      if (!g) continue;
+      Scenario sc;
+      sc.c = &c;
+      sc.g = std::move(*g);
+      sc.cfg.algorithm = c.algorithm;
+      sc.cfg.num_robots = c.k;
+      sc.cfg.num_byzantine = max_tolerated_f_k(c.algorithm, c.n, k);
+      sc.cfg.strategy = c.strategy;
+      sc.cfg.strategies = c.mix;
+      sc.cfg.strong_byzantine = handles_strong(c.algorithm);
+      sc.cfg.seed = seed;
+      runs.push_back(std::move(sc));
+    }
   }
-  EXPECT_GT(ran, 0u) << "sweep skipped every point";
+  parallel_for_index(
+      runs.size(),
+      [&](std::size_t i) {
+        Scenario& sc = runs[i];
+        sc.bulk = run_scenario(sc.g, sc.cfg);
+        sim::Observer noop;
+        ScenarioConfig live_cfg = sc.cfg;
+        live_cfg.observer = &noop;
+        sc.live = run_scenario(sc.g, live_cfg);
+      },
+      /*threads=*/4);
+  for (const Scenario& sc : runs) {
+    SCOPED_TRACE(to_string(sc.c->algorithm) + " on " + sc.c->family +
+                 " n=" + std::to_string(sc.c->n) +
+                 " k=" + std::to_string(sc.c->k) +
+                 " f=" + std::to_string(sc.cfg.num_byzantine) +
+                 " strategy=" + to_string(sc.c->strategy) +
+                 " mix=" + std::to_string(sc.c->mix.size()) +
+                 " seed=" + std::to_string(sc.cfg.seed));
+    EXPECT_EQ(sc.bulk.verify.ok(), sc.live.verify.ok())
+        << sc.bulk.verify.detail << " vs " << sc.live.verify.detail;
+    EXPECT_EQ(sc.bulk.stats.rounds, sc.live.stats.rounds);
+    EXPECT_EQ(sc.bulk.planned_rounds, sc.live.planned_rounds);
+    EXPECT_EQ(sc.bulk.stats.moves, sc.live.stats.moves);
+    EXPECT_EQ(sc.bulk.stats.messages, sc.live.stats.messages);
+    EXPECT_LE(sc.bulk.stats.simulated_rounds, sc.live.stats.simulated_rounds);
+  }
+  return runs.size();
 }
 
 // Every weak strategy against the tournament and group algorithms at
-// their claimed tolerance (one strategy axis per sweep via the scalar
-// strategy knob), single wave.
-TEST(CompiledAdversarySweep, WeakStrategiesSingleWave) {
-  for (const ByzStrategy s : core::weak_strategies()) {
-    SweepSpec spec;
-    spec.algorithms = {Algorithm::kTournamentGathered,
-                       Algorithm::kThreeGroupGathered};
-    spec.families = {"er"};
-    spec.sizes = {8};
-    spec.strategy = s;
-    spec.strategy_follows_algorithm = false;
-    SCOPED_TRACE("strategy=" + core::to_string(s));
-    expect_compiled_conformance(spec);
-  }
+// their claimed tolerance, single wave.
+TEST(CompiledAdversaryScenario, WeakStrategiesSingleWave) {
+  std::vector<GridCase> cases;
+  for (const ByzStrategy s : weak_strategies())
+    for (const Algorithm a :
+         {Algorithm::kTournamentGathered, Algorithm::kThreeGroupGathered})
+      cases.push_back({a, "er", 8, 0, {}, s});
+  EXPECT_EQ(expect_live_matches_bulk(cases), cases.size() * 2);
 }
 
 // The strong spoofer against its algorithm, and crash faults against the
 // REAL (fully simulated) gathering extension — the two per-algorithm
-// default adversaries the scalar sweeps above don't reach.
-TEST(CompiledAdversarySweep, SpooferAndCrashDefaults) {
-  SweepSpec spec;
-  spec.algorithms = {Algorithm::kStrongGathered,
-                     Algorithm::kCrashRealGathering};
-  spec.families = {"er", "ring"};
-  spec.sizes = {8};
-  expect_compiled_conformance(spec);
+// default adversaries the weak grid above doesn't reach.
+TEST(CompiledAdversaryScenario, SpooferAndCrashDefaults) {
+  std::vector<GridCase> cases;
+  for (const char* family : {"er", "ring"}) {
+    cases.push_back(
+        {Algorithm::kStrongGathered, family, 8, 0, {}, ByzStrategy::kSpoofer});
+    cases.push_back({Algorithm::kCrashRealGathering, family, 8, 0, {},
+                     ByzStrategy::kCrash});
+  }
+  EXPECT_EQ(expect_live_matches_bulk(cases), cases.size() * 2);
 }
 
 // Multi-wave k > n points: the Byzantine schedule gains charged windows
-// from every later wave, so the compiled interpreter's ChargeGate jumps
-// and bulk replays are exercised against the coroutine's sleep pattern.
-TEST(CompiledAdversarySweep, MultiWaveChargedWindows) {
-  SweepSpec spec;
-  spec.algorithms = {Algorithm::kTournamentGathered,
-                     Algorithm::kThreeGroupGathered};
-  spec.families = {"er"};
-  spec.sizes = {6};
-  spec.robot_counts = {6, 13};  // single wave and ceil(13/6) = 3 waves
-  spec.strategy = ByzStrategy::kSquatter;
-  spec.strategy_follows_algorithm = false;
-  expect_compiled_conformance(spec);
+// from every later wave, so bulk execution's ChargeGate jumps and range
+// replays are exercised against live execution's sleep pattern.
+TEST(CompiledAdversaryScenario, MultiWaveChargedWindows) {
+  std::vector<GridCase> cases;
+  for (const Algorithm a :
+       {Algorithm::kTournamentGathered, Algorithm::kThreeGroupGathered})
+    for (const std::uint32_t k : {6u, 13u})  // one wave, ceil(13/6) = 3
+      cases.push_back({a, "er", 6, k, {}, ByzStrategy::kSquatter});
+  EXPECT_GT(expect_live_matches_bulk(cases), 0u);
 }
 
-// Heterogeneous mixes (including crash members, which fall back to the
-// coroutine program inside an otherwise compiled scenario).
-TEST(CompiledAdversarySweep, MixedAdversaries) {
-  SweepSpec spec;
-  spec.algorithms = {Algorithm::kTournamentGathered};
-  spec.families = {"er", "grid"};
-  spec.sizes = {8};
-  spec.strategy_mixes = {
-      {ByzStrategy::kSquatter, ByzStrategy::kCrash},
-      {ByzStrategy::kMapLiar, ByzStrategy::kIntentSpammer,
-       ByzStrategy::kFakeSettler},
-  };
-  spec.strategy_follows_algorithm = false;
-  expect_compiled_conformance(spec);
-}
-
-// The compiled_adversary knob is part of the checkpoint contract: results
-// recorded under one execution path must not be silently imported by a
-// sweep using the other (even though the results are bit-identical, the
-// provenance matters for perf forensics).
-TEST(CompiledAdversarySweep, FlagFoldsIntoSpecFingerprint) {
-  SweepSpec spec;
-  spec.algorithms = {Algorithm::kTournamentGathered};
-  spec.families = {"er"};
-  spec.sizes = {8};
-  const std::uint64_t on = spec_fingerprint(spec);
-  spec.compiled_adversary = false;
-  EXPECT_NE(on, spec_fingerprint(spec));
+// Heterogeneous mixes, including crash members (empty programs) inside an
+// otherwise broadcasting adversary.
+TEST(CompiledAdversaryScenario, MixedAdversaries) {
+  std::vector<GridCase> cases;
+  for (const char* family : {"er", "grid"}) {
+    cases.push_back({Algorithm::kTournamentGathered, family, 8, 0,
+                     {ByzStrategy::kSquatter, ByzStrategy::kCrash}});
+    cases.push_back({Algorithm::kTournamentGathered, family, 8, 0,
+                     {ByzStrategy::kMapLiar, ByzStrategy::kIntentSpammer,
+                      ByzStrategy::kFakeSettler}});
+  }
+  EXPECT_GT(expect_live_matches_bulk(cases), 0u);
 }
 
 }  // namespace
-}  // namespace bdg::run
+}  // namespace bdg::core

@@ -190,5 +190,63 @@ TEST(EngineEdge, SenderHearsItsOwnBroadcast) {
   EXPECT_TRUE(heard_self);
 }
 
+/// Parks ambient forever, logging every round it acts in and whether the
+/// engine ever resumed it for the post-run drain.
+Proc ambient_parker(Ctx ctx, std::vector<Round>* acted, bool* drained) {
+  for (;;) {
+    if (ctx.draining()) *drained = true;
+    acted->push_back(ctx.round());
+    co_await ctx.end_round_ambient(std::nullopt);
+  }
+}
+
+struct RoundLog final : Observer {
+  std::vector<Round> rounds;
+  void on_round(Round r) override { rounds.push_back(r); }
+};
+
+TEST(EngineEdge, ObserverKeepsAmbientRobotLiveEveryRound) {
+  // Unobserved, an ambient robot never holds the engine awake: the honest
+  // robot's 50-round sleep fast-forwards and the parked robot is drained
+  // once after the run. With an observer attached the park is a plain
+  // end_round: the robot acts in every round, every round is simulated,
+  // and nothing is left to drain.
+  const Graph g = make_path(2);
+  Proc (*long_sleep)(Ctx) = [](Ctx c) -> Proc {
+    co_await c.sleep_rounds(50);
+  };
+  const auto run = [&](Observer* obs, std::vector<Round>* acted,
+                       bool* drained) {
+    Engine eng(g);
+    eng.set_observer(obs);
+    eng.add_robot(1, Faultiness::kWeakByzantine, 0, [=](Ctx c) {
+      return ambient_parker(c, acted, drained);
+    });
+    eng.add_robot(2, Faultiness::kHonest, 1, long_sleep);
+    return eng.run(1000);
+  };
+
+  std::vector<Round> bulk_acted;
+  bool bulk_drained = false;
+  const RunStats bulk = run(nullptr, &bulk_acted, &bulk_drained);
+  EXPECT_TRUE(bulk_drained);
+  EXPECT_LT(bulk.simulated_rounds, 5u);
+
+  RoundLog log;
+  std::vector<Round> live_acted;
+  bool live_drained = false;
+  const RunStats live = run(&log, &live_acted, &live_drained);
+  EXPECT_TRUE(live.all_honest_done);
+  EXPECT_EQ(live.rounds, bulk.rounds);
+  EXPECT_EQ(live.rounds, Round(live.simulated_rounds));
+  EXPECT_FALSE(live_drained);
+  ASSERT_EQ(log.rounds.size(), live.simulated_rounds);
+  ASSERT_EQ(live_acted.size(), live.simulated_rounds);
+  for (std::size_t r = 0; r < log.rounds.size(); ++r) {
+    EXPECT_EQ(log.rounds[r], Round(r));
+    EXPECT_EQ(live_acted[r], Round(r));
+  }
+}
+
 }  // namespace
 }  // namespace bdg::sim

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/generators.h"
 #include "graph/quotient.h"
 
@@ -39,6 +41,22 @@ TEST(ScenarioMeta, StrongHandling) {
   EXPECT_TRUE(handles_strong(Algorithm::kStrongGathered));
   EXPECT_TRUE(handles_strong(Algorithm::kStrongArbitrary));
   EXPECT_FALSE(handles_strong(Algorithm::kTournamentGathered));
+}
+
+TEST(ScenarioMeta, AlgorithmNamesRoundTrip) {
+  for (int i = 0; i <= static_cast<int>(Algorithm::kRingBaseline); ++i) {
+    const auto a = static_cast<Algorithm>(i);
+    const auto back = algorithm_from_string(to_string(a));
+    ASSERT_TRUE(back.has_value()) << to_string(a);
+    EXPECT_EQ(*back, a);
+  }
+}
+
+TEST(ScenarioMeta, ToStringThrowsOnCorruptEnumValue) {
+  // A checkpoint record holding a corrupted/future algorithm value must
+  // fail loudly at serialization time, not round-trip through "unknown".
+  EXPECT_THROW(to_string(static_cast<Algorithm>(255)), std::invalid_argument);
+  EXPECT_THROW(to_string(static_cast<Algorithm>(-1)), std::invalid_argument);
 }
 
 Graph trivial_quotient_graph(std::size_t n, std::uint64_t seed) {

@@ -343,6 +343,14 @@ TEST(SweepResume, DifferentSpecKnobsInvalidateCheckpoint) {
   std::remove(spec.checkpoint_path.c_str());
 }
 
+// Checkpoint compatibility pin: every checkpoint ever written records
+// spec_fingerprint, and resume only reuses entries whose fingerprint
+// matches. The default spec's value must never drift, or every existing
+// checkpoint silently re-runs from scratch.
+TEST(SweepResume, DefaultSpecFingerprintIsStable) {
+  EXPECT_EQ(spec_fingerprint(SweepSpec{}), 0xC9C9A69691981A17ULL);
+}
+
 // Regression (grid dedupe): byzantine_counts that clamp onto the same
 // tolerance, robot_counts listing both 0 and n, and repeated unclamped f
 // values must all collapse to unique points — aggregates never

@@ -238,22 +238,20 @@ TEST(TournamentBatched, ConformsToUnbatchedOnMixedAdversaryGrid) {
   }
 }
 
-// The batching win itself, pinned at a size small enough for a test: with
-// f = 0 every robot confirms its map after the first window, so all later
-// windows collapse to publish-and-sleep and the active metrics drop by an
-// order of magnitude while verdict and charged rounds stay identical.
-// Compiled-adversary mirror of the grid above: toggling ONLY
-// ScenarioConfig::compiled_adversary must leave every observable result
+// Live-vs-bulk mirror of the grid above: attaching ONLY a no-op observer
+// (which keeps the adversary interpreter live in every round instead of
+// parked and replayed in bulk) must leave every observable result
 // bit-identical — verdicts, rounds, planned bound, moves AND messages
 // (the adversary's own traffic is part of the accounting contract) — while
-// the compiled path simulates no more rounds than the coroutine one.
-TEST(CompiledAdversary, ConformsToCoroutineOnMixedAdversaryGrid) {
+// the bulk path simulates no more rounds than the live one.
+TEST(CompiledAdversary, LiveMatchesBulkOnMixedAdversaryGrid) {
   const std::vector<std::vector<ByzStrategy>> mixes = {
       {},  // scalar kMapLiar
       {ByzStrategy::kMapLiar, ByzStrategy::kCrash},
       {ByzStrategy::kFakeSettler, ByzStrategy::kIntentSpammer,
        ByzStrategy::kMapLiar},
   };
+  sim::Observer noop;
   for (const Algorithm alg :
        {Algorithm::kTournamentGathered, Algorithm::kTournamentArbitrary}) {
     for (const std::uint32_t f : {0u, 1u, 3u}) {
@@ -268,22 +266,19 @@ TEST(CompiledAdversary, ConformsToCoroutineOnMixedAdversaryGrid) {
           cfg.strategy = ByzStrategy::kMapLiar;
           cfg.strategies = mix;
           cfg.seed = seed;
-          cfg.compiled_adversary = true;
-          const ScenarioResult compiled = run_scenario(g, cfg);
-          cfg.compiled_adversary = false;
-          const ScenarioResult plain = run_scenario(g, cfg);
+          const ScenarioResult bulk = run_scenario(g, cfg);
+          cfg.observer = &noop;
+          const ScenarioResult live = run_scenario(g, cfg);
           const auto ctx = to_string(alg) + " f=" + std::to_string(f) +
                            " seed=" + std::to_string(seed) + " mix=" +
                            std::to_string(mix.size());
-          EXPECT_EQ(compiled.verify.ok(), plain.verify.ok()) << ctx;
-          EXPECT_TRUE(compiled.verify.ok()) << ctx << ": "
-                                            << compiled.verify.detail;
-          EXPECT_EQ(compiled.stats.rounds, plain.stats.rounds) << ctx;
-          EXPECT_EQ(compiled.planned_rounds, plain.planned_rounds) << ctx;
-          EXPECT_EQ(compiled.stats.moves, plain.stats.moves) << ctx;
-          EXPECT_EQ(compiled.stats.messages, plain.stats.messages) << ctx;
-          EXPECT_LE(compiled.stats.simulated_rounds,
-                    plain.stats.simulated_rounds)
+          EXPECT_EQ(bulk.verify.ok(), live.verify.ok()) << ctx;
+          EXPECT_TRUE(bulk.verify.ok()) << ctx << ": " << bulk.verify.detail;
+          EXPECT_EQ(bulk.stats.rounds, live.stats.rounds) << ctx;
+          EXPECT_EQ(bulk.planned_rounds, live.planned_rounds) << ctx;
+          EXPECT_EQ(bulk.stats.moves, live.stats.moves) << ctx;
+          EXPECT_EQ(bulk.stats.messages, live.stats.messages) << ctx;
+          EXPECT_LE(bulk.stats.simulated_rounds, live.stats.simulated_rounds)
               << ctx;
         }
       }
@@ -292,9 +287,9 @@ TEST(CompiledAdversary, ConformsToCoroutineOnMixedAdversaryGrid) {
 }
 
 // The adversarial-batching win itself: with an always-broadcasting
-// squatter at f > 0, the coroutine adversary keeps the engine awake in
-// every honest sleep window, while the compiled one parks and replays —
-// the simulated-round count collapses with identical verdict and totals.
+// squatter at f > 0, the live adversary keeps the engine awake in every
+// honest sleep window, while the bulk one parks and replays — the
+// simulated-round count collapses with identical verdict and totals.
 TEST(CompiledAdversary, CollapsesSimulatedRoundsUnderSquatter) {
   const Graph g = make_ring(12);
   ScenarioConfig cfg;
@@ -302,18 +297,21 @@ TEST(CompiledAdversary, CollapsesSimulatedRoundsUnderSquatter) {
   cfg.num_byzantine = 2;
   cfg.strategy = ByzStrategy::kSquatter;
   cfg.seed = 3;
-  cfg.compiled_adversary = true;
-  const ScenarioResult compiled = run_scenario(g, cfg);
-  cfg.compiled_adversary = false;
-  const ScenarioResult plain = run_scenario(g, cfg);
-  EXPECT_EQ(compiled.verify.ok(), plain.verify.ok());
-  EXPECT_EQ(compiled.stats.rounds, plain.stats.rounds);
-  EXPECT_EQ(compiled.stats.moves, plain.stats.moves);
-  EXPECT_EQ(compiled.stats.messages, plain.stats.messages);
-  EXPECT_LT(compiled.stats.simulated_rounds * 5,
-            plain.stats.simulated_rounds);
+  const ScenarioResult bulk = run_scenario(g, cfg);
+  sim::Observer noop;
+  cfg.observer = &noop;
+  const ScenarioResult live = run_scenario(g, cfg);
+  EXPECT_EQ(bulk.verify.ok(), live.verify.ok());
+  EXPECT_EQ(bulk.stats.rounds, live.stats.rounds);
+  EXPECT_EQ(bulk.stats.moves, live.stats.moves);
+  EXPECT_EQ(bulk.stats.messages, live.stats.messages);
+  EXPECT_LT(bulk.stats.simulated_rounds * 5, live.stats.simulated_rounds);
 }
 
+// The batching win itself, pinned at a size small enough for a test: with
+// f = 0 every robot confirms its map after the first window, so all later
+// windows collapse to publish-and-sleep and the active metrics drop by an
+// order of magnitude while verdict and charged rounds stay identical.
 TEST(TournamentBatched, CollapsesActiveRoundsWhenConfirmed) {
   const Graph g = make_ring(12);
   ScenarioConfig cfg;

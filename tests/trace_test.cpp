@@ -87,6 +87,39 @@ TEST(Trace, SettledRobotsNeverMoveAgain) {
   }
 }
 
+TEST(Trace, ObservedAdversaryMatchesUnobservedRun) {
+  // Attaching a recorder runs the same adversary interpreter as production,
+  // only live in every round: verdict and totals match the unobserved
+  // (bulk) run, and the Byzantine robots' own moves show up in the trace.
+  Rng rng(5);
+  const Graph g = shuffle_ports(make_connected_er(8, 0.45, rng), rng);
+  for (const core::ByzStrategy s :
+       {core::ByzStrategy::kRandomWalker, core::ByzStrategy::kMapLiar}) {
+    SCOPED_TRACE(core::to_string(s));
+    core::ScenarioConfig cfg;
+    cfg.algorithm = core::Algorithm::kThreeGroupGathered;
+    cfg.num_byzantine = 2;
+    cfg.strategy = s;
+    const core::ScenarioResult bulk = core::run_scenario(g, cfg);
+    TraceRecorder trace(0);
+    cfg.observer = &trace;
+    const core::ScenarioResult live = core::run_scenario(g, cfg);
+    EXPECT_EQ(live.verify.ok(), bulk.verify.ok());
+    EXPECT_EQ(live.stats.rounds, bulk.stats.rounds);
+    EXPECT_EQ(live.stats.moves, bulk.stats.moves);
+    EXPECT_EQ(live.stats.messages, bulk.stats.messages);
+    EXPECT_EQ(trace.total_moves(), live.stats.moves);
+    // byz_smallest_ids: the Byzantine robots hold the two smallest IDs.
+    const std::vector<RobotId> ids = core::draw_robot_ids(8, 8, cfg.seed);
+    std::uint64_t byz_moves = 0;
+    for (std::size_t i = 0; i < cfg.num_byzantine; ++i)
+      if (const auto it = trace.per_robot().find(ids[i]);
+          it != trace.per_robot().end())
+        byz_moves += it->second.moves;
+    EXPECT_GT(byz_moves, 0u);
+  }
+}
+
 TEST(Trace, DetachingObserverStopsRecording) {
   const Graph g = make_ring(4);
   Engine eng(g);
