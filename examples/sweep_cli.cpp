@@ -16,9 +16,10 @@
 //   sweep_cli --shard=1/2 --resume=ck.jsonl --no-timing ... &
 //   wait; sweep_cli --resume=ck.jsonl --no-timing --points-csv=merged.csv ...
 //
-// The grid flags are shared with the distributed front-ends (sweepd,
-// sweep_worker) via run/cli_flags, so the same flag set drives single-shot
-// and coordinator/worker sweeps interchangeably.
+// The grid flags, report writing and exit codes are shared with the
+// distributed front-ends (sweepd, sweep_worker) via run/cli_flags, so the
+// same flag set drives single-shot and coordinator/worker sweeps
+// interchangeably.
 //
 // Run with --help for the full flag list. Exit code: 0 when every
 // non-skipped point disperses, 1 otherwise, 2 on usage errors, 3 when the
@@ -26,15 +27,9 @@
 // round bound saturates 128-bit accounting (the offending (algorithm, n, f)
 // is named on stderr — such grids are rejected, not silently skipped).
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "run/cli_flags.h"
-#include "run/report.h"
 #include "run/sweep.h"
 
 namespace {
@@ -47,79 +42,45 @@ void usage(std::FILE* to) {
   std::fputs(
       "  --abort-after=N        abort after N newly-run points (testing and\n"
       "                         CI resume smoke; exit code 3)\n"
-      "  --progress             print one line per completed point to stderr\n"
-      "output:\n"
-      "  --points-csv=PATH      per-point CSV ('-' = stdout)\n"
-      "  --cells-csv=PATH       per-cell aggregate CSV ('-' = stdout)\n"
-      "  --json=PATH            full JSON report ('-' = stdout)\n"
-      "  --quiet                suppress the summary line\n",
+      "  --progress             print one line per completed point to stderr\n",
       to);
+  run::print_report_flag_help(to);
   run::print_grid_name_lists(to);
-}
-
-bool write_report(const std::string& path, const run::SweepResult& result,
-                  void (*write)(std::ostream&, const run::SweepResult&)) {
-  if (path == "-") {
-    write(std::cout, result);
-    return true;
-  }
-  std::ofstream os(path);
-  write(os, result);
-  os.flush();
-  if (!os) std::fprintf(stderr, "sweep_cli: cannot write %s\n", path.c_str());
-  return static_cast<bool>(os);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  run::SweepSpec spec = run::default_cli_spec();
-  std::string points_csv, cells_csv, json;
-  bool quiet = false;
+  run::ReportFlags report;
   bool progress = false;
   unsigned long abort_after = 0;  // 0 = never abort
 
-  const run::GridFlagsResult grid = run::parse_grid_flags(argc, argv, spec);
+  run::GridFlagsResult grid = run::parse_grid_flags(argc, argv);
   if (!grid.ok) {
     std::fprintf(stderr, "sweep_cli: %s\n", grid.error.c_str());
     return 2;
   }
-  const auto value_of = [](const std::string& arg, const char* flag)
-      -> std::optional<std::string> {
-    const std::size_t len = std::strlen(flag);
-    if (arg.compare(0, len, flag) == 0 && arg.size() > len && arg[len] == '=')
-      return arg.substr(len + 1);
-    return std::nullopt;
-  };
+  run::SweepSpec& spec = grid.spec;
   try {
     for (const std::string& arg : grid.leftover) {
       if (arg == "--help" || arg == "-h") {
         usage(stdout);
         return 0;
-      } else if (auto v = value_of(arg, "--abort-after")) {
-        abort_after = std::stoul(*v);
+      } else if (auto v = run::flag_value(arg, "--abort-after")) {
+        abort_after =
+            run::parse_flag_number<unsigned long>(*v, "--abort-after");
       } else if (arg == "--progress") {
         progress = true;
-      } else if (auto v = value_of(arg, "--points-csv")) {
-        points_csv = *v;
-      } else if (auto v = value_of(arg, "--cells-csv")) {
-        cells_csv = *v;
-      } else if (auto v = value_of(arg, "--json")) {
-        json = *v;
-      } else if (arg == "--quiet") {
-        quiet = true;
-      } else {
+      } else if (!run::parse_report_flag(arg, report)) {
         std::fprintf(stderr, "sweep_cli: unknown flag '%s'\n\n", arg.c_str());
         usage(stderr);
         return 2;
       }
     }
   } catch (const std::exception& e) {
-    // std::stoul and friends throw on malformed numbers: a usage error.
-    std::fprintf(stderr, "sweep_cli: bad flag value (%s)\n", e.what());
+    std::fprintf(stderr, "sweep_cli: %s\n", e.what());
     return 2;
   }
-  run::apply_default_algorithms(spec);
 
   // Progress/abort callback: live per-point lines and the forced
   // mid-sweep abort the CI resume smoke exercises. `completed` counts
@@ -147,52 +108,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sweep_cli: %s\n", e.what());
     return 2;
   }
-
-  bool write_ok = true;
-  if (!points_csv.empty())
-    write_ok &= write_report(points_csv, result, run::write_points_csv);
-  if (!cells_csv.empty())
-    write_ok &= write_report(cells_csv, result, run::write_cells_csv);
-  if (!json.empty()) write_ok &= write_report(json, result, run::write_json);
-  if (points_csv.empty() && cells_csv.empty() && json.empty())
-    run::write_points_csv(std::cout, result);
-
-  std::size_t failed = 0;
-  std::size_t saturated = 0;
-  const run::PointResult* first_saturated = nullptr;
-  for (const run::PointResult& p : result.points) {
-    if (!p.skipped && !p.ok) ++failed;
-    if (p.saturated) {
-      ++saturated;
-      if (first_saturated == nullptr) first_saturated = &p;
-    }
-  }
-  if (!quiet) {
-    std::fprintf(stderr,
-                 "[sweep_cli: %zu points, %zu skipped, %zu failed, "
-                 "%zu from checkpoint%s, %.2fs]\n",
-                 result.points.size(), result.skipped(), failed,
-                 result.from_checkpoint, result.aborted ? ", ABORTED" : "",
-                 result.wall_seconds);
-    if (result.torn_checkpoint_lines != 0)
-      std::fprintf(stderr,
-                   "[sweep_cli: %zu torn checkpoint line(s) skipped and "
-                   "re-run — a previous run crashed mid-append]\n",
-                   result.torn_checkpoint_lines);
-  }
-  if (saturated != 0) {
-    // Reject the grid loudly, before any other verdict: a bound past
-    // 2^128-1 cannot be swept, and a skip row alone is invisible when
-    // --progress is off.
-    std::fprintf(stderr,
-                 "sweep_cli: %zu grid point(s) exceed 128-bit round "
-                 "accounting; first offender: (%s, n=%u, f=%u). Shrink the "
-                 "grid (or the cost model) below the saturation frontier.\n",
-                 saturated,
-                 core::to_string(first_saturated->point.algorithm).c_str(),
-                 first_saturated->point.n, first_saturated->point.f);
-    return 4;
-  }
-  if (failed != 0 || !write_ok) return 1;
-  return result.aborted ? 3 : 0;
+  return run::write_sweep_outputs("sweep_cli", result, report);
 }

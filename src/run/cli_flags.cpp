@@ -1,7 +1,11 @@
 #include "run/cli_flags.h"
 
+#include <charconv>
 #include <cstring>
+#include <fstream>
+#include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "run/report.h"
 
@@ -17,59 +21,80 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+/// CLI algorithm names in registry order (also the help-text order).
 constexpr struct {
   const char* name;
-  core::ByzStrategy strategy;
-} kStrategies[] = {
-    {"crash", core::ByzStrategy::kCrash},
-    {"random_walker", core::ByzStrategy::kRandomWalker},
-    {"squatter", core::ByzStrategy::kSquatter},
-    {"fake_settler", core::ByzStrategy::kFakeSettler},
-    {"silent_settler", core::ByzStrategy::kSilentSettler},
-    {"intent_spammer", core::ByzStrategy::kIntentSpammer},
-    {"map_liar", core::ByzStrategy::kMapLiar},
-    {"spoofer", core::ByzStrategy::kSpoofer},
+  core::Algorithm algorithm;
+} kAlgorithms[] = {
+    {"quotient", core::Algorithm::kQuotient},
+    {"tournament-arbitrary", core::Algorithm::kTournamentArbitrary},
+    {"sqrt-arbitrary", core::Algorithm::kSqrtArbitrary},
+    {"tournament-gathered", core::Algorithm::kTournamentGathered},
+    {"three-group", core::Algorithm::kThreeGroupGathered},
+    {"strong-arbitrary", core::Algorithm::kStrongArbitrary},
+    {"strong-gathered", core::Algorithm::kStrongGathered},
+    {"crash-real-gathering", core::Algorithm::kCrashRealGathering},
+    {"ring-baseline", core::Algorithm::kRingBaseline},
 };
 
-std::optional<std::string> value_of(const char* arg, const char* flag) {
-  const std::size_t len = std::strlen(flag);
-  if (std::strncmp(arg, flag, len) == 0 && arg[len] == '=')
-    return std::string(arg + len + 1);
-  return std::nullopt;
+/// Whole-string decimal: nullopt on empty text, any non-digit or overflow.
+std::optional<std::uint64_t> parse_decimal(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+double parse_flag_double(const std::string& text, const char* flag) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size())
+    throw std::invalid_argument("bad value '" + text + "' for " + flag);
+  return value;
+}
+
+bool write_report(const char* prog, const std::string& path,
+                  const SweepResult& result,
+                  void (*write)(std::ostream&, const SweepResult&)) {
+  if (path.empty()) return true;  // not requested
+  if (path == "-") {
+    write(std::cout, result);
+    return true;
+  }
+  std::ofstream os(path);
+  write(os, result);
+  os.flush();
+  if (!os) std::fprintf(stderr, "%s: cannot write %s\n", prog, path.c_str());
+  return static_cast<bool>(os);
 }
 
 }  // namespace
 
-SweepSpec default_cli_spec() {
-  SweepSpec spec;
-  spec.families = {"er"};
-  spec.sizes = {8, 12, 16};
-  return spec;
-}
-
-const std::vector<CliAlgorithm>& cli_algorithms() {
-  static const std::vector<CliAlgorithm> kList = {
-      {"quotient", core::Algorithm::kQuotient},
-      {"tournament-arbitrary", core::Algorithm::kTournamentArbitrary},
-      {"sqrt-arbitrary", core::Algorithm::kSqrtArbitrary},
-      {"tournament-gathered", core::Algorithm::kTournamentGathered},
-      {"three-group", core::Algorithm::kThreeGroupGathered},
-      {"strong-arbitrary", core::Algorithm::kStrongArbitrary},
-      {"strong-gathered", core::Algorithm::kStrongGathered},
-      {"crash-real-gathering", core::Algorithm::kCrashRealGathering},
-      {"ring-baseline", core::Algorithm::kRingBaseline},
-  };
-  return kList;
-}
-
-std::optional<core::Algorithm> algorithm_from_cli(const std::string& name) {
-  for (const auto& a : cli_algorithms())
-    if (name == a.name) return a.algorithm;
+std::optional<std::string> flag_value(const std::string& arg,
+                                      const char* flag) {
+  const std::size_t len = std::strlen(flag);
+  if (arg.compare(0, len, flag) == 0 && arg.size() > len && arg[len] == '=')
+    return arg.substr(len + 1);
   return std::nullopt;
 }
 
-GridFlagsResult parse_grid_flags(int argc, char** argv, SweepSpec& spec) {
+std::uint64_t parse_flag_uint(const std::string& text, const char* flag,
+                              std::uint64_t max, std::uint64_t min) {
+  const std::optional<std::uint64_t> value = parse_decimal(text);
+  if (!value || *value < min || *value > max)
+    throw std::invalid_argument("bad value '" + text + "' for " + flag +
+                                " (want an integer in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "])");
+  return *value;
+}
+
+GridFlagsResult parse_grid_flags(int argc, char** argv) {
   GridFlagsResult res;
+  SweepSpec& spec = res.spec;
+  spec.families = {"er"};  // the CLI defaults, not the library's
+  spec.sizes = {8, 12, 16};
   const auto fail = [&res](std::string message) {
     res.ok = false;
     res.error = std::move(message);
@@ -78,18 +103,16 @@ GridFlagsResult parse_grid_flags(int argc, char** argv, SweepSpec& spec) {
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (auto v = value_of(argv[i], "--algorithms")) {
+      if (auto v = flag_value(arg, "--algorithms")) {
         for (const std::string& name : split(*v, ',')) {
-          if (name == "all") {
-            for (const auto& a : cli_algorithms())
+          const std::size_t before = spec.algorithms.size();
+          for (const auto& a : kAlgorithms)
+            if (name == "all" || name == a.name)
               spec.algorithms.push_back(a.algorithm);
-            continue;
-          }
-          const auto a = algorithm_from_cli(name);
-          if (!a) return fail("unknown algorithm '" + name + "'");
-          spec.algorithms.push_back(*a);
+          if (spec.algorithms.size() == before)
+            return fail("unknown algorithm '" + name + "'");
         }
-      } else if (auto v = value_of(argv[i], "--families")) {
+      } else if (auto v = flag_value(arg, "--families")) {
         spec.families.clear();
         for (const std::string& name : split(*v, ',')) {
           if (name == "all") {
@@ -100,44 +123,44 @@ GridFlagsResult parse_grid_flags(int argc, char** argv, SweepSpec& spec) {
             spec.families.push_back(name);  // expand_grid validates
           }
         }
-      } else if (auto v = value_of(argv[i], "--sizes")) {
+      } else if (auto v = flag_value(arg, "--sizes")) {
         spec.sizes.clear();
         for (const std::string& n : split(*v, ','))
-          spec.sizes.push_back(static_cast<std::uint32_t>(std::stoul(n)));
-      } else if (auto v = value_of(argv[i], "--k")) {
+          spec.sizes.push_back(parse_flag_number<std::uint32_t>(n, "--sizes"));
+      } else if (auto v = flag_value(arg, "--k")) {
         for (const std::string& k : split(*v, ','))
           spec.robot_counts.push_back(
-              static_cast<std::uint32_t>(std::stoul(k)));
-      } else if (auto v = value_of(argv[i], "--byz")) {
+              parse_flag_number<std::uint32_t>(k, "--k"));
+      } else if (auto v = flag_value(arg, "--byz")) {
         for (const std::string& f : split(*v, ','))
           spec.byzantine_counts.push_back(
-              static_cast<std::uint32_t>(std::stoul(f)));
-      } else if (auto v = value_of(argv[i], "--seeds")) {
+              parse_flag_number<std::uint32_t>(f, "--byz"));
+      } else if (auto v = flag_value(arg, "--seeds")) {
         spec.seeds.clear();
         for (const std::string& s : split(*v, ','))
-          spec.seeds.push_back(std::stoull(s));
-      } else if (auto v = value_of(argv[i], "--strategy")) {
+          spec.seeds.push_back(parse_flag_number<std::uint64_t>(s, "--seeds"));
+      } else if (auto v = flag_value(arg, "--strategy")) {
         const auto s = core::strategy_from_string(*v);
         if (!s) return fail("unknown strategy '" + *v + "'");
         spec.strategy = *s;
         spec.strategy_follows_algorithm = false;
-      } else if (auto v = value_of(argv[i], "--mix")) {
+      } else if (auto v = flag_value(arg, "--mix")) {
         for (const std::string& text : split(*v, ',')) {
           const auto mix = mix_from_string(text);
           if (!mix) return fail("unknown strategy in mix '" + text + "'");
           spec.strategy_mixes.push_back(*mix);
         }
-      } else if (auto v = value_of(argv[i], "--shard")) {
+      } else if (auto v = flag_value(arg, "--shard")) {
         const std::size_t slash = v->find('/');
         if (slash == std::string::npos)
           return fail("--shard wants i/m, got '" + *v + "'");
         spec.shard_index =
-            static_cast<unsigned>(std::stoul(v->substr(0, slash)));
+            parse_flag_number<unsigned>(v->substr(0, slash), "--shard");
         spec.shard_count =
-            static_cast<unsigned>(std::stoul(v->substr(slash + 1)));
+            parse_flag_number<unsigned>(v->substr(slash + 1), "--shard");
         if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count)
           return fail("--shard needs i < m, got '" + *v + "'");
-      } else if (auto v = value_of(argv[i], "--resume")) {
+      } else if (auto v = flag_value(arg, "--resume")) {
         spec.checkpoint_path = *v;
       } else if (arg == "--no-timing") {
         spec.measure_seconds = false;
@@ -147,29 +170,24 @@ GridFlagsResult parse_grid_flags(int argc, char** argv, SweepSpec& spec) {
         spec.require_trivial_quotient = true;
       } else if (arg == "--common-graphs") {
         spec.common_graphs = true;
-      } else if (auto v = value_of(argv[i], "--er-p")) {
-        spec.er_edge_probability = std::stod(*v);
-      } else if (auto v = value_of(argv[i], "--base-seed")) {
-        spec.base_seed = std::stoull(*v);
-      } else if (auto v = value_of(argv[i], "--threads")) {
-        spec.threads = static_cast<unsigned>(std::stoul(*v));
+      } else if (auto v = flag_value(arg, "--er-p")) {
+        spec.er_edge_probability = parse_flag_double(*v, "--er-p");
+      } else if (auto v = flag_value(arg, "--base-seed")) {
+        spec.base_seed = parse_flag_number<std::uint64_t>(*v, "--base-seed");
+      } else if (auto v = flag_value(arg, "--threads")) {
+        spec.threads = parse_flag_number<unsigned>(*v, "--threads");
       } else {
         res.leftover.push_back(arg);
       }
     }
   } catch (const std::exception& e) {
-    // std::stoul and friends throw on malformed numbers: a usage error.
-    return fail(std::string("bad flag value (") + e.what() + ")");
+    return fail(e.what());  // a malformed number, naming its flag
   }
+  if (spec.algorithms.empty())  // the general-graph default
+    for (const auto& a : kAlgorithms)
+      if (a.algorithm != core::Algorithm::kRingBaseline)
+        spec.algorithms.push_back(a.algorithm);
   return res;
-}
-
-void apply_default_algorithms(SweepSpec& spec) {
-  if (!spec.algorithms.empty()) return;
-  // General-graph default: every algorithm except the ring-only baseline.
-  for (const auto& a : cli_algorithms())
-    if (a.algorithm != core::Algorithm::kRingBaseline)
-      spec.algorithms.push_back(a.algorithm);
 }
 
 void print_grid_flag_help(std::FILE* to) {
@@ -215,9 +233,12 @@ void print_grid_flag_help(std::FILE* to) {
 
 void print_grid_name_lists(std::FILE* to) {
   std::fputs("algorithm names:\n", to);
-  for (const auto& a : cli_algorithms()) std::fprintf(to, "  %s\n", a.name);
+  for (const auto& a : kAlgorithms) std::fprintf(to, "  %s\n", a.name);
   std::fputs("strategy names:\n", to);
-  for (const auto& s : kStrategies) std::fprintf(to, "  %s\n", s.name);
+  std::vector<core::ByzStrategy> strategies = core::weak_strategies();
+  strategies.push_back(core::ByzStrategy::kSpoofer);
+  for (const core::ByzStrategy s : strategies)
+    std::fprintf(to, "  %s\n", core::to_string(s).c_str());
 }
 
 bool parse_host_port(const std::string& text, std::string& host,
@@ -230,19 +251,79 @@ bool parse_host_port(const std::string& text, std::string& host,
     port_part = text.substr(colon + 1);
     if (host_part.empty()) return false;
   }
-  if (port_part.empty() ||
-      port_part.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  unsigned long value = 0;
-  try {
-    value = std::stoul(port_part);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (value == 0 || value > 65535) return false;
+  const std::optional<std::uint64_t> value = parse_decimal(port_part);
+  if (!value || *value == 0 || *value > 65535) return false;
   host = host_part;
-  port = static_cast<std::uint16_t>(value);
+  port = static_cast<std::uint16_t>(*value);
   return true;
+}
+
+bool parse_report_flag(const std::string& arg, ReportFlags& flags) {
+  for (const auto& [flag, path] : {std::pair{"--points-csv", &flags.points_csv},
+                                   std::pair{"--cells-csv", &flags.cells_csv},
+                                   std::pair{"--json", &flags.json}})
+    if (auto v = flag_value(arg, flag)) {
+      *path = *v;
+      return true;
+    }
+  if (arg != "--quiet") return false;
+  flags.quiet = true;
+  return true;
+}
+
+void print_report_flag_help(std::FILE* to) {
+  std::fputs(
+      "output:\n"
+      "  --points-csv=PATH      per-point CSV ('-' = stdout)\n"
+      "  --cells-csv=PATH       per-cell aggregate CSV ('-' = stdout)\n"
+      "  --json=PATH            full JSON report ('-' = stdout)\n"
+      "  --quiet                suppress the summary line\n",
+      to);
+}
+
+int write_sweep_outputs(const char* prog, const SweepResult& result,
+                        const ReportFlags& flags,
+                        const std::string& summary_extra) {
+  bool write_ok =
+      write_report(prog, flags.points_csv, result, write_points_csv);
+  write_ok &= write_report(prog, flags.cells_csv, result, write_cells_csv);
+  write_ok &= write_report(prog, flags.json, result, write_json);
+  if (flags.points_csv.empty() && flags.cells_csv.empty() && flags.json.empty())
+    write_points_csv(std::cout, result);
+
+  std::size_t failed = 0;
+  std::size_t saturated = 0;
+  const PointResult* first_saturated = nullptr;
+  for (const PointResult& p : result.points) {
+    if (!p.skipped && !p.ok) ++failed;
+    if (p.saturated && saturated++ == 0) first_saturated = &p;
+  }
+  if (!flags.quiet) {
+    std::fprintf(stderr,
+                 "[%s: %zu points, %zu skipped, %zu failed, "
+                 "%zu from checkpoint%s%s, %.2fs]\n",
+                 prog, result.points.size(), result.skipped(), failed,
+                 result.from_checkpoint, result.aborted ? ", ABORTED" : "",
+                 summary_extra.c_str(), result.wall_seconds);
+    if (result.torn_checkpoint_lines != 0)
+      std::fprintf(stderr,
+                   "[%s: %zu torn checkpoint line(s) skipped and "
+                   "re-run — a previous run crashed mid-append]\n",
+                   prog, result.torn_checkpoint_lines);
+  }
+  if (saturated != 0) {
+    // Reject the grid loudly, before any other verdict: a bound past
+    // 2^128-1 cannot be swept, and a skip row alone is invisible when
+    // --progress is off.
+    const SweepPoint& p = first_saturated->point;
+    std::fprintf(stderr,
+                 "%s: %zu grid point(s) exceed 128-bit round "
+                 "accounting; first offender: (%s, n=%u, f=%u). Shrink the "
+                 "grid (or the cost model) below the saturation frontier.\n",
+                 prog, saturated, core::to_string(p.algorithm).c_str(), p.n,
+                 p.f);
+  }
+  return sweep_exit_code(saturated, failed, write_ok, result.aborted);
 }
 
 }  // namespace bdg::run

@@ -14,17 +14,6 @@
 namespace bdg::run {
 namespace {
 
-// The flat-object writer/scanner pair lives in util/json_mini.h now, shared
-// with the sweep-service wire protocol; these aliases keep the checkpoint
-// code reading as before.
-inline std::string json_escape(const std::string& s) { return json::escape(s); }
-using json::find_bool;
-using json::find_double;
-using json::find_raw;
-using json::find_string;
-using json::find_u32;
-using json::find_u64;
-
 /// Doubles that must survive a write -> parse -> write cycle bit-exactly
 /// (checkpoint seconds) print with max_digits10 significant digits.
 std::string exact_double(double v) {
@@ -38,7 +27,7 @@ std::string exact_double(double v) {
 /// overflowing token fails the whole line (foreign data must re-run).
 bool find_round(const std::string& line, const char* key, core::Round& out) {
   std::string raw;
-  if (!find_raw(line, key, raw)) return false;
+  if (!json::find_raw(line, key, raw)) return false;
   const auto parsed = core::Round::from_string(raw);
   if (!parsed) return false;
   out = *parsed;
@@ -113,17 +102,17 @@ void write_cells_csv(std::ostream& os, const SweepResult& result) {
 
 void write_point_json(std::ostream& os, const PointResult& p) {
   os << "{\"algorithm\": \""
-     << json_escape(core::to_string(p.point.algorithm)) << "\", \"family\": \""
-     << json_escape(p.point.family) << "\", \"n\": " << p.point.n
+     << json::escape(core::to_string(p.point.algorithm)) << "\", \"family\": \""
+     << json::escape(p.point.family) << "\", \"n\": " << p.point.n
      << ", \"k\": " << (p.point.k == 0 ? p.point.n : p.point.k)
      << ", \"f\": " << p.point.f << ", \"seed\": " << p.point.seed
      << ", \"strategy\": \""
-     << json_escape(core::to_string(p.point.strategy)) << "\", \"mix\": \""
-     << json_escape(mix_to_string(p.point.mix)) << "\", \"derived_seed\": "
+     << json::escape(core::to_string(p.point.strategy)) << "\", \"mix\": \""
+     << json::escape(mix_to_string(p.point.mix)) << "\", \"derived_seed\": "
      << p.derived_seed;
   if (p.skipped) {
     os << ", \"skipped\": true, \"skip_reason\": \""
-       << json_escape(p.skip_reason) << "\"";
+       << json::escape(p.skip_reason) << "\"";
     if (p.saturated) os << ", \"saturated\": true";
     os << '}';
   } else {
@@ -134,17 +123,17 @@ void write_point_json(std::ostream& os, const PointResult& p) {
        << ", \"messages\": " << p.stats.messages
        << ", \"planned_rounds\": " << p.planned_rounds
        << ", \"seconds\": " << p.seconds;
-    if (!p.ok) os << ", \"detail\": \"" << json_escape(p.detail) << "\"";
+    if (!p.ok) os << ", \"detail\": \"" << json::escape(p.detail) << "\"";
     os << '}';
   }
 }
 
 void write_cell_json(std::ostream& os, const CellAggregate& c) {
   os << "{\"algorithm\": \""
-     << json_escape(core::to_string(c.algorithm)) << "\", \"family\": \""
-     << json_escape(c.family) << "\", \"n\": " << c.n << ", \"k\": "
+     << json::escape(core::to_string(c.algorithm)) << "\", \"family\": \""
+     << json::escape(c.family) << "\", \"n\": " << c.n << ", \"k\": "
      << (c.k == 0 ? c.n : c.k) << ", \"f\": " << c.f << ", \"mix\": \""
-     << json_escape(mix_to_string(c.mix)) << "\""
+     << json::escape(mix_to_string(c.mix)) << "\""
      << ", \"runs\": " << c.runs << ", \"dispersed\": " << c.dispersed
      << ", \"min_rounds\": " << c.min_rounds
      << ", \"max_rounds\": " << c.max_rounds
@@ -182,18 +171,18 @@ void write_checkpoint_line(std::ostream& os, const PointResult& p,
   // nullopt on load, so checkpoints written before the Round widening
   // re-run instead of silently importing possibly-capped counts.
   os << "{\"v\": 2, \"spec\": " << spec_fingerprint << ", \"algorithm\": \""
-     << json_escape(core::to_string(p.point.algorithm)) << "\", \"family\": \""
-     << json_escape(p.point.family) << "\", \"n\": " << p.point.n
+     << json::escape(core::to_string(p.point.algorithm)) << "\", \"family\": \""
+     << json::escape(p.point.family) << "\", \"n\": " << p.point.n
      << ", \"k\": " << p.point.k << ", \"f\": " << p.point.f
      << ", \"seed\": " << p.point.seed << ", \"strategy\": \""
-     << json_escape(core::to_string(p.point.strategy)) << "\", \"mix\": \""
-     << json_escape(mix_to_string(p.point.mix))
+     << json::escape(core::to_string(p.point.strategy)) << "\", \"mix\": \""
+     << json::escape(mix_to_string(p.point.mix))
      << "\", \"derived_seed\": " << p.derived_seed
      << ", \"skipped\": " << (p.skipped ? "true" : "false")
-     << ", \"skip_reason\": \"" << json_escape(p.skip_reason)
+     << ", \"skip_reason\": \"" << json::escape(p.skip_reason)
      << "\", \"saturated\": " << (p.saturated ? "true" : "false")
      << ", \"ok\": " << (p.ok ? "true" : "false") << ", \"detail\": \""
-     << json_escape(p.detail) << "\", \"rounds\": " << p.stats.rounds
+     << json::escape(p.detail) << "\", \"rounds\": " << p.stats.rounds
      << ", \"simulated_rounds\": " << p.stats.simulated_rounds
      << ", \"resumes\": " << p.stats.resumes
      << ", \"moves\": " << p.stats.moves
@@ -225,32 +214,34 @@ std::optional<CheckpointEntry> parse_checkpoint_line(const std::string& line) {
   if (end == 0 || line.front() != '{' || line[end - 1] != '}')
     return std::nullopt;
   std::uint64_t version = 0;
-  if (!find_u64(line, "v", version) || version != 2) return std::nullopt;
+  if (!json::find_u64(line, "v", version) || version != 2) return std::nullopt;
 
   CheckpointEntry entry;
   PointResult& p = entry.result;
   std::string algorithm, strategy, mix_text;
-  if (!find_u64(line, "spec", entry.spec) ||
-      !find_string(line, "algorithm", algorithm) ||
-      !find_string(line, "family", p.point.family) ||
-      !find_u32(line, "n", p.point.n) || !find_u32(line, "k", p.point.k) ||
-      !find_u32(line, "f", p.point.f) ||
-      !find_u64(line, "seed", p.point.seed) ||
-      !find_string(line, "strategy", strategy) ||
-      !find_string(line, "mix", mix_text) ||
-      !find_u64(line, "derived_seed", p.derived_seed) ||
-      !find_bool(line, "skipped", p.skipped) ||
-      !find_string(line, "skip_reason", p.skip_reason) ||
-      !find_bool(line, "saturated", p.saturated) ||
-      !find_bool(line, "ok", p.ok) || !find_string(line, "detail", p.detail) ||
+  if (!json::find_u64(line, "spec", entry.spec) ||
+      !json::find_string(line, "algorithm", algorithm) ||
+      !json::find_string(line, "family", p.point.family) ||
+      !json::find_u32(line, "n", p.point.n) ||
+      !json::find_u32(line, "k", p.point.k) ||
+      !json::find_u32(line, "f", p.point.f) ||
+      !json::find_u64(line, "seed", p.point.seed) ||
+      !json::find_string(line, "strategy", strategy) ||
+      !json::find_string(line, "mix", mix_text) ||
+      !json::find_u64(line, "derived_seed", p.derived_seed) ||
+      !json::find_bool(line, "skipped", p.skipped) ||
+      !json::find_string(line, "skip_reason", p.skip_reason) ||
+      !json::find_bool(line, "saturated", p.saturated) ||
+      !json::find_bool(line, "ok", p.ok) ||
+      !json::find_string(line, "detail", p.detail) ||
       !find_round(line, "rounds", p.stats.rounds) ||
-      !find_u64(line, "simulated_rounds", p.stats.simulated_rounds) ||
-      !find_u64(line, "resumes", p.stats.resumes) ||
-      !find_u64(line, "moves", p.stats.moves) ||
-      !find_u64(line, "messages", p.stats.messages) ||
-      !find_bool(line, "all_honest_done", p.stats.all_honest_done) ||
+      !json::find_u64(line, "simulated_rounds", p.stats.simulated_rounds) ||
+      !json::find_u64(line, "resumes", p.stats.resumes) ||
+      !json::find_u64(line, "moves", p.stats.moves) ||
+      !json::find_u64(line, "messages", p.stats.messages) ||
+      !json::find_bool(line, "all_honest_done", p.stats.all_honest_done) ||
       !find_round(line, "planned_rounds", p.planned_rounds) ||
-      !find_double(line, "seconds", p.seconds))
+      !json::find_double(line, "seconds", p.seconds))
     return std::nullopt;
 
   const auto a = core::algorithm_from_string(algorithm);

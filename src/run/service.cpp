@@ -6,26 +6,18 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "run/report.h"
 #include "util/json_mini.h"
-#include "util/parallel.h"
 
 namespace bdg::run {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::int64_t ms_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(to - from)
-      .count();
-}
+using Ms = std::chrono::milliseconds;
 
 // ---------------------------------------------------------------------------
 // Control messages. Flat JSON like the checkpoint records; a frame whose
@@ -34,24 +26,19 @@ std::int64_t ms_between(Clock::time_point from, Clock::time_point to) {
 
 std::string msg_hello(const std::string& name, std::uint64_t spec_fp,
                       std::uint64_t grid_fp) {
-  std::ostringstream os;
-  os << "{\"type\": \"hello\", \"name\": \"" << json::escape(name)
-     << "\", \"spec\": " << spec_fp << ", \"grid\": " << grid_fp << "}";
-  return os.str();
+  return "{\"type\": \"hello\", \"name\": \"" + json::escape(name) +
+         "\", \"spec\": " + std::to_string(spec_fp) +
+         ", \"grid\": " + std::to_string(grid_fp) + "}";
 }
 
 std::string msg_hello_ok(std::uint32_t lease_timeout_ms) {
-  std::ostringstream os;
-  os << "{\"type\": \"hello_ok\", \"lease_timeout_ms\": " << lease_timeout_ms
-     << "}";
-  return os.str();
+  return "{\"type\": \"hello_ok\", \"lease_timeout_ms\": " +
+         std::to_string(lease_timeout_ms) + "}";
 }
 
 std::string msg_reject(const std::string& reason) {
-  std::ostringstream os;
-  os << "{\"type\": \"reject\", \"reason\": \"" << json::escape(reason)
-     << "\"}";
-  return os.str();
+  return "{\"type\": \"reject\", \"reason\": \"" + json::escape(reason) +
+         "\"}";
 }
 
 std::string msg_lease(std::uint64_t id,
@@ -66,16 +53,10 @@ std::string msg_lease(std::uint64_t id,
   return os.str();
 }
 
-std::string msg_heartbeat(std::uint64_t lease_id) {
-  std::ostringstream os;
-  os << "{\"type\": \"heartbeat\", \"id\": " << lease_id << "}";
-  return os.str();
-}
-
-std::string msg_lease_done(std::uint64_t lease_id) {
-  std::ostringstream os;
-  os << "{\"type\": \"lease_done\", \"id\": " << lease_id << "}";
-  return os.str();
+/// `heartbeat` and `lease_done`: a type and a lease id.
+std::string msg_lease_id(const char* type, std::uint64_t lease_id) {
+  return std::string("{\"type\": \"") + type +
+         "\", \"id\": " + std::to_string(lease_id) + "}";
 }
 
 std::string msg_shutdown() { return "{\"type\": \"shutdown\"}"; }
@@ -95,59 +76,26 @@ net::FaultConfig offset_fault(net::FaultConfig cfg, std::uint64_t index) {
 // Coordinator
 // ---------------------------------------------------------------------------
 
-struct Coordinator::Impl {
-  SweepSpec spec;
-  ServiceConfig svc;
-  net::Listener listener;
-
-  Impl(SweepSpec s, ServiceConfig c)
-      : spec(std::move(s)), svc(std::move(c)), listener(svc.port) {}
-};
-
 Coordinator::Coordinator(SweepSpec spec, ServiceConfig svc)
-    : impl_(std::make_unique<Impl>(std::move(spec), std::move(svc))) {}
-
-Coordinator::~Coordinator() = default;
-
-std::uint16_t Coordinator::port() const { return impl_->listener.port(); }
+    : spec_(std::move(spec)), svc_(svc), listener_(svc_.port) {}
 
 SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
-  const SweepSpec& spec = impl_->spec;
-  const ServiceConfig& svc = impl_->svc;
+  const Ms lease_timeout(svc_.lease_timeout_ms);
 
-  SweepResult result;
-  const std::vector<SweepPoint> grid = expand_grid(spec);
-  const std::uint64_t fp = spec_fingerprint(spec);
-  const std::uint64_t gfp = grid_fingerprint(spec, grid);
-  const auto t0 = Clock::now();
-
-  const RestoredCheckpoint restored =
-      restore_checkpoint(spec, grid, result.points);
-  result.from_checkpoint = restored.restored;
-  result.torn_checkpoint_lines = restored.torn;
-
-  std::vector<char> have(grid.size(), 1);
-  for (const std::size_t i : restored.todo) have[i] = 0;
+  SweepExecutor ex(spec_);
+  const std::vector<SweepPoint>& grid = ex.grid();
+  const std::uint64_t fp = spec_fingerprint(spec_);
+  const std::uint64_t gfp = grid_fingerprint(spec_, grid);
 
   // Results are keyed by derived seed on the wire (they ARE checkpoint
-  // records); map them back to their grid index to merge in place. The
-  // WHOLE grid is indexed, not just the todo stripe: a worker surviving a
-  // coordinator restart + --resume may re-stream results the checkpoint
-  // already holds, and those must count as duplicates, not protocol
-  // errors. Point queries by derived seed resolve through the same map.
-  // util::FlatMap: lookup-only, and structurally un-iterable — merge order
-  // is delivery order, grid order is the only report order.
+  // records); map them back to their grid index. The WHOLE grid is indexed:
+  // a worker surviving a coordinator restart + --resume may re-stream
+  // restored results, which are duplicates, not protocol errors. Point
+  // queries resolve through the same lookup-only (un-iterable) map.
   util::FlatMap<std::uint64_t, std::size_t> seed_to_index;
   seed_to_index.reserve(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i)
-    seed_to_index[point_seed(spec.base_seed, grid[i])] = i;
-
-  // Live cell aggregates: every restored/merged point folds in as it
-  // lands (restored ones here, in grid order), so queries are answered
-  // from state that is bit-identical to a full rebuild at any instant.
-  CellAggregator agg;
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    if (have[i]) agg.add(i, result.points[i]);
+    seed_to_index[point_seed(spec_.base_seed, grid[i])] = i;
 
   // Per-grid-index merge bookkeeping: the lease currently owning each
   // index (0 = none). With it, retiring a merged result is O(lease size)
@@ -156,22 +104,10 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
   // entries are skipped lazily at grant/fallback time.
   std::vector<std::uint64_t> owner(grid.size(), 0);
 
-  std::ofstream ck;
-  if (!spec.checkpoint_path.empty() && !restored.todo.empty()) {
-    ck.open(spec.checkpoint_path, std::ios::app);
-    if (!ck)
-      throw std::runtime_error("sweepd: cannot open checkpoint " +
-                               spec.checkpoint_path);
-  }
-
-  std::deque<std::size_t> pending(restored.todo.begin(), restored.todo.end());
-  const std::size_t need = restored.todo.size();
-  std::size_t merged = 0;
-  bool aborted = false;
+  std::deque<std::size_t> pending(ex.todo().begin(), ex.todo().end());
 
   struct WorkerSlot {
     std::unique_ptr<net::Channel> ch;
-    std::string name;
     bool greeted = false;
     bool is_client = false;  ///< sent a query: never leased, never reaped
     std::uint64_t lease_id = 0;  ///< 0 = idle
@@ -188,39 +124,37 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
   std::uint64_t next_lease = 1;
   Clock::time_point last_live = Clock::now();
 
-  // `mu` serializes merges: the event loop is single-threaded, but the
-  // zero-worker local fallback runs points through parallel_for_index and
-  // merges from its worker threads (exactly as run_sweep does).
-  std::mutex mu;
+  // Revoke a lease, re-queueing what it still owed at the FRONT
+  // (preserving near-grid-order dispatch).
+  const auto revoke = [&](std::uint64_t id) {
+    const auto lit = leases.find(id);
+    if (lit == leases.end()) return;
+    const std::vector<std::size_t>& owed = lit->second.remaining;
+    if (!owed.empty()) {
+      ++stats_.leases_reassigned;
+      for (const std::size_t idx : owed) owner[idx] = 0;
+      pending.insert(pending.begin(), owed.begin(), owed.end());
+    }
+    leases.erase(lit);
+  };
+  const auto extend = [&](std::uint64_t id) {
+    const auto lit = leases.find(id);
+    if (lit != leases.end())
+      lit->second.deadline = Clock::now() + lease_timeout;
+  };
 
-  // Revoke a worker's lease (re-queueing what it still owed at the FRONT,
-  // preserving near-grid-order dispatch) and drop its connection.
+  // Revoke a worker's lease and drop its connection.
   const auto drop_worker = [&](int sid) {
     const auto it = slots.find(sid);
     if (it == slots.end()) return;
-    if (it->second.lease_id != 0) {
-      const auto lit = leases.find(it->second.lease_id);
-      if (lit != leases.end()) {
-        if (!lit->second.remaining.empty()) {
-          ++stats_.leases_reassigned;
-          for (auto r = lit->second.remaining.rbegin();
-               r != lit->second.remaining.rend(); ++r) {
-            owner[*r] = 0;
-            pending.push_front(*r);
-          }
-        }
-        leases.erase(lit);
-      }
-    }
+    revoke(it->second.lease_id);
     it->second.ch->shutdown();
     slots.erase(it);
   };
 
-  // Merge one completed PointResult: place it at its grid index, append it
-  // to the checkpoint, retire it from whichever lease/queue still lists it.
-  // Duplicates (a re-run after reassignment racing the original delivery)
-  // are ignored — results are deterministic per derived seed, so whichever
-  // copy lands first is THE result.
+  // Merge one streamed result: place it through the executor, then retire
+  // it from whichever lease still lists it. Duplicates (a re-run after
+  // reassignment racing the original delivery) are counted and dropped.
   const auto merge_result = [&](PointResult&& pr) {
     const std::size_t* found = seed_to_index.find(pr.derived_seed);
     if (found == nullptr || !same_point(pr.point, grid[*found])) {
@@ -228,14 +162,10 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
       return;
     }
     const std::size_t idx = *found;
-    if (have[idx]) {
+    if (!ex.place(idx, std::move(pr))) {
       ++stats_.duplicate_results;
       return;
     }
-    result.points[idx] = std::move(pr);
-    have[idx] = 1;
-    ++merged;
-    agg.add(idx, result.points[idx]);
     // O(1) retirement via the owner map: only the owning lease (if any)
     // is touched; a pending entry for this index (duplicate racing a
     // reassignment) is skipped lazily when the queue is next drained.
@@ -248,18 +178,12 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
       }
       owner[idx] = 0;
     }
-    if (ck.is_open())
-      append_checkpoint_line(ck, spec.checkpoint_path, result.points[idx], fp);
-    if (spec.progress &&
-        !spec.progress(result.points[idx], result.from_checkpoint + merged,
-                       grid.size()))
-      aborted = true;
   };
 
   // Answer one query frame: a flat `result` header echoing the query id,
   // then `count` body frames that are byte-identical to the report's
-  // per-cell / per-point JSON objects. Snapshots under `mu` because the
-  // local fallback merges (and folds the aggregator) from worker threads.
+  // per-cell / per-point JSON objects. Reads the executor unlocked: only
+  // run_local places from other threads, and it blocks this loop.
   // false = client connection broken; drop it.
   const auto answer_query = [&](WorkerSlot& w,
                                 const std::string& payload) -> bool {
@@ -271,66 +195,56 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
     std::string error;
     bool pending_point = false;
     std::vector<std::string> bodies;
-    std::uint64_t live_cells = 0;
-    std::uint64_t completed = 0;
-    bool done = false;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      live_cells = agg.cell_count();
-      completed = result.from_checkpoint + merged;
-      done = merged >= need;
-      if (what == "cells") {
-        std::optional<std::string> algorithm, family, mix;
-        std::string s;
-        if (json::find_string(payload, "algorithm", s)) algorithm = s;
-        if (json::find_string(payload, "family", s)) family = s;
-        if (json::find_string(payload, "mix", s)) mix = s;
-        std::uint32_t u = 0;
-        std::optional<std::uint32_t> n, k, f;
-        if (json::find_u32(payload, "n", u)) n = u;
-        if (json::find_u32(payload, "k", u)) k = u;
-        if (json::find_u32(payload, "f", u)) f = u;
-        for (const CellAggregate& c : agg.cells()) {
-          if (algorithm && *algorithm != core::to_string(c.algorithm)) continue;
-          if (family && *family != c.family) continue;
-          if (mix && *mix != mix_to_string(c.mix)) continue;
-          if (n && *n != c.n) continue;
-          if (k && *k != (c.k == 0 ? c.n : c.k)) continue;
-          if (f && *f != c.f) continue;
-          std::ostringstream os;
-          write_cell_json(os, c);
-          bodies.push_back(os.str());
-        }
-      } else if (what == "point") {
-        std::uint64_t seed = 0;
-        std::uint64_t index = 0;
-        std::size_t idx = grid.size();
-        if (json::find_u64(payload, "index", index)) {
-          if (index < grid.size())
-            idx = static_cast<std::size_t>(index);
-          else
-            error = "index out of range";
-        } else if (json::find_u64(payload, "derived_seed", seed)) {
-          const std::size_t* found = seed_to_index.find(seed);
-          if (found != nullptr)
-            idx = *found;
-          else
-            error = "unknown derived seed";
-        } else {
-          error = "point query needs derived_seed or index";
-        }
-        if (idx < grid.size()) {
-          if (have[idx]) {
-            std::ostringstream os;
-            write_point_json(os, result.points[idx]);
-            bodies.push_back(os.str());
-          } else {
-            pending_point = true;  // known point, no result yet
-          }
-        }
-      } else if (what != "progress") {
-        error = "unknown query what";
+    if (what == "cells") {
+      std::optional<std::string> algorithm, family, mix;
+      std::string s;
+      if (json::find_string(payload, "algorithm", s)) algorithm = s;
+      if (json::find_string(payload, "family", s)) family = s;
+      if (json::find_string(payload, "mix", s)) mix = s;
+      std::uint32_t u = 0;
+      std::optional<std::uint32_t> n, k, f;
+      if (json::find_u32(payload, "n", u)) n = u;
+      if (json::find_u32(payload, "k", u)) k = u;
+      if (json::find_u32(payload, "f", u)) f = u;
+      for (const CellAggregate& c : ex.aggregates().cells()) {
+        if (algorithm && *algorithm != core::to_string(c.algorithm)) continue;
+        if (family && *family != c.family) continue;
+        if (mix && *mix != mix_to_string(c.mix)) continue;
+        if (n && *n != c.n) continue;
+        if (k && *k != (c.k == 0 ? c.n : c.k)) continue;
+        if (f && *f != c.f) continue;
+        std::ostringstream os;
+        write_cell_json(os, c);
+        bodies.push_back(os.str());
       }
+    } else if (what == "point") {
+      std::uint64_t key = 0;
+      std::size_t idx = grid.size();
+      if (json::find_u64(payload, "index", key)) {
+        if (key < grid.size())
+          idx = static_cast<std::size_t>(key);
+        else
+          error = "index out of range";
+      } else if (json::find_u64(payload, "derived_seed", key)) {
+        const std::size_t* found = seed_to_index.find(key);
+        if (found != nullptr)
+          idx = *found;
+        else
+          error = "unknown derived seed";
+      } else {
+        error = "point query needs derived_seed or index";
+      }
+      if (idx < grid.size()) {
+        if (ex.has(idx)) {
+          std::ostringstream os;
+          write_point_json(os, ex.point(idx));
+          bodies.push_back(os.str());
+        } else {
+          pending_point = true;  // known point, no result yet
+        }
+      }
+    } else if (what != "progress") {
+      error = "unknown query what";
     }
 
     std::ostringstream h;
@@ -338,20 +252,15 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
       << json::escape(what) << "\", \"count\": " << bodies.size();
     if (!error.empty()) h << ", \"error\": \"" << json::escape(error) << "\"";
     if (pending_point) h << ", \"pending\": true";
-    if (what == "progress")
-      h << ", \"total\": " << grid.size() << ", \"completed\": " << completed
-        << ", \"restored\": " << result.from_checkpoint
-        << ", \"cells\": " << live_cells
-        << ", \"done\": " << (done ? "true" : "false")
-        << ", \"workers_seen\": " << stats_.workers_seen
-        << ", \"workers_rejected\": " << stats_.workers_rejected
-        << ", \"leases_granted\": " << stats_.leases_granted
-        << ", \"leases_reassigned\": " << stats_.leases_reassigned
-        << ", \"duplicate_results\": " << stats_.duplicate_results
-        << ", \"local_fallback_points\": " << stats_.local_fallback_points
-        << ", \"protocol_errors\": " << stats_.protocol_errors
-        << ", \"clients_seen\": " << stats_.clients_seen
-        << ", \"queries_answered\": " << stats_.queries_answered;
+    if (what == "progress") {
+      h << ", \"total\": " << grid.size()
+        << ", \"completed\": " << ex.completed()
+        << ", \"restored\": " << ex.restored()
+        << ", \"cells\": " << ex.aggregates().cell_count()
+        << ", \"done\": " << (ex.finished() ? "true" : "false");
+      for (const CoordinatorStatField& f : kCoordinatorStatFields)
+        h << ", \"" << f.name << "\": " << stats_.*f.member;
+    }
     h << "}";
     if (!w.ch->send_frame(h.str())) return false;
     for (const std::string& body : bodies)
@@ -373,7 +282,7 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
         return answer_query(w, payload);
       }
       if (type == "hello") {
-        if (merged >= need) {
+        if (ex.finished()) {
           // The grid finished while we kept serving queries: a worker
           // (re)dialing in gets its shutdown at the handshake and exits
           // cleanly instead of waiting for leases that will never come.
@@ -382,14 +291,11 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
         }
         std::uint64_t wspec = 0;
         std::uint64_t wgrid = 0;
-        std::string name;
-        json::find_string(payload, "name", name);
         if (json::find_u64(payload, "spec", wspec) &&
             json::find_u64(payload, "grid", wgrid) && wspec == fp &&
             wgrid == gfp) {
           w.greeted = true;
-          w.name = name.empty() ? "worker#" + std::to_string(sid) : name;
-          return w.ch->send_frame(msg_hello_ok(svc.lease_timeout_ms));
+          return w.ch->send_frame(msg_hello_ok(svc_.lease_timeout_ms));
         }
         ++stats_.workers_rejected;
         w.ch->send_frame(msg_reject("grid/spec fingerprint mismatch"));
@@ -403,32 +309,17 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
         // pings — a livelock where the worker waits for a lease and the
         // coordinator waits for a deadline that never comes.
         std::uint64_t id = 0;
-        if (json::find_u64(payload, "id", id) && id != 0 &&
-            id == w.lease_id) {
-          const auto lit = leases.find(id);
-          if (lit != leases.end())
-            lit->second.deadline =
-                Clock::now() + std::chrono::milliseconds(svc.lease_timeout_ms);
-        }
+        if (json::find_u64(payload, "id", id) && id != 0 && id == w.lease_id)
+          extend(id);
         return true;
       }
       if (type == "lease_done") {
         std::uint64_t id = 0;
-        if (json::find_u64(payload, "id", id) && id != 0 &&
-            id == w.lease_id) {
-          const auto lit = leases.find(id);
-          if (lit != leases.end()) {
-            if (!lit->second.remaining.empty()) {
-              // Results lost in transit: the worker claims it ran them, but
-              // they never arrived. Re-run them — idempotence makes that
-              // safe, and the checkpoint never saw them.
-              ++stats_.leases_reassigned;
-              for (auto r = lit->second.remaining.rbegin();
-                   r != lit->second.remaining.rend(); ++r)
-                pending.push_front(*r);
-            }
-            leases.erase(lit);
-          }
+        if (json::find_u64(payload, "id", id) && id != 0 && id == w.lease_id) {
+          // Results still owed were lost in transit: the worker claims it
+          // ran them, but they never arrived. Re-run them — idempotence
+          // makes that safe, and the checkpoint never saw them.
+          revoke(id);
           w.lease_id = 0;
         }
         return true;
@@ -442,13 +333,7 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
       ++stats_.protocol_errors;
       return true;
     }
-    if (w.lease_id != 0) {
-      const auto lit = leases.find(w.lease_id);
-      if (lit != leases.end())
-        lit->second.deadline =
-            Clock::now() + std::chrono::milliseconds(svc.lease_timeout_ms);
-    }
-    std::lock_guard<std::mutex> lock(mu);
+    extend(w.lease_id);
     merge_result(std::move(entry->result));
     return true;
   };
@@ -457,22 +342,22 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
   // done; the stop flag then ends serving WITHOUT marking the sweep
   // aborted (it did finish). Workers are dismissed the moment the grid
   // completes so only client connections outlive it.
-  bool serving = svc.serve_after_finish;
+  bool serving = svc_.serve_after_finish;
   bool workers_dismissed = false;
   while (true) {
     if (stop && stop->load()) {
-      if (merged < need) aborted = true;
+      if (!ex.finished()) ex.abort();
       serving = false;
     }
-    if (aborted) break;
-    if (merged >= need && !serving) break;
+    if (ex.aborted()) break;
+    if (ex.finished() && !serving) break;
 
     // Accept every pending connection (shimmed when fault injection is on).
-    while (auto conn = impl_->listener.accept()) {
+    while (auto conn = listener_.accept()) {
       ++stats_.workers_seen;
       WorkerSlot w;
       w.ch = net::maybe_shim(std::move(conn),
-                             offset_fault(svc.fault, stats_.workers_seen - 1));
+                             offset_fault(svc_.fault, stats_.workers_seen - 1));
       w.connected_at = Clock::now();
       slots.emplace(next_slot++, std::move(w));
     }
@@ -495,18 +380,18 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
             dead.push_back(sid);
             break;
           }
-          if (aborted) break;
+          if (ex.aborted()) break;
           continue;
         }
         if (st != net::RecvStatus::kTimeout) dead.push_back(sid);
         break;
       }
-      if (aborted) break;
+      if (ex.aborted()) break;
     }
     for (const int sid : dead) drop_worker(sid);
     dead.clear();  // grant-phase failures below must not re-drop these
-    if (aborted) break;
-    if (merged >= need && !serving) break;
+    if (ex.aborted()) break;
+    if (ex.finished() && !serving) break;
 
     const auto now = Clock::now();
 
@@ -518,13 +403,11 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
     for (const auto& [id, ls] : leases)
       if (now >= ls.deadline) expired.push_back(ls.slot);
     for (const auto& [sid, w] : slots)
-      if (!w.greeted && !w.is_client &&
-          ms_between(w.connected_at, now) >
-              static_cast<std::int64_t>(svc.lease_timeout_ms))
+      if (!w.greeted && !w.is_client && now - w.connected_at > lease_timeout)
         expired.push_back(sid);
     for (const int sid : expired) drop_worker(sid);
 
-    if (merged >= need) {
+    if (ex.finished()) {
       // Grid complete, still serving queries: dismiss the workers once —
       // they exit kShutdown instead of idling against a finished sweep —
       // and keep polling for clients until the stop flag ends serving.
@@ -545,24 +428,22 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
       for (auto& [sid, w] : slots) {
         if (!w.greeted || w.lease_id != 0 || pending.empty()) continue;
         std::vector<std::size_t> batch;
-        while (!pending.empty() && batch.size() < svc.lease_points) {
+        while (!pending.empty() && batch.size() < svc_.lease_points) {
           const std::size_t idx = pending.front();
           pending.pop_front();
-          if (have[idx]) continue;  // lazily deleted: already merged
+          if (ex.has(idx)) continue;  // lazily deleted: already merged
           batch.push_back(idx);
         }
         if (batch.empty()) continue;
         const std::uint64_t id = next_lease++;
         if (!w.ch->send_frame(msg_lease(id, batch))) {
-          for (auto r = batch.rbegin(); r != batch.rend(); ++r)
-            pending.push_front(*r);
+          pending.insert(pending.begin(), batch.begin(), batch.end());
           dead.push_back(sid);  // reuse: drained below
           continue;
         }
         for (const std::size_t idx : batch) owner[idx] = id;
-        leases.emplace(id, LeaseState{std::move(batch), sid,
-                                      now + std::chrono::milliseconds(
-                                                svc.lease_timeout_ms)});
+        leases.emplace(id,
+                       LeaseState{std::move(batch), sid, now + lease_timeout});
         w.lease_id = id;
         ++stats_.leases_granted;
       }
@@ -570,38 +451,24 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
       dead.clear();
 
       // Graceful degradation: no WORKER reachable for idle_grace_ms with
-      // work still pending => run the remainder in-process through the
-      // exact run_point + merge path, instead of hanging on an empty
-      // fleet. Clients don't run points, so a connected query client must
-      // not keep a workerless sweep waiting.
-      bool worker_live = false;
-      for (const auto& [sid, w] : slots)
-        if (!w.is_client) {
-          worker_live = true;
-          break;
-        }
+      // work still pending => run the remainder in-process through
+      // run_sweep's own loop (SweepExecutor::run_local) instead of hanging
+      // on an empty fleet. Clients don't run points, so a connected query
+      // client must not keep a workerless sweep waiting.
+      const bool worker_live = std::any_of(
+          slots.begin(), slots.end(),
+          [](const auto& slot) { return !slot.second.is_client; });
       if (worker_live) {
         last_live = now;
-      } else if (svc.local_fallback && !pending.empty() && leases.empty() &&
-                 ms_between(last_live, now) >=
-                     static_cast<std::int64_t>(svc.idle_grace_ms)) {
+      } else if (svc_.local_fallback && !pending.empty() && leases.empty() &&
+                 now - last_live >= Ms(svc_.idle_grace_ms)) {
         std::vector<std::size_t> batch;
         batch.reserve(pending.size());
         for (const std::size_t idx : pending)
-          if (!have[idx]) batch.push_back(idx);  // skip lazily-deleted
+          if (!ex.has(idx)) batch.push_back(idx);  // skip lazily-deleted
         pending.clear();
-        std::atomic<bool> cancel{false};
-        parallel_for_index(
-            batch.size(),
-            [&](std::size_t j) {
-              PointResult r = run_point(spec, grid[batch[j]]);
-              std::lock_guard<std::mutex> lock(mu);
-              ++stats_.local_fallback_points;
-              merge_result(std::move(r));
-              if (aborted || (stop && stop->load())) cancel.store(true);
-            },
-            spec.threads,
-            [&] { return cancel.load() || (stop && stop->load()); });
+        stats_.local_fallback_points +=
+            ex.run_local(batch, [stop] { return stop && stop->load(); });
         continue;  // re-evaluate: a late worker may have connected meanwhile
       }
     }
@@ -610,25 +477,11 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
     // flags and lease deadlines are honored promptly.
     std::vector<pollfd> fds;
     fds.reserve(slots.size() + 1);
-    if (impl_->listener.fd() >= 0)
-      fds.push_back({impl_->listener.fd(), POLLIN, 0});
+    if (listener_.fd() >= 0) fds.push_back({listener_.fd(), POLLIN, 0});
     for (const auto& [sid, w] : slots)
       if (w.ch->fd() >= 0) fds.push_back({w.ch->fd(), POLLIN, 0});
     ::poll(fds.empty() ? nullptr : fds.data(),
            static_cast<nfds_t>(fds.size()), 20);
-  }
-
-  result.aborted = aborted;
-
-  // Unrun remainder of an aborted sweep: structured skips, exactly like
-  // run_sweep's abort path — and never checkpointed, so a resume re-runs.
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (have[i]) continue;
-    PointResult& r = result.points[i];
-    r.point = grid[i];
-    r.derived_seed = point_seed(spec.base_seed, grid[i]);
-    r.skipped = true;
-    r.skip_reason = "aborted before running (resume from checkpoint)";
   }
 
   // Orderly goodbye: workers still connected exit kShutdown instead of
@@ -639,14 +492,8 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
     w.ch->send_frame(msg_shutdown());
     w.ch->shutdown();
   }
-  impl_->listener.close();
-
-  if (spec.measure_seconds)
-    result.wall_seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-
-  rebuild_cell_aggregates(result);
-  return result;
+  listener_.close();
+  return ex.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -701,7 +548,7 @@ WorkerExit run_sweep_worker(const SweepSpec& spec, const WorkerConfig& cfg) {
           ch->recv_frame(payload, static_cast<int>(cfg.idle_recv_ms));
       if (st == net::RecvStatus::kTimeout) {
         // Idle: ping so a long gap between leases never reads as death.
-        if (!ch->send_frame(msg_heartbeat(0))) break;
+        if (!ch->send_frame(msg_lease_id("heartbeat", 0))) break;
         continue;
       }
       if (st != net::RecvStatus::kFrame) break;  // reconnect
@@ -726,7 +573,7 @@ WorkerExit run_sweep_worker(const SweepSpec& spec, const WorkerConfig& cfg) {
         if (idx >= grid.size()) return WorkerExit::kRejected;
         // Heartbeat before each point: extends the lease deadline so it
         // only needs to outlast ONE point's runtime, not the whole batch.
-        if (!ch->send_frame(msg_heartbeat(lease_id))) {
+        if (!ch->send_frame(msg_lease_id("heartbeat", lease_id))) {
           conn_lost = true;
           break;
         }
@@ -747,7 +594,7 @@ WorkerExit run_sweep_worker(const SweepSpec& spec, const WorkerConfig& cfg) {
         }
       }
       if (conn_lost) break;
-      if (!ch->send_frame(msg_lease_done(lease_id))) break;
+      if (!ch->send_frame(msg_lease_id("lease_done", lease_id))) break;
     }
   }
 }
@@ -812,23 +659,10 @@ std::optional<QueryReply> run_query(const QueryRequest& req,
     json::find_u64(payload, "restored", reply.restored);
     json::find_u64(payload, "cells", reply.cells);
     json::find_bool(payload, "done", reply.done);
-    std::uint64_t v = 0;
-    if (json::find_u64(payload, "workers_seen", v)) reply.stats.workers_seen = v;
-    if (json::find_u64(payload, "workers_rejected", v))
-      reply.stats.workers_rejected = v;
-    if (json::find_u64(payload, "leases_granted", v))
-      reply.stats.leases_granted = v;
-    if (json::find_u64(payload, "leases_reassigned", v))
-      reply.stats.leases_reassigned = v;
-    if (json::find_u64(payload, "duplicate_results", v))
-      reply.stats.duplicate_results = v;
-    if (json::find_u64(payload, "local_fallback_points", v))
-      reply.stats.local_fallback_points = v;
-    if (json::find_u64(payload, "protocol_errors", v))
-      reply.stats.protocol_errors = v;
-    if (json::find_u64(payload, "clients_seen", v)) reply.stats.clients_seen = v;
-    if (json::find_u64(payload, "queries_answered", v))
-      reply.stats.queries_answered = v;
+    for (const CoordinatorStatField& f : kCoordinatorStatFields) {
+      std::uint64_t v = 0;
+      if (json::find_u64(payload, f.name, v)) reply.stats.*f.member = v;
+    }
 
     bool lost_body = false;
     reply.bodies.reserve(count);

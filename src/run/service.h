@@ -7,48 +7,30 @@
 // checkpoint records, so the wire format IS the on-disk resume format).
 // Workers run their leased points through the exact run_point the
 // single-process runner uses and stream the results back; the coordinator
-// merges them at their grid index and appends each to the spec's checkpoint
-// through append_checkpoint_line, so crash-recovery and byte-identical
-// resume carry over from the PR 3 machinery for free.
+// places them through the same SweepExecutor run_sweep runs on (grid
+// index, checkpoint append, aggregates, progress/abort), so crash-recovery
+// and byte-identical resume carry over from run_sweep for free.
 //
 // Robustness model:
-//  * Leases carry deadlines. Any frame from the lease holder (results,
-//    heartbeats) extends the deadline; a missed deadline presumes the
-//    worker dead — its connection is dropped and the un-resulted indices
-//    return to the front of the queue for reassignment.
-//  * Workers dial with capped exponential backoff and jitter
-//    (net::dial_with_backoff) and reconnect after any transport failure;
-//    results are idempotent (deterministic per derived seed), so re-runs
-//    and duplicate deliveries never change the merged report.
-//  * A hello handshake proves coordinator and worker expanded the SAME
-//    grid (run::grid_fingerprint) before any lease is honored.
-//  * Zero reachable workers degrades gracefully: after idle_grace_ms with
-//    no live worker, the coordinator runs the remaining stripe in-process
-//    (same run_point, same merge path) instead of hanging.
-//  * A stop flag (sweepd wires SIGTERM to it) aborts cleanly: finished
-//    points are already flushed to the checkpoint, the remainder is marked
-//    as aborted skips exactly like run_sweep's abort path, and workers are
-//    told to shut down.
-//  * The deterministic fault shim (net/fault.h) can be mounted on either
-//    side to drop/delay/close frames on a seeded schedule — the
-//    conformance tier pins that the merged report stays byte-identical
-//    under kills, drops and delays. Each shimmed connection runs schedule
-//    seed (config seed + connection index): still fully deterministic,
-//    but a schedule that eats the handshake frame cannot livelock
-//    reconnects by eating it identically on every redial.
-//  * Live aggregate queries: clients dial the SAME listener and send
-//    framed-JSON `query` frames — cell aggregates for an (algorithm,
-//    family, n, k, f, mix) selector, point lookups by derived seed or grid
-//    index, and sweep progress — answered from incrementally maintained
-//    CellAggregator state (run/sweep.h), never from a full report rebuild.
-//    Responses are one flat header frame plus N body frames that are
-//    byte-identical to the report's per-cell/per-point JSON objects. With
-//    serve_after_finish the coordinator keeps answering queries after the
-//    grid completes (workers are sent shutdown the moment it does), which
-//    also turns a finished checkpoint into a standalone query server.
+//  * Leases carry deadlines, extended by results and by heartbeats naming
+//    the live lease; a missed deadline presumes the worker dead, and the
+//    indices it still owed return to the front of the queue.
+//  * Workers redial with capped exponential backoff and jitter. Results are
+//    deterministic per derived seed, so re-runs and duplicate deliveries
+//    never change the merged report.
+//  * A hello handshake proves both sides expanded the SAME grid
+//    (grid_fingerprint) before any lease is honored.
+//  * With no live worker for idle_grace_ms the coordinator runs the rest
+//    in process (SweepExecutor::run_local, run_sweep's own loop).
+//  * A stop flag (sweepd wires SIGTERM to it) aborts like run_sweep's
+//    progress abort: finished points are in the checkpoint, the rest become
+//    aborted skips, and workers are told to shut down.
+//  * The seeded fault shim (net/fault.h) can drop/delay/close frames on
+//    either side; the conformance tier pins byte-identical reports under it.
+//  * Clients query live aggregates on the same listener (see "Query
+//    protocol" below); with serve_after_finish that outlives the grid.
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,8 +42,7 @@
 namespace bdg::run {
 
 struct ServiceConfig {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;  ///< coordinator listen port (0 = ephemeral)
+  std::uint16_t port = 0;  ///< listen port on 127.0.0.1 (0 = ephemeral)
   /// Max points per lease. Small leases reassign cheaply after a worker
   /// death; large leases amortize framing. Grid order is preserved within
   /// the queue, so lease size never affects the merged report.
@@ -99,6 +80,25 @@ struct CoordinatorStats {
   std::size_t queries_answered = 0;   ///< complete responses sent
 };
 
+/// Every CoordinatorStats counter with its wire name, in wire order. The
+/// progress header is written from this table and run_query parses it
+/// back from it, so a counter cannot be sent without also being parsed.
+struct CoordinatorStatField {
+  const char* name;
+  std::size_t CoordinatorStats::*member;
+};
+inline constexpr CoordinatorStatField kCoordinatorStatFields[] = {
+    {"workers_seen", &CoordinatorStats::workers_seen},
+    {"workers_rejected", &CoordinatorStats::workers_rejected},
+    {"leases_granted", &CoordinatorStats::leases_granted},
+    {"leases_reassigned", &CoordinatorStats::leases_reassigned},
+    {"duplicate_results", &CoordinatorStats::duplicate_results},
+    {"local_fallback_points", &CoordinatorStats::local_fallback_points},
+    {"protocol_errors", &CoordinatorStats::protocol_errors},
+    {"clients_seen", &CoordinatorStats::clients_seen},
+    {"queries_answered", &CoordinatorStats::queries_answered},
+};
+
 /// The sweepd coordinator. Construction binds the listener (throws when
 /// the port is taken) so callers can read port() before spawning workers;
 /// serve() runs the event loop to completion and returns the merged
@@ -106,9 +106,8 @@ struct CoordinatorStats {
 class Coordinator {
  public:
   Coordinator(SweepSpec spec, ServiceConfig svc);
-  ~Coordinator();
 
-  [[nodiscard]] std::uint16_t port() const;
+  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
 
   /// Serve until every grid point has a result (or the sweep aborts via
   /// spec.progress / `stop`). Not reentrant; call once.
@@ -117,8 +116,9 @@ class Coordinator {
   [[nodiscard]] const CoordinatorStats& stats() const { return stats_; }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  SweepSpec spec_;
+  ServiceConfig svc_;
+  net::Listener listener_;
   CoordinatorStats stats_;
 };
 

@@ -1,12 +1,8 @@
 #include "run/sweep.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <fstream>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/impossibility.h"
@@ -450,11 +446,8 @@ std::size_t SweepResult::skipped() const {
 RestoredCheckpoint restore_checkpoint(const SweepSpec& spec,
                                       const std::vector<SweepPoint>& grid,
                                       std::vector<PointResult>& out) {
-  // Checkpoint reuse: completed points (matched by spec fingerprint,
-  // derived seed AND full coordinates) are restored instead of re-run, so
-  // interrupted sweeps resume where they stopped and shard stripes merge
-  // through one file — while a checkpoint written under different spec
-  // knobs (common_graphs, cost model, ...) is ignored, not imported.
+  // A checkpoint written under different spec knobs (common_graphs, cost
+  // model, ...) is ignored, not imported: load_checkpoint filters it.
   RestoredCheckpoint r;
   r.todo.reserve(grid.size());
   out.resize(grid.size());
@@ -479,70 +472,84 @@ RestoredCheckpoint restore_checkpoint(const SweepSpec& spec,
 }
 
 SweepResult run_sweep(const SweepSpec& spec) {
-  SweepResult result;
-  const std::vector<SweepPoint> grid = expand_grid(spec);
+  SweepExecutor ex(spec);
+  ex.run_local(ex.todo());
+  return ex.finish();
+}
 
-  const auto t0 = std::chrono::steady_clock::now();
-
-  const std::uint64_t fingerprint = spec_fingerprint(spec);
+SweepExecutor::SweepExecutor(const SweepSpec& spec)
+    : spec_(spec),
+      grid_(expand_grid(spec)),
+      fingerprint_(spec_fingerprint(spec)),
+      t0_(std::chrono::steady_clock::now()) {
   const RestoredCheckpoint restored =
-      restore_checkpoint(spec, grid, result.points);
-  result.from_checkpoint = restored.restored;
-  result.torn_checkpoint_lines = restored.torn;
-  const std::vector<std::size_t>& todo = restored.todo;
-  std::vector<char> have(grid.size(), 0);
-  for (std::size_t i = 0; i < grid.size(); ++i) have[i] = 1;
-  for (const std::size_t i : todo) have[i] = 0;
+      restore_checkpoint(spec_, grid_, result_.points);
+  result_.from_checkpoint = restored.restored;
+  result_.torn_checkpoint_lines = restored.torn;
+  todo_ = restored.todo;
+  completed_ = restored.restored;
+  have_.assign(grid_.size(), 1);
+  for (const std::size_t i : todo_) have_[i] = 0;
+  for (std::size_t i = 0; i < grid_.size(); ++i)
+    if (have_[i]) agg_.add(i, result_.points[i]);
 
-  std::ofstream ck;
-  if (!spec.checkpoint_path.empty() && !todo.empty()) {
-    ck.open(spec.checkpoint_path, std::ios::app);
-    if (!ck)
-      throw std::runtime_error("run_sweep: cannot open checkpoint " +
-                               spec.checkpoint_path);
+  if (!spec_.checkpoint_path.empty() && !todo_.empty()) {
+    checkpoint_.open(spec_.checkpoint_path, std::ios::app);
+    if (!checkpoint_)
+      throw std::runtime_error("cannot open checkpoint " +
+                               spec_.checkpoint_path);
   }
+}
 
+bool SweepExecutor::place(std::size_t i, PointResult&& r) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (have_[i]) return false;
+  PointResult& slot = result_.points[i];
+  slot = std::move(r);
+  have_[i] = 1;
+  ++completed_;
+  if (checkpoint_.is_open())
+    append_checkpoint_line(checkpoint_, spec_.checkpoint_path, slot,
+                           fingerprint_);
+  agg_.add(i, slot);
+  if (spec_.progress && !spec_.progress(slot, completed_, grid_.size()))
+    aborted_.store(true);
+  return true;
+}
+
+std::size_t SweepExecutor::run_local(const std::vector<std::size_t>& indices,
+                                     const std::function<bool()>& cancel) {
   // Each point owns its Engine and Rng; results land at their grid index,
   // so the output is byte-identical for every thread count.
-  std::mutex mu;
-  std::atomic<bool> aborted{false};
-  std::size_t completed = result.from_checkpoint;
+  std::atomic<std::size_t> placed{0};
   parallel_for_index(
-      todo.size(),
+      indices.size(),
       [&](std::size_t j) {
-        const std::size_t i = todo[j];
-        PointResult r = run_point(spec, grid[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        result.points[i] = std::move(r);
-        have[i] = 1;
-        ++completed;
-        if (ck.is_open())
-          append_checkpoint_line(ck, spec.checkpoint_path, result.points[i],
-                                 fingerprint);
-        if (spec.progress &&
-            !spec.progress(result.points[i], completed, grid.size()))
-          aborted.store(true);
+        const std::size_t i = indices[j];
+        if (place(i, run_point(spec_, grid_[i]))) ++placed;
       },
-      spec.threads, [&] { return aborted.load(); });
-  result.aborted = aborted.load();
+      spec_.threads, [&] { return aborted() || (cancel && cancel()); });
+  return placed.load();
+}
 
+SweepResult SweepExecutor::finish() {
+  result_.aborted = aborted();
   // Unrun remainder of an aborted sweep: structured skips, never silently
   // absent rows — and never checkpointed, so a resume re-runs them.
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (have[i]) continue;
-    PointResult& r = result.points[i];
-    r.point = grid[i];
-    r.derived_seed = point_seed(spec.base_seed, grid[i]);
+  for (std::size_t i = 0; i < grid_.size(); ++i) {
+    if (have_[i]) continue;
+    PointResult& r = result_.points[i];
+    r.point = grid_[i];
+    r.derived_seed = point_seed(spec_.base_seed, grid_[i]);
     r.skipped = true;
     r.skip_reason = "aborted before running (resume from checkpoint)";
   }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  if (spec.measure_seconds)
-    result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-
-  rebuild_cell_aggregates(result);
-  return result;
+  if (spec_.measure_seconds)
+    result_.wall_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0_)
+                               .count();
+  result_.cells = agg_.cells();
+  return std::move(result_);
 }
 
 void CellAggregator::fold(CellAggregate& cell, const Member& m) {
@@ -569,14 +576,8 @@ void CellAggregator::replay(State& st) {
   // An out-of-order arrival changes the running-mean evaluation order, so
   // re-fold this one cell's members in grid-index order — the exact
   // sequence the batch rebuild applies, hence bit-identical means.
-  CellAggregate fresh;
-  fresh.algorithm = st.agg.algorithm;
-  fresh.family = st.agg.family;
-  fresh.n = st.agg.n;
-  fresh.k = st.agg.k;
-  fresh.f = st.agg.f;
-  fresh.mix = st.agg.mix;
-  st.agg = std::move(fresh);
+  const CellAggregate& a = st.agg;
+  st.agg = CellAggregate{a.algorithm, a.family, a.n, a.k, a.f, a.mix};
   for (const Member& m : st.members) fold(st.agg, m);
 }
 
@@ -602,14 +603,10 @@ void CellAggregator::add(std::size_t grid_index, const PointResult& p) {
   }
   if (st == nullptr) {
     bucket.push_back(states_.size());
-    states_.emplace_back();
+    const SweepPoint& c = p.point;
+    states_.push_back(
+        {CellAggregate{c.algorithm, c.family, c.n, c.k, c.f, c.mix}, {}});
     st = &states_.back();
-    st->agg.algorithm = p.point.algorithm;
-    st->agg.family = p.point.family;
-    st->agg.n = p.point.n;
-    st->agg.k = p.point.k;
-    st->agg.f = p.point.f;
-    st->agg.mix = p.point.mix;
   }
   Member m;
   m.index = grid_index;

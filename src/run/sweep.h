@@ -28,9 +28,13 @@
 // This is the one harness behind the Table 1 row benches, the figure
 // sweeps and the e2e conformance tests; report.h renders results as
 // JSON/CSV for downstream tooling.
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -181,8 +185,8 @@ struct PointResult {
   bool skipped = false;
   std::string skip_reason;
   /// The plan's round bound overflowed 128-bit accounting (implies
-  /// skipped). sweep_cli turns any saturated point into a loud grid
-  /// rejection (exit code 4) instead of a silent skip row.
+  /// skipped). sweep_cli and sweepd reject such grids loudly (exit code 4,
+  /// naming the first offender) instead of emitting a silent skip row.
   bool saturated = false;
   bool ok = false;  ///< Definition 1 verified (generalized cap when k != n)
   std::string detail;
@@ -293,9 +297,10 @@ struct SweepResult {
 
 // ---------------------------------------------------------------------------
 // Shared internals of run_sweep and the sweepd coordinator (run/service).
-// Both execution paths restore, merge and aggregate through these exact
-// functions so a distributed sweep is byte-identical to single-shot by
-// construction, not by parallel maintenance.
+// Both run on one SweepExecutor, which restores, places (checkpoint append,
+// aggregate fold, progress/abort), runs in process and closes the sweep,
+// so a distributed sweep is byte-identical to single-shot by construction,
+// not by parallel maintenance.
 // ---------------------------------------------------------------------------
 
 /// What restoring spec.checkpoint_path yielded for one expanded grid.
@@ -314,9 +319,8 @@ struct RestoredCheckpoint {
     std::vector<PointResult>& out);
 
 /// Incrementally maintained (algorithm, family, n, k, f, mix) cell
-/// aggregates — the aggregation recurrence behind rebuild_cell_aggregates,
-/// extracted so the sweepd coordinator can fold every merged point into
-/// live aggregate state instead of rebuilding a full report per query.
+/// aggregates: every placed point folds in live, so sweepd answers queries
+/// without rebuilding a report.
 ///
 /// Bit-identity contract: cells() is bit-identical (including the
 /// order-sensitive floating-point running means) to rebuild_cell_aggregates
@@ -374,5 +378,58 @@ class CellAggregator {
 /// (implemented as an in-order CellAggregator pass, so the batch and
 /// incremental paths cannot drift).
 void rebuild_cell_aggregates(SweepResult& result);
+
+/// One sweep in flight, the executor behind run_sweep and the coordinator:
+/// the grid, which points have a result, the checkpoint append stream, the
+/// live aggregates and the abort flag. The accessors are unsynchronized:
+/// read them from the thread that calls run_local, not during it.
+class SweepExecutor {
+ public:
+  /// Expand the grid, restore the checkpoint (restored points fold into the
+  /// aggregates) and, when points remain, open it for appending — throws
+  /// naming the path when that fails. `spec` must outlive the executor.
+  explicit SweepExecutor(const SweepSpec& spec);
+
+  const std::vector<SweepPoint>& grid() const { return grid_; }
+  /// Grid indices the checkpoint did not restore, in grid order.
+  const std::vector<std::size_t>& todo() const { return todo_; }
+  std::size_t restored() const { return result_.from_checkpoint; }
+  bool has(std::size_t i) const { return have_[i] != 0; }
+  const PointResult& point(std::size_t i) const { return result_.points[i]; }
+  std::size_t completed() const { return completed_; }  ///< restored + placed
+  bool finished() const { return completed_ == grid_.size(); }
+  const CellAggregator& aggregates() const { return agg_; }
+  bool aborted() const { return aborted_.load(); }
+  void abort() { aborted_.store(true); }
+
+  /// Under a lock: place a result at grid index i, append it to the
+  /// checkpoint, fold it into the aggregates and pass it to spec.progress
+  /// (false aborts). Returns false, changing nothing, if i already has one.
+  bool place(std::size_t i, PointResult&& r);
+
+  /// Run `indices` in process on spec.threads threads through place(); no
+  /// point starts once aborted() or `cancel()`. Returns the points placed.
+  std::size_t run_local(const std::vector<std::size_t>& indices,
+                        const std::function<bool()>& cancel = {});
+
+  /// Once placing has stopped: points without a result become aborted
+  /// skips (never checkpointed, so a resume re-runs them), then wall
+  /// seconds and cells are filled in.
+  [[nodiscard]] SweepResult finish();
+
+ private:
+  const SweepSpec& spec_;
+  const std::vector<SweepPoint> grid_;
+  const std::uint64_t fingerprint_;
+  const std::chrono::steady_clock::time_point t0_;
+  SweepResult result_;
+  std::vector<std::size_t> todo_;
+  std::vector<char> have_;
+  std::size_t completed_ = 0;
+  CellAggregator agg_;
+  std::ofstream checkpoint_;
+  std::mutex mu_;
+  std::atomic<bool> aborted_{false};
+};
 
 }  // namespace bdg::run

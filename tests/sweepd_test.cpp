@@ -401,6 +401,58 @@ TEST(Sweepd, StopFlagAbortsWithStructuredSkips) {
   }
 }
 
+// The shared executor through the coordinator: a spec.progress abort on
+// the zero-worker path stops where run_sweep stops under the same
+// callback (threads = 1 makes the stopping point deterministic), so the
+// two reports are byte-identical, aborted skips included.
+TEST(Sweepd, ProgressAbortMatchesRunSweep) {
+  constexpr std::size_t kStopAfter = 3;
+  SweepSpec spec = small_spec();
+  spec.threads = 1;
+  const auto stop_after_n = [] {
+    return [seen = std::size_t{0}](const PointResult&, std::size_t,
+                                   std::size_t) mutable {
+      return ++seen < kStopAfter;
+    };
+  };
+
+  spec.progress = stop_after_n();
+  const SweepResult single = run_sweep(spec);
+  ASSERT_TRUE(single.aborted);
+  EXPECT_EQ(single.skipped(), single.points.size() - kStopAfter);
+
+  spec.progress = stop_after_n();
+  ServiceConfig svc;
+  svc.idle_grace_ms = 0;
+  Coordinator coordinator(spec, svc);
+  const SweepResult dist = coordinator.serve();
+  EXPECT_TRUE(dist.aborted);
+  EXPECT_EQ(coordinator.stats().local_fallback_points, kStopAfter);
+  expect_identical_results(single, dist);
+}
+
+// A checkpoint that cannot be opened for appending is an error naming its
+// path, raised by the one executor both paths share.
+TEST(Sweepd, UnopenableCheckpointNamesThePathInBothExecutors) {
+  SweepSpec spec = small_spec();
+  spec.checkpoint_path = temp_path("sweepd_no_such_dir/ck.jsonl");
+  const auto message_of = [](const std::function<void()>& run) {
+    try {
+      run();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "expected a std::runtime_error";
+    return std::string();
+  };
+
+  const std::string single = message_of([&] { (void)run_sweep(spec); });
+  Coordinator coordinator(spec, ServiceConfig{});
+  const std::string dist = message_of([&] { (void)coordinator.serve(); });
+  EXPECT_NE(single.find(spec.checkpoint_path), std::string::npos) << single;
+  EXPECT_EQ(single, dist);
+}
+
 // The fault injector's schedule is a pure function of (seed, frame
 // index): same config => identical action sequences, different seed =>
 // a different one, and the CLI spec round-trips through to_string.

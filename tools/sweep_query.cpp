@@ -20,9 +20,7 @@
 // Exit codes: 0 answered, 1 coordinator rejected the query (or the point
 // has no result yet), 2 usage, 5 coordinator unreachable.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "run/cli_flags.h"
@@ -132,13 +130,6 @@ int main(int argc, char** argv) {
   bool have_what = false;
   bool csv = false;
 
-  const auto value_of = [](const std::string& arg, const char* flag)
-      -> std::optional<std::string> {
-    const std::size_t len = std::strlen(flag);
-    if (arg.compare(0, len, flag) == 0 && arg.size() > len && arg[len] == '=')
-      return arg.substr(len + 1);
-    return std::nullopt;
-  };
   const auto set_what = [&](const char* what) {
     if (have_what && req.what != what) {
       std::fprintf(stderr, "sweep_query: pick ONE of --progress / --cells / "
@@ -155,7 +146,7 @@ int main(int argc, char** argv) {
       if (arg == "--help" || arg == "-h") {
         usage(stdout);
         return 0;
-      } else if (auto v = value_of(arg, "--connect")) {
+      } else if (auto v = run::flag_value(arg, "--connect")) {
         if (!run::parse_host_port(*v, cfg.host, cfg.port)) {
           std::fprintf(stderr, "sweep_query: bad --connect '%s'\n",
                        v->c_str());
@@ -168,34 +159,34 @@ int main(int argc, char** argv) {
         if (!set_what("cells")) return 2;
       } else if (arg == "--point") {
         if (!set_what("point")) return 2;
-      } else if (auto v = value_of(arg, "--algorithm")) {
+      } else if (auto v = run::flag_value(arg, "--algorithm")) {
         req.algorithm = *v;
-      } else if (auto v = value_of(arg, "--family")) {
+      } else if (auto v = run::flag_value(arg, "--family")) {
         req.family = *v;
-      } else if (auto v = value_of(arg, "--mix")) {
+      } else if (auto v = run::flag_value(arg, "--mix")) {
         req.mix = *v;
-      } else if (auto v = value_of(arg, "--n")) {
-        req.n = static_cast<std::uint32_t>(std::stoul(*v));
-      } else if (auto v = value_of(arg, "--k")) {
-        req.k = static_cast<std::uint32_t>(std::stoul(*v));
-      } else if (auto v = value_of(arg, "--f")) {
-        req.f = static_cast<std::uint32_t>(std::stoul(*v));
-      } else if (auto v = value_of(arg, "--derived-seed")) {
-        req.derived_seed = std::stoull(*v);
-      } else if (auto v = value_of(arg, "--index")) {
-        req.index = std::stoull(*v);
+      } else if (auto v = run::flag_value(arg, "--n")) {
+        req.n = run::parse_flag_number<std::uint32_t>(*v, "--n");
+      } else if (auto v = run::flag_value(arg, "--k")) {
+        req.k = run::parse_flag_number<std::uint32_t>(*v, "--k");
+      } else if (auto v = run::flag_value(arg, "--f")) {
+        req.f = run::parse_flag_number<std::uint32_t>(*v, "--f");
+      } else if (auto v = run::flag_value(arg, "--derived-seed")) {
+        req.derived_seed =
+            run::parse_flag_number<std::uint64_t>(*v, "--derived-seed");
+      } else if (auto v = run::flag_value(arg, "--index")) {
+        req.index = run::parse_flag_number<std::uint64_t>(*v, "--index");
       } else if (arg == "--csv") {
         csv = true;
-      } else if (auto v = value_of(arg, "--timeout-ms")) {
-        cfg.timeout_ms = static_cast<std::uint32_t>(std::stoul(*v));
-      } else if (auto v = value_of(arg, "--attempts")) {
-        cfg.attempts = static_cast<std::uint32_t>(std::stoul(*v));
-        if (cfg.attempts == 0) {
-          std::fprintf(stderr, "sweep_query: --attempts must be >= 1\n");
-          return 2;
-        }
-      } else if (auto v = value_of(arg, "--jitter-seed")) {
-        cfg.jitter_seed = std::stoull(*v);
+      } else if (auto v = run::flag_value(arg, "--timeout-ms")) {
+        cfg.timeout_ms =
+            run::parse_flag_number<std::uint32_t>(*v, "--timeout-ms");
+      } else if (auto v = run::flag_value(arg, "--attempts")) {
+        cfg.attempts =
+            run::parse_flag_number<std::uint32_t>(*v, "--attempts", 1);
+      } else if (auto v = run::flag_value(arg, "--jitter-seed")) {
+        cfg.jitter_seed =
+            run::parse_flag_number<std::uint64_t>(*v, "--jitter-seed");
       } else {
         std::fprintf(stderr, "sweep_query: unknown flag '%s'\n\n",
                      arg.c_str());
@@ -204,7 +195,7 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "sweep_query: bad flag value (%s)\n", e.what());
+    std::fprintf(stderr, "sweep_query: %s\n", e.what());
     return 2;
   }
   if (!have_connect) {
@@ -235,18 +226,10 @@ int main(int argc, char** argv) {
               << ", \"completed\": " << reply->completed
               << ", \"restored\": " << reply->restored
               << ", \"cells\": " << reply->cells
-              << ", \"done\": " << (reply->done ? "true" : "false")
-              << ", \"workers_seen\": " << reply->stats.workers_seen
-              << ", \"workers_rejected\": " << reply->stats.workers_rejected
-              << ", \"leases_granted\": " << reply->stats.leases_granted
-              << ", \"leases_reassigned\": " << reply->stats.leases_reassigned
-              << ", \"duplicate_results\": " << reply->stats.duplicate_results
-              << ", \"local_fallback_points\": "
-              << reply->stats.local_fallback_points
-              << ", \"protocol_errors\": " << reply->stats.protocol_errors
-              << ", \"clients_seen\": " << reply->stats.clients_seen
-              << ", \"queries_answered\": " << reply->stats.queries_answered
-              << "}\n";
+              << ", \"done\": " << (reply->done ? "true" : "false");
+    for (const run::CoordinatorStatField& f : run::kCoordinatorStatFields)
+      std::cout << ", \"" << f.name << "\": " << reply->stats.*f.member;
+    std::cout << "}\n";
     return 0;
   }
   if (req.what == "point" && reply->pending) {

@@ -12,8 +12,6 @@
 // 5 reconnect attempts exhausted, 6 rejected (grid fingerprint mismatch),
 // 7 soft kill hook fired, 137 hard kill hook (_Exit, like SIGKILL).
 #include <cstdio>
-#include <cstring>
-#include <optional>
 #include <string>
 
 #include "run/cli_flags.h"
@@ -44,41 +42,36 @@ void usage(std::FILE* to) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  run::SweepSpec spec = run::default_cli_spec();
   run::WorkerConfig cfg;
   bool have_connect = false;
 
-  const run::GridFlagsResult grid = run::parse_grid_flags(argc, argv, spec);
+  run::GridFlagsResult grid = run::parse_grid_flags(argc, argv);
   if (!grid.ok) {
     std::fprintf(stderr, "sweep_worker: %s\n", grid.error.c_str());
     return 2;
   }
-  const auto value_of = [](const std::string& arg, const char* flag)
-      -> std::optional<std::string> {
-    const std::size_t len = std::strlen(flag);
-    if (arg.compare(0, len, flag) == 0 && arg.size() > len && arg[len] == '=')
-      return arg.substr(len + 1);
-    return std::nullopt;
-  };
+  run::SweepSpec& spec = grid.spec;
   try {
     for (const std::string& arg : grid.leftover) {
       if (arg == "--help" || arg == "-h") {
         usage(stdout);
         return 0;
-      } else if (auto v = value_of(arg, "--connect")) {
+      } else if (auto v = run::flag_value(arg, "--connect")) {
         if (!run::parse_host_port(*v, cfg.host, cfg.port)) {
           std::fprintf(stderr, "sweep_worker: bad --connect '%s'\n",
                        v->c_str());
           return 2;
         }
         have_connect = true;
-      } else if (auto v = value_of(arg, "--name")) {
+      } else if (auto v = run::flag_value(arg, "--name")) {
         cfg.name = *v;
-      } else if (auto v = value_of(arg, "--dial-attempts")) {
-        cfg.backoff.attempts = static_cast<std::uint32_t>(std::stoul(*v));
-      } else if (auto v = value_of(arg, "--jitter-seed")) {
-        cfg.jitter_seed = std::stoull(*v);
-      } else if (auto v = value_of(arg, "--fault")) {
+      } else if (auto v = run::flag_value(arg, "--dial-attempts")) {
+        cfg.backoff.attempts =
+            run::parse_flag_number<std::uint32_t>(*v, "--dial-attempts");
+      } else if (auto v = run::flag_value(arg, "--jitter-seed")) {
+        cfg.jitter_seed =
+            run::parse_flag_number<std::uint64_t>(*v, "--jitter-seed");
+      } else if (auto v = run::flag_value(arg, "--fault")) {
         const auto fault = net::parse_fault_config(*v);
         if (!fault) {
           std::fprintf(stderr, "sweep_worker: bad --fault spec '%s'\n",
@@ -94,14 +87,13 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "sweep_worker: bad flag value (%s)\n", e.what());
+    std::fprintf(stderr, "sweep_worker: %s\n", e.what());
     return 2;
   }
   if (!have_connect) {
     std::fprintf(stderr, "sweep_worker: --connect=HOST:PORT is required\n");
     return 2;
   }
-  run::apply_default_algorithms(spec);
 
   run::WorkerExit exit_reason;
   try {

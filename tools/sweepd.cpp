@@ -20,18 +20,15 @@
 // (aborted), so a restart with the same --resume picks up where it
 // stopped.
 //
-// Exit codes match sweep_cli: 0 all dispersed, 1 failures, 2 usage,
-// 3 aborted, 4 round accounting saturated.
+// Reports and exit codes come from the same run/cli_flags tail as
+// sweep_cli: 0 all dispersed, 1 failures, 2 usage, 3 aborted, 4 round
+// accounting saturated (the first offending (algorithm, n, f) is named on
+// stderr).
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <optional>
 #include <string>
 
 #include "run/cli_flags.h"
-#include "run/report.h"
 #include "run/service.h"
 
 namespace {
@@ -63,102 +60,67 @@ void usage(std::FILE* to) {
       "                         this is a standalone query server.\n"
       "  --fault=SPEC           deterministic fault shim on coordinator\n"
       "                         sends (seed=S,drop=P,delay=P,delay_ms=N,\n"
-      "                         close_after=N)\n"
-      "output:\n"
-      "  --points-csv=PATH      per-point CSV ('-' = stdout)\n"
-      "  --cells-csv=PATH       per-cell aggregate CSV ('-' = stdout)\n"
-      "  --json=PATH            full JSON report ('-' = stdout)\n"
-      "  --quiet                suppress the summary line\n",
+      "                         close_after=N)\n",
       to);
+  run::print_report_flag_help(to);
   run::print_grid_name_lists(to);
-}
-
-bool write_report(const std::string& path, const run::SweepResult& result,
-                  void (*write)(std::ostream&, const run::SweepResult&)) {
-  if (path == "-") {
-    write(std::cout, result);
-    return true;
-  }
-  std::ofstream os(path);
-  write(os, result);
-  os.flush();
-  if (!os) std::fprintf(stderr, "sweepd: cannot write %s\n", path.c_str());
-  return static_cast<bool>(os);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  run::SweepSpec spec = run::default_cli_spec();
   run::ServiceConfig svc;
-  std::string points_csv, cells_csv, json;
-  bool quiet = false;
+  run::ReportFlags report;
 
-  const run::GridFlagsResult grid = run::parse_grid_flags(argc, argv, spec);
+  run::GridFlagsResult grid = run::parse_grid_flags(argc, argv);
   if (!grid.ok) {
     std::fprintf(stderr, "sweepd: %s\n", grid.error.c_str());
     return 2;
   }
-  const auto value_of = [](const std::string& arg, const char* flag)
-      -> std::optional<std::string> {
-    const std::size_t len = std::strlen(flag);
-    if (arg.compare(0, len, flag) == 0 && arg.size() > len && arg[len] == '=')
-      return arg.substr(len + 1);
-    return std::nullopt;
-  };
+  run::SweepSpec& spec = grid.spec;
   try {
     for (const std::string& arg : grid.leftover) {
       if (arg == "--help" || arg == "-h") {
         usage(stdout);
         return 0;
-      } else if (auto v = value_of(arg, "--listen")) {
-        svc.port = static_cast<std::uint16_t>(std::stoul(*v));
-      } else if (auto v = value_of(arg, "--lease-points")) {
-        svc.lease_points = static_cast<std::uint32_t>(std::stoul(*v));
-        if (svc.lease_points == 0) {
-          std::fprintf(stderr, "sweepd: --lease-points must be >= 1\n");
-          return 2;
-        }
-      } else if (auto v = value_of(arg, "--lease-timeout-ms")) {
-        svc.lease_timeout_ms = static_cast<std::uint32_t>(std::stoul(*v));
-      } else if (auto v = value_of(arg, "--idle-grace-ms")) {
-        svc.idle_grace_ms = static_cast<std::uint32_t>(std::stoul(*v));
+      } else if (auto v = run::flag_value(arg, "--listen")) {
+        svc.port = run::parse_flag_number<std::uint16_t>(*v, "--listen");
+      } else if (auto v = run::flag_value(arg, "--lease-points")) {
+        svc.lease_points =
+            run::parse_flag_number<std::uint32_t>(*v, "--lease-points", 1);
+      } else if (auto v = run::flag_value(arg, "--lease-timeout-ms")) {
+        svc.lease_timeout_ms =
+            run::parse_flag_number<std::uint32_t>(*v, "--lease-timeout-ms");
+      } else if (auto v = run::flag_value(arg, "--idle-grace-ms")) {
+        svc.idle_grace_ms =
+            run::parse_flag_number<std::uint32_t>(*v, "--idle-grace-ms");
       } else if (arg == "--no-local-fallback") {
         svc.local_fallback = false;
       } else if (arg == "--serve") {
         svc.serve_after_finish = true;
-      } else if (auto v = value_of(arg, "--fault")) {
+      } else if (auto v = run::flag_value(arg, "--fault")) {
         const auto fault = net::parse_fault_config(*v);
         if (!fault) {
           std::fprintf(stderr, "sweepd: bad --fault spec '%s'\n", v->c_str());
           return 2;
         }
         svc.fault = *fault;
-      } else if (auto v = value_of(arg, "--points-csv")) {
-        points_csv = *v;
-      } else if (auto v = value_of(arg, "--cells-csv")) {
-        cells_csv = *v;
-      } else if (auto v = value_of(arg, "--json")) {
-        json = *v;
-      } else if (arg == "--quiet") {
-        quiet = true;
-      } else {
+      } else if (!run::parse_report_flag(arg, report)) {
         std::fprintf(stderr, "sweepd: unknown flag '%s'\n\n", arg.c_str());
         usage(stderr);
         return 2;
       }
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "sweepd: bad flag value (%s)\n", e.what());
+    std::fprintf(stderr, "sweepd: %s\n", e.what());
     return 2;
   }
-  run::apply_default_algorithms(spec);
 
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
 
   run::SweepResult result;
-  std::optional<run::CoordinatorStats> stats;
+  run::CoordinatorStats stats;
   try {
     run::Coordinator coordinator(spec, svc);
     std::fprintf(stderr, "[sweepd: listening on 127.0.0.1:%u]\n",
@@ -170,47 +132,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bool write_ok = true;
-  if (!points_csv.empty())
-    write_ok &= write_report(points_csv, result, run::write_points_csv);
-  if (!cells_csv.empty())
-    write_ok &= write_report(cells_csv, result, run::write_cells_csv);
-  if (!json.empty()) write_ok &= write_report(json, result, run::write_json);
-  if (points_csv.empty() && cells_csv.empty() && json.empty())
-    run::write_points_csv(std::cout, result);
-
-  std::size_t failed = 0;
-  std::size_t saturated = 0;
-  for (const run::PointResult& p : result.points) {
-    if (!p.skipped && !p.ok) ++failed;
-    if (p.saturated) ++saturated;
-  }
-  if (!quiet) {
-    std::fprintf(
-        stderr,
-        "[sweepd: %zu points, %zu skipped, %zu failed, %zu from "
-        "checkpoint%s; %zu workers, %zu leases (%zu reassigned), "
-        "%zu duplicate results, %zu local-fallback points, %zu clients, "
-        "%zu queries, %.2fs]\n",
-        result.points.size(), result.skipped(), failed,
-        result.from_checkpoint, result.aborted ? ", ABORTED" : "",
-        stats->workers_seen, stats->leases_granted, stats->leases_reassigned,
-        stats->duplicate_results, stats->local_fallback_points,
-        stats->clients_seen, stats->queries_answered, result.wall_seconds);
-    if (result.torn_checkpoint_lines != 0)
-      std::fprintf(stderr,
-                   "[sweepd: %zu torn checkpoint line(s) skipped and re-run "
-                   "— a previous run crashed mid-append]\n",
-                   result.torn_checkpoint_lines);
-  }
-  if (saturated != 0) {
-    std::fprintf(stderr,
-                 "sweepd: %zu grid point(s) exceed 128-bit round "
-                 "accounting; shrink the grid below the saturation "
-                 "frontier.\n",
-                 saturated);
-    return 4;
-  }
-  if (failed != 0 || !write_ok) return 1;
-  return result.aborted ? 3 : 0;
+  char extra[320];
+  std::snprintf(extra, sizeof extra,
+                "; %zu workers, %zu leases (%zu reassigned), %zu duplicate "
+                "results, %zu local-fallback points, %zu clients, %zu queries",
+                stats.workers_seen, stats.leases_granted,
+                stats.leases_reassigned, stats.duplicate_results,
+                stats.local_fallback_points, stats.clients_seen,
+                stats.queries_answered);
+  return run::write_sweep_outputs("sweepd", result, report, extra);
 }
