@@ -48,7 +48,7 @@ int main() {
   {
     std::vector<std::string> row{"spoofer(strong)"};
     for (const Algorithm a : algos) {
-      if (!core::handles_strong(a)) {
+      if (!core::algorithm_info(a).handles_strong) {
         row.push_back("n/a");
         continue;
       }

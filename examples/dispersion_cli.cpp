@@ -1,77 +1,99 @@
 // dispersion_cli — run any scenario from the command line.
 //
-//   dispersion_cli [--algo=T1|T2|T3|T4|T5|T6|T7|EXT|RING] [--graph=er|ring|grid|
-//                  torus|tree|regular|hypercube|complete] [--n=12] [--f=-1]
-//                  [--strategy=NAME] [--seed=1] [--theory-cost] [--trace]
-//                  [--graph-file=path.bdg1]
+//   dispersion_cli [--algo=NAME] [--graph=er|ring|grid|torus|tree|regular|
+//                  hypercube|complete] [--n=12] [--f=F] [--strategy=NAME]
+//                  [--seed=1] [--theory-cost] [--trace]
+//                  [--graph-file=path.bdg1] [--help]
 //
-// f = -1 (default) uses the algorithm's maximum claimed tolerance.
+// --algo takes the names sweep_cli --algorithms takes (default
+// three-group); --help lists them and the strategy names. Without --f the
+// algorithm's maximum claimed tolerance is used; f must be < n.
 // --theory-cost charges the paper's cited bounds verbatim (X(n) = n^5)
-// instead of the scaled covering-walk model.
+// instead of the scaled covering-walk model. A bad flag or value exits 2,
+// naming the flag.
 #include <cstdio>
-#include <cstring>
-#include <string>
-
 #include <fstream>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "core/scenario.h"
 #include "graph/generators.h"
-#include "graph/serialize.h"
 #include "graph/quotient.h"
+#include "graph/serialize.h"
+#include "run/cli_flags.h"
 #include "sim/trace.h"
 
 namespace {
 
 using namespace bdg;
 
+constexpr const char* kGraphs[] = {"er",   "ring",    "grid",      "torus",
+                                   "tree", "regular", "hypercube", "complete"};
+
 struct Options {
-  std::string algo = "T4";
+  std::string algo = "three-group";
   std::string graph = "er";
   std::string strategy = "fake_settler";
   std::uint32_t n = 12;
-  std::int64_t f = -1;
+  std::optional<std::uint32_t> f;  // unset: maximum claimed tolerance
   std::uint64_t seed = 1;
   bool theory_cost = false;
   bool trace = false;
+  bool help = false;
   std::string graph_file;  // bdg1 file overriding --graph/--n
 };
 
-bool parse_arg(Options& opt, const std::string& arg) {
-  auto value = [&](const char* key) -> const char* {
-    const std::size_t len = std::strlen(key);
-    if (arg.rfind(key, 0) == 0) return arg.c_str() + len;
-    return nullptr;
-  };
-  if (const char* v = value("--algo=")) return (opt.algo = v, true);
-  if (const char* v = value("--graph-file=")) return (opt.graph_file = v, true);
-  if (const char* v = value("--graph=")) return (opt.graph = v, true);
-  if (const char* v = value("--strategy=")) return (opt.strategy = v, true);
-  if (const char* v = value("--n=")) return (opt.n = std::stoul(v), true);
-  if (const char* v = value("--f=")) return (opt.f = std::stol(v), true);
-  if (const char* v = value("--seed=")) return (opt.seed = std::stoull(v), true);
-  if (arg == "--theory-cost") return (opt.theory_cost = true, true);
-  if (arg == "--trace") return (opt.trace = true, true);
-  return false;
+/// Parse argv into opt; throws std::invalid_argument naming the bad flag.
+void parse_args(Options& opt, int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (auto v = run::flag_value(arg, "--algo")) {
+      opt.algo = *v;
+    } else if (auto v = run::flag_value(arg, "--graph-file")) {
+      opt.graph_file = *v;
+    } else if (auto v = run::flag_value(arg, "--graph")) {
+      opt.graph = *v;
+      bool known = false;
+      for (const char* name : kGraphs) known |= opt.graph == name;
+      if (!known) throw std::invalid_argument("unknown --graph '" + *v + "'");
+    } else if (auto v = run::flag_value(arg, "--strategy")) {
+      opt.strategy = *v;
+    } else if (auto v = run::flag_value(arg, "--n")) {
+      opt.n = run::parse_flag_number<std::uint32_t>(*v, "--n", 1);
+    } else if (auto v = run::flag_value(arg, "--f")) {
+      opt.f = run::parse_flag_number<std::uint32_t>(*v, "--f");
+    } else if (auto v = run::flag_value(arg, "--seed")) {
+      opt.seed = run::parse_flag_number<std::uint64_t>(*v, "--seed");
+    } else if (arg == "--theory-cost") {
+      opt.theory_cost = true;
+    } else if (arg == "--trace") {
+      opt.trace = true;
+    } else if (arg == "--help") {
+      opt.help = true;
+    } else {
+      throw std::invalid_argument("unknown argument: " + arg);
+    }
+  }
 }
 
-core::Algorithm parse_algo(const std::string& s) {
-  if (s == "T1") return core::Algorithm::kQuotient;
-  if (s == "T2") return core::Algorithm::kTournamentArbitrary;
-  if (s == "T3") return core::Algorithm::kTournamentGathered;
-  if (s == "T4") return core::Algorithm::kThreeGroupGathered;
-  if (s == "T5") return core::Algorithm::kSqrtArbitrary;
-  if (s == "T6") return core::Algorithm::kStrongGathered;
-  if (s == "T7") return core::Algorithm::kStrongArbitrary;
-  if (s == "EXT") return core::Algorithm::kCrashRealGathering;
-  if (s == "RING") return core::Algorithm::kRingBaseline;
-  throw std::invalid_argument("unknown --algo " + s);
-}
-
-core::ByzStrategy parse_strategy(const std::string& s) {
-  for (const auto strat : core::weak_strategies())
-    if (core::to_string(strat) == s) return strat;
-  if (s == "spoofer") return core::ByzStrategy::kSpoofer;
-  throw std::invalid_argument("unknown --strategy " + s);
+void print_usage(std::FILE* to) {
+  std::fputs(
+      "usage: dispersion_cli [flags]\n"
+      "  --algo=NAME        algorithm (default: three-group)\n"
+      "  --graph=FAMILY     er|ring|grid|torus|tree|regular|hypercube|\n"
+      "                     complete (default: er)\n"
+      "  --n=N              node count (default: 12)\n"
+      "  --graph-file=PATH  read a bdg1 graph instead of --graph/--n\n"
+      "  --f=F              Byzantine robots, F < n (default: the\n"
+      "                     algorithm's maximum claimed tolerance)\n"
+      "  --strategy=NAME    adversary (default: fake_settler)\n"
+      "  --seed=S           scenario seed (default: 1)\n"
+      "  --theory-cost      charge the paper's cited bounds verbatim\n"
+      "                     (X(n) = n^5) instead of the scaled model\n"
+      "  --trace            print per-robot activity after the run\n"
+      "  --help             this text\n",
+      to);
 }
 
 Graph build_graph(const Options& opt, Rng& rng) {
@@ -108,23 +130,52 @@ Graph build_graph(const Options& opt, Rng& rng) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    if (!parse_arg(opt, argv[i])) {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
-  Rng rng(opt.seed * 77 + 1);
-  const Graph g = build_graph(opt, rng);
-
   core::ScenarioConfig cfg;
-  cfg.algorithm = parse_algo(opt.algo);
-  cfg.strategy = parse_strategy(opt.strategy);
+  try {
+    parse_args(opt, argc, argv);
+    bool known = false;
+    for (const core::AlgorithmInfo& row : core::algorithm_table()) {
+      if (opt.algo != row.cli_name) continue;
+      cfg.algorithm = row.algorithm;
+      known = true;
+    }
+    if (!known) throw std::invalid_argument("unknown --algo '" + opt.algo + "'");
+    const auto strategy = core::strategy_from_string(opt.strategy);
+    if (!strategy)
+      throw std::invalid_argument("unknown --strategy '" + opt.strategy + "'");
+    cfg.strategy = *strategy;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "dispersion_cli: %s (see --help)\n", e.what());
+    return 2;
+  }
+  if (opt.help) {
+    print_usage(stdout);
+    run::print_grid_name_lists(stdout);
+    return 0;
+  }
+
+  Rng rng(opt.seed * 77 + 1);
+  Graph g;
+  try {
+    g = build_graph(opt, rng);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "dispersion_cli: cannot build the graph (%s): %s\n",
+                 opt.graph_file.empty() ? "--graph, --n" : "--graph-file",
+                 e.what());
+    return 2;
+  }
+
+  const auto n = static_cast<std::uint32_t>(g.n());
   cfg.seed = opt.seed;
   cfg.cost = gather::CostModel{!opt.theory_cost};
-  const auto n = static_cast<std::uint32_t>(g.n());
-  cfg.num_byzantine = opt.f < 0 ? core::max_tolerated_f(cfg.algorithm, n)
-                                : static_cast<std::uint32_t>(opt.f);
+  cfg.num_byzantine = opt.f.value_or(core::max_tolerated_f(cfg.algorithm, n));
+  if (cfg.num_byzantine >= n) {
+    std::fprintf(stderr,
+                 "dispersion_cli: --f=%u must be < n=%u (at least one honest "
+                 "robot)\n",
+                 cfg.num_byzantine, n);
+    return 2;
+  }
 
   sim::TraceRecorder trace;
   if (opt.trace) cfg.observer = &trace;

@@ -4,6 +4,7 @@
 
 #include "core/dispersion_using_map.h"
 #include "core/group_dispersion.h"
+#include "core/protocol_slack.h"
 #include "explore/covering_walk.h"
 #include "explore/engine_map.h"
 #include "gather/bit_epoch.h"
@@ -49,7 +50,7 @@ AlgorithmPlan plan_crash_real_dispersion(const Graph& g,
   const Round gather_rounds = gather::bit_epoch_total_rounds(proto);
 
   AlgorithmPlan plan;
-  plan.total_rounds = gather_rounds + 3 * t2 + phase + 8;
+  plan.total_rounds = gather_rounds + 3 * t2 + phase + kPlanCloseSlack;
   plan.byz_wake_round = 0;  // nothing is charged; crashers are silent anyway
   plan.honest = [=, g = &g](sim::RobotId, NodeId start) -> sim::ProgramFactory {
     CrashPlanConfig cfg;

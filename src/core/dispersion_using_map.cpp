@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/algorithm_common.h"
 #include "core/protocol_msgs.h"
 #include "explore/covering_walk.h"
 #include "util/flat_hash.h"
@@ -192,6 +193,18 @@ Task<DispersionOutcome> run_dispersion_using_map(Ctx ctx,
   }
 
   out.blacklisted = static_cast<std::uint32_t>(B.size());
+  co_return out;
+}
+
+Task<DispersionOutcome> disperse_from_vote(Ctx ctx,
+                                           std::optional<CanonicalCode> code,
+                                           std::uint32_t n,
+                                           Round phase_rounds) {
+  auto map = code.has_value() ? decode_map(*code, n) : std::nullopt;
+  if (!map.has_value()) co_return DispersionOutcome{};
+  DispersionParams params{std::move(*map), 0, phase_rounds};
+  const DispersionOutcome out =
+      co_await run_dispersion_using_map(ctx, std::move(params));
   co_return out;
 }
 

@@ -24,9 +24,11 @@
 // robots settle on the same node) holds by the rank order; Lemma 4
 // (termination within the tour) holds by the pigeonhole argument.
 #include <cstdint>
+#include <optional>
 #include <set>
 
 #include "core/round.h"
+#include "graph/canonical.h"
 #include "graph/graph.h"
 #include "sim/engine.h"
 #include "sim/task.h"
@@ -57,5 +59,13 @@ struct DispersionOutcome {
 /// success the robot physically sits on the node it settled at.
 [[nodiscard]] sim::Task<DispersionOutcome> run_dispersion_using_map(
     sim::Ctx ctx, DispersionParams params);
+
+/// Disperse from the rally node (map node 0) with the map code a robot's
+/// vote produced. The code may be Byzantine garbage: when it is absent or
+/// is not an n-node map (tolerance exceeded; the verifier flags it), the
+/// robot returns unsettled at once, consuming no rounds.
+[[nodiscard]] sim::Task<DispersionOutcome> disperse_from_vote(
+    sim::Ctx ctx, std::optional<CanonicalCode> code, std::uint32_t n,
+    Round phase_rounds);
 
 }  // namespace bdg::core

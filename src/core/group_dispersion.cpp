@@ -4,41 +4,29 @@
 #include <array>
 
 #include "core/dispersion_using_map.h"
+#include "core/protocol_slack.h"
 #include "explore/engine_map.h"
 
 namespace bdg::core {
 namespace {
 
-using explore::MapFindConfig;
-using explore::MapFindOutcome;
-
-/// One group-run of map finding; the robot acts as an agent-group or
-/// token-group member depending on its membership. Returns the code it
-/// obtained (own construction or quorum-believed broadcast).
+/// One group-run of map finding. Returns the code this member obtained
+/// (own construction or quorum-believed broadcast).
 sim::Task<std::optional<CanonicalCode>> group_run(
     sim::Ctx ctx, std::vector<sim::RobotId> agents,
     std::vector<sim::RobotId> tokens, std::uint32_t agent_quorum,
     std::uint32_t token_quorum, Round t2, std::uint32_t n) {
   std::sort(agents.begin(), agents.end());
   std::sort(tokens.begin(), tokens.end());
-  MapFindConfig cfg;
+  explore::MapFindConfig cfg;
   cfg.agents = std::move(agents);
   cfg.tokens = std::move(tokens);
   cfg.agent_quorum = agent_quorum;
   cfg.token_quorum = token_quorum;
   cfg.round_budget = t2;
   cfg.n = n;
-  const bool is_agent = std::binary_search(cfg.agents.begin(),
-                                           cfg.agents.end(), ctx.self());
-  // NOTE: co_await inside a conditional expression miscompiles on GCC
-  // (temporary task frames are freed early); keep the awaits in plain
-  // statements.
-  MapFindOutcome out;
-  if (is_agent) {
-    out = co_await explore::run_map_agent(ctx, cfg);
-  } else {
-    out = co_await explore::run_map_token(ctx, cfg);
-  }
+  const explore::MapFindOutcome out =
+      co_await explore::run_map_member(ctx, std::move(cfg));
   co_return out.code;
 }
 
@@ -88,17 +76,10 @@ sim::Proc sqrt_robot(sim::Ctx ctx, GroupPlanConfig cfg) {
   const auto agent_q = static_cast<std::uint32_t>(agents.size() / 2 + 1);
   const auto token_q = static_cast<std::uint32_t>(tokens.size() / 2 + 1);
 
-  const auto code = co_await group_run(ctx, std::move(agents),
-                                       std::move(tokens), agent_q, token_q,
-                                       cfg.t2, cfg.n);
-  const auto map = code.has_value() ? decode_map(*code, cfg.n) : std::nullopt;
-  if (!map.has_value()) co_return;
-
-  DispersionParams params;
-  params.map = *map;
-  params.map_root = 0;
-  params.phase_rounds = cfg.phase_rounds;
-  (void)co_await run_dispersion_using_map(ctx, std::move(params));
+  auto code = co_await group_run(ctx, std::move(agents), std::move(tokens),
+                                 agent_q, token_q, cfg.t2, cfg.n);
+  (void)co_await disperse_from_vote(ctx, std::move(code), cfg.n,
+                                    cfg.phase_rounds);
 }
 
 }  // namespace
@@ -126,16 +107,8 @@ sim::Task<bool> run_three_group_phase(sim::Ctx ctx,
     if (code.has_value()) votes.push_back(*code);
   }
 
-  const auto code = majority_code(votes);
-  const auto map = code.has_value() ? decode_map(*code, n) : std::nullopt;
-  if (!map.has_value()) co_return false;
-
-  DispersionParams params;
-  params.map = *map;
-  params.map_root = 0;
-  params.phase_rounds = phase_rounds;
   const DispersionOutcome out =
-      co_await run_dispersion_using_map(ctx, std::move(params));
+      co_await disperse_from_vote(ctx, majority_code(votes), n, phase_rounds);
   co_return out.settled;
 }
 
@@ -149,7 +122,7 @@ AlgorithmPlan plan_three_group_dispersion(const Graph& g,
   const Round phase = dispersion_phase_rounds(n);
 
   AlgorithmPlan plan;
-  plan.total_rounds = 3 * t2 + phase + 8;
+  plan.total_rounds = 3 * t2 + phase + kPlanCloseSlack;
   plan.byz_wake_round = 0;
   plan.honest = [=](sim::RobotId, NodeId) -> sim::ProgramFactory {
     GroupPlanConfig cfg;
@@ -178,7 +151,7 @@ AlgorithmPlan plan_sqrt_dispersion(const Graph& g,
       cost.rounds(gather::GatherKind::kSqrtHirose, n, f, lambda), 2 * g.n());
 
   AlgorithmPlan plan;
-  plan.total_rounds = gather_rounds + t2 + phase + 8;
+  plan.total_rounds = gather_rounds + t2 + phase + kPlanCloseSlack;
   plan.byz_wake_round = gather_rounds;
   plan.honest = [=, g = &g](sim::RobotId, NodeId start) -> sim::ProgramFactory {
     GroupPlanConfig cfg;

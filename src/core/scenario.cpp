@@ -15,67 +15,137 @@
 
 namespace bdg::core {
 
-std::string to_string(Algorithm a) {
-  switch (a) {
-    case Algorithm::kQuotient: return "quotient(T1)";
-    case Algorithm::kTournamentArbitrary: return "tournament-arbitrary(T2)";
-    case Algorithm::kSqrtArbitrary: return "sqrt-arbitrary(T5)";
-    case Algorithm::kTournamentGathered: return "tournament-gathered(T3)";
-    case Algorithm::kThreeGroupGathered: return "three-group(T4)";
-    case Algorithm::kStrongArbitrary: return "strong-arbitrary(T7)";
-    case Algorithm::kStrongGathered: return "strong-gathered(T6)";
-    case Algorithm::kCrashRealGathering: return "crash-real-gathering(ext)";
-    case Algorithm::kRingBaseline: return "ring-baseline[34,36]";
-  }
+namespace {
+
+/// floor(n/D) - 1, floored at 0: the "fewer than a D-th" tolerances.
+template <std::uint32_t D>
+std::uint32_t below_share(std::uint32_t n) {
+  return n / D >= 1 ? n / D - 1 : 0;
+}
+
+std::uint32_t sqrt_tolerance(std::uint32_t n) {
+  // The paper's f = O(sqrt n) claim is asymptotic: the two-group run
+  // needs honest majorities in BOTH halves, i.e. f <= ceil(|A|/2)-1
+  // with |A| = floor(n/2). At small n that bound is the binding one.
+  const auto sqrtn =
+      static_cast<std::uint32_t>(std::sqrt(static_cast<double>(n)));
+  const std::uint32_t half = n / 2;
+  const std::uint32_t group_safe = half >= 1 ? (half + 1) / 2 - 1 : 0;
+  return std::min(sqrtn, group_safe);
+}
+
+constexpr std::optional<std::uint32_t> kOnlyKEqualsN = std::nullopt;
+
+// Columns: enumerator, report name, CLI name, starts gathered, handles
+// strong, tolerance, own adversary, min k (k != n), graph need, planner.
+// The min k comments give each row's reason.
+constexpr AlgorithmInfo kTable[] = {
+    // Map-based pipelines: Find-Map is per-robot (quotient) or a
+    // tournament/vote among the actual participants, and
+    // Dispersion-Using-Map settles any number of robots <= n per wave.
+    {Algorithm::kQuotient, "quotient(T1)", "quotient", false, false,
+     &below_share<1>, std::nullopt, 1, GraphNeed::kTrivialQuotient,
+     [](const PlanArgs& r) { return plan_quotient_dispersion(r.g, r.cost); }},
+    {Algorithm::kTournamentArbitrary, "tournament-arbitrary(T2)",
+     "tournament-arbitrary", false, false, &below_share<2>, std::nullopt, 1,
+     GraphNeed::kAny, [](const PlanArgs& r) {
+       return plan_tournament_dispersion(r.g, r.ids, /*gathered=*/false, r.f,
+                                         r.cost, r.batched_pairing);
+     }},
+    // The two-group split needs both halves to hold honest majorities of
+    // the *robot* population; undersubscribed halves below 2 robots
+    // degenerate. Supported for k >= 4.
+    {Algorithm::kSqrtArbitrary, "sqrt-arbitrary(T5)", "sqrt-arbitrary", false,
+     false, &sqrt_tolerance, std::nullopt, 4, GraphNeed::kAny,
+     [](const PlanArgs& r) {
+       return plan_sqrt_dispersion(r.g, r.ids, r.f, r.cost);
+     }},
+    // Map-based, as the quotient row.
+    {Algorithm::kTournamentGathered, "tournament-gathered(T3)",
+     "tournament-gathered", true, false, &below_share<2>, std::nullopt, 1,
+     GraphNeed::kAny, [](const PlanArgs& r) {
+       return plan_tournament_dispersion(r.g, r.ids, /*gathered=*/true, r.f,
+                                         r.cost, r.batched_pairing);
+     }},
+    // The three-group rotation needs at least one robot per role; with
+    // k < 3 the A/B thirds are empty and the map vote degenerates.
+    {Algorithm::kThreeGroupGathered, "three-group(T4)", "three-group", true,
+     false, &below_share<3>, std::nullopt, 3, GraphNeed::kAny,
+     [](const PlanArgs& r) {
+       return plan_three_group_dispersion(r.g, r.ids, r.cost);
+     }},
+    // The strong algorithms' floor(n/4)-quorum argument assumes all k
+    // robots share one instance: with k < n the agent half can be smaller
+    // than one quorum, and across k > n waves the spoofers of one wave can
+    // impersonate another wave's participants and forge its quorums. Only
+    // the paper's k = n setting is sound.
+    {Algorithm::kStrongArbitrary, "strong-arbitrary(T7)", "strong-arbitrary",
+     false, true, &below_share<4>, ByzStrategy::kSpoofer, kOnlyKEqualsN,
+     GraphNeed::kAny, [](const PlanArgs& r) {
+       return plan_strong_arbitrary_dispersion(r.g, r.ids, r.f, r.cost);
+     }},
+    {Algorithm::kStrongGathered, "strong-gathered(T6)", "strong-gathered",
+     true, true, &below_share<4>, ByzStrategy::kSpoofer, kOnlyKEqualsN,
+     GraphNeed::kAny, [](const PlanArgs& r) {
+       return plan_strong_gathered_dispersion(r.g, r.ids, r.cost);
+     }},
+    // Theorem 4's phases after real gathering: as the three-group row.
+    {Algorithm::kCrashRealGathering, "crash-real-gathering(ext)",
+     "crash-real-gathering", false, false, &below_share<3>,
+     ByzStrategy::kCrash, 3, GraphNeed::kAny, [](const PlanArgs& r) {
+       return plan_crash_real_dispersion(r.g, r.ids, r.cost);
+     }},
+    // The ring baseline's O(n) schedule assumes one robot per ring node.
+    {Algorithm::kRingBaseline, "ring-baseline[34,36]", "ring-baseline", false,
+     false, &below_share<1>, std::nullopt, kOnlyKEqualsN, GraphNeed::kRing,
+     [](const PlanArgs& r) { return plan_ring_dispersion(r.g, r.cost); }},
+};
+
+constexpr bool rows_in_enum_order() {
+  for (std::size_t i = 0; i < std::size(kTable); ++i)
+    if (kTable[i].algorithm != static_cast<Algorithm>(i)) return false;
+  return std::size(kTable) ==
+         static_cast<std::size_t>(Algorithm::kRingBaseline) + 1;
+}
+static_assert(rows_in_enum_order(), "one row per Algorithm, in enum order");
+
+/// Distinct robot IDs from [1, max(k, n)^2] (paper: IDs from [1, n^c],
+/// c > 1). For k == n this is the seed-stable [1, n^2] draw.
+std::vector<sim::RobotId> draw_ids(std::uint32_t k, std::uint32_t n,
+                                   Rng& rng) {
+  const std::uint64_t m = std::max(k, n);
+  const std::uint64_t space =
+      std::max<std::uint64_t>(m * m, static_cast<std::uint64_t>(k) + 1);
+  std::set<sim::RobotId> ids;
+  while (ids.size() < k) ids.insert(1 + rng.below(space));
+  return {ids.begin(), ids.end()};
+}
+
+}  // namespace
+
+std::span<const AlgorithmInfo> algorithm_table() { return kTable; }
+
+const AlgorithmInfo& algorithm_info(Algorithm a) {
   // An out-of-range value is corrupted or foreign data: a silent "unknown"
   // would round-trip through algorithm_from_string to nullopt and quietly
   // re-run the checkpoint record. Fail.
-  throw std::invalid_argument("to_string(Algorithm): invalid algorithm value " +
-                              std::to_string(static_cast<int>(a)));
+  const auto i = static_cast<std::size_t>(a);
+  if (i >= std::size(kTable))
+    throw std::invalid_argument("invalid algorithm value " +
+                                std::to_string(static_cast<int>(a)));
+  return kTable[i];
 }
 
+std::string to_string(Algorithm a) { return algorithm_info(a).report_name; }
+
 std::optional<Algorithm> algorithm_from_string(const std::string& name) {
-  // Keep this list in sync with the Algorithm enum (the to_string switch
-  // warns on a missing case; this list is the matching inverse). A missed
-  // entry degrades safely: checkpoint lines for that algorithm parse to
-  // nullopt and the points re-run instead of resuming.
-  for (const Algorithm a :
-       {Algorithm::kQuotient, Algorithm::kTournamentArbitrary,
-        Algorithm::kSqrtArbitrary, Algorithm::kTournamentGathered,
-        Algorithm::kThreeGroupGathered, Algorithm::kStrongArbitrary,
-        Algorithm::kStrongGathered, Algorithm::kCrashRealGathering,
-        Algorithm::kRingBaseline}) {
-    if (to_string(a) == name) return a;
-  }
+  for (const AlgorithmInfo& row : kTable)
+    if (name == row.report_name) return row.algorithm;
   return std::nullopt;
 }
 
 std::uint32_t max_tolerated_f(Algorithm a, std::uint32_t n) {
-  switch (a) {
-    case Algorithm::kQuotient:
-    case Algorithm::kRingBaseline:
-      return n >= 1 ? n - 1 : 0;
-    case Algorithm::kTournamentArbitrary:
-    case Algorithm::kTournamentGathered:
-      return n / 2 >= 1 ? n / 2 - 1 : 0;
-    case Algorithm::kThreeGroupGathered:
-    case Algorithm::kCrashRealGathering:
-      return n / 3 >= 1 ? n / 3 - 1 : 0;
-    case Algorithm::kSqrtArbitrary: {
-      // The paper's f = O(sqrt n) claim is asymptotic: the two-group run
-      // needs honest majorities in BOTH halves, i.e. f <= ceil(|A|/2)-1
-      // with |A| = floor(n/2). At small n that bound is the binding one.
-      const auto sqrtn =
-          static_cast<std::uint32_t>(std::sqrt(static_cast<double>(n)));
-      const std::uint32_t half = n / 2;
-      const std::uint32_t group_safe = half >= 1 ? (half + 1) / 2 - 1 : 0;
-      return std::min(sqrtn, group_safe);
-    }
-    case Algorithm::kStrongArbitrary:
-    case Algorithm::kStrongGathered:
-      return n / 4 >= 1 ? n / 4 - 1 : 0;
-  }
-  return 0;
+  return algorithm_info(a).max_f(n);
 }
 
 std::uint32_t max_tolerated_f_k(Algorithm a, std::uint32_t n,
@@ -99,71 +169,6 @@ std::uint32_t max_tolerated_f_k(Algorithm a, std::uint32_t n,
   if (waves > 1) f = std::min(f, (waves * n - k) / (waves - 1));
   return std::min(f, k - 1);
 }
-
-bool starts_gathered(Algorithm a) {
-  switch (a) {
-    case Algorithm::kQuotient:
-    case Algorithm::kTournamentArbitrary:
-    case Algorithm::kSqrtArbitrary:
-    case Algorithm::kStrongArbitrary:
-    case Algorithm::kCrashRealGathering:
-    case Algorithm::kRingBaseline:
-      return false;
-    case Algorithm::kTournamentGathered:
-    case Algorithm::kThreeGroupGathered:
-    case Algorithm::kStrongGathered:
-      return true;
-  }
-  return true;
-}
-
-bool handles_strong(Algorithm a) {
-  return a == Algorithm::kStrongGathered || a == Algorithm::kStrongArbitrary;
-}
-
-namespace {
-
-/// Distinct robot IDs from [1, max(k, n)^2] (paper: IDs from [1, n^c],
-/// c > 1). For k == n this is the seed-stable [1, n^2] draw.
-std::vector<sim::RobotId> draw_ids(std::uint32_t k, std::uint32_t n,
-                                   Rng& rng) {
-  const std::uint64_t m = std::max(k, n);
-  const std::uint64_t space =
-      std::max<std::uint64_t>(m * m, static_cast<std::uint64_t>(k) + 1);
-  std::set<sim::RobotId> ids;
-  while (ids.size() < k) ids.insert(1 + rng.below(space));
-  return {ids.begin(), ids.end()};
-}
-
-AlgorithmPlan make_plan(Algorithm a, const Graph& g,
-                        const std::vector<sim::RobotId>& ids, std::uint32_t f,
-                        const gather::CostModel& cost, bool batched_pairing) {
-  switch (a) {
-    case Algorithm::kQuotient:
-      return plan_quotient_dispersion(g, cost);
-    case Algorithm::kTournamentArbitrary:
-      return plan_tournament_dispersion(g, ids, /*gathered=*/false, f, cost,
-                                        batched_pairing);
-    case Algorithm::kTournamentGathered:
-      return plan_tournament_dispersion(g, ids, /*gathered=*/true, f, cost,
-                                        batched_pairing);
-    case Algorithm::kThreeGroupGathered:
-      return plan_three_group_dispersion(g, ids, cost);
-    case Algorithm::kSqrtArbitrary:
-      return plan_sqrt_dispersion(g, ids, f, cost);
-    case Algorithm::kStrongGathered:
-      return plan_strong_gathered_dispersion(g, ids, cost);
-    case Algorithm::kStrongArbitrary:
-      return plan_strong_arbitrary_dispersion(g, ids, f, cost);
-    case Algorithm::kCrashRealGathering:
-      return plan_crash_real_dispersion(g, ids, cost);
-    case Algorithm::kRingBaseline:
-      return plan_ring_dispersion(g, cost);
-  }
-  throw std::invalid_argument("make_plan: bad algorithm");
-}
-
-}  // namespace
 
 std::vector<sim::RobotId> draw_robot_ids(std::uint32_t k, std::uint32_t n,
                                          std::uint64_t seed) {
@@ -195,7 +200,8 @@ ScenarioResult run_scenario(const Graph& g, const ScenarioConfig& cfg) {
   // Placements: gathered algorithms put everyone at the rally node 0;
   // otherwise robots are scattered uniformly (Byzantine anywhere).
   std::vector<NodeId> starts(k, 0);
-  if (!starts_gathered(cfg.algorithm)) {
+  const AlgorithmInfo& info = algorithm_info(cfg.algorithm);
+  if (!info.starts_gathered) {
     for (auto& s : starts) s = static_cast<NodeId>(rng.below(g.n()));
   }
 
@@ -215,14 +221,14 @@ ScenarioResult run_scenario(const Graph& g, const ScenarioConfig& cfg) {
     if (is_byz[i]) ++wave_byz[i % waves];
   }
 
-  const bool strong = cfg.strong_byzantine || handles_strong(cfg.algorithm);
+  const bool strong = cfg.strong_byzantine || info.handles_strong;
   std::vector<AlgorithmPlan> plans;
   std::vector<Round> offsets(waves, Round(0));
   Round total_rounds = 0;
   plans.reserve(waves);
   for (std::uint32_t w = 0; w < waves; ++w) {
-    plans.push_back(make_plan(cfg.algorithm, g, wave_ids[w], wave_byz[w],
-                              cfg.cost, cfg.batched_pairing));
+    plans.push_back(info.plan(
+        {g, wave_ids[w], wave_byz[w], cfg.cost, cfg.batched_pairing}));
     offsets[w] = total_rounds;
     total_rounds += plans[w].total_rounds;
   }

@@ -5,6 +5,7 @@
 // examples alike.
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,51 @@ enum class Algorithm {
   kRingBaseline,
 };
 
-[[nodiscard]] std::string to_string(Algorithm a);
+/// What an algorithm needs of the graph beyond connectivity.
+enum class GraphNeed {
+  kAny,
+  kRing,             ///< a ring family (the ring baseline's O(n) schedule)
+  kTrivialQuotient,  ///< all views distinct (Theorem 1's Find-Map)
+};
+
+/// The inputs of one wave's plan; see AlgorithmInfo::plan.
+struct PlanArgs {
+  const Graph& g;
+  const std::vector<sim::RobotId>& ids;  ///< this wave's robots
+  std::uint32_t f;                       ///< this wave's Byzantine count
+  const gather::CostModel& cost;
+  bool batched_pairing;  ///< ScenarioConfig::batched_pairing
+};
+
+/// One Table 1 row: every per-algorithm fact the harness, the sweep runner
+/// and the front-ends use, declared once.
+struct AlgorithmInfo {
+  Algorithm algorithm;
+  const char* report_name;  ///< to_string(): reports and checkpoints
+  const char* cli_name;     ///< the --algorithms / --algo spelling
+  bool starts_gathered;     ///< robots start at the rally node 0
+  bool handles_strong;      ///< claims tolerance of strong Byzantine robots
+  /// Claimed weak-Byzantine tolerance (Table 1), given n.
+  std::uint32_t (*max_f)(std::uint32_t n);
+  /// The adversary a sweep runs against this row when its strategy follows
+  /// the algorithm; nullopt = the sweep's own strategy.
+  std::optional<ByzStrategy> own_adversary;
+  /// Smallest robot count k != n the algorithm supports (Theorem 8's axis);
+  /// nullopt when only the paper's k = n setting is sound.
+  std::optional<std::uint32_t> min_k;
+  GraphNeed graph;
+  /// Plans one wave: the row's plan_* entry point.
+  AlgorithmPlan (*plan)(const PlanArgs& args);
+};
+
+/// Every row, one per Algorithm enumerator, in enum order.
+[[nodiscard]] std::span<const AlgorithmInfo> algorithm_table();
+
+/// The row of `a`. An out-of-range value is corrupted or foreign data (a
+/// checkpoint record, say) and throws std::invalid_argument.
+[[nodiscard]] const AlgorithmInfo& algorithm_info(Algorithm a);
+
+[[nodiscard]] std::string to_string(Algorithm a);  ///< the row's report name
 
 /// Inverse of to_string(Algorithm); nullopt for unknown names. Used by the
 /// sweep checkpoint reader to reconstruct points from JSON-lines.
@@ -53,12 +98,6 @@ enum class Algorithm {
 /// costs every wave a slot), and by f <= k - 1.
 [[nodiscard]] std::uint32_t max_tolerated_f_k(Algorithm a, std::uint32_t n,
                                               std::uint32_t k);
-
-/// Whether the algorithm assumes an initially gathered configuration.
-[[nodiscard]] bool starts_gathered(Algorithm a);
-
-/// Whether the algorithm tolerates strong Byzantine robots.
-[[nodiscard]] bool handles_strong(Algorithm a);
 
 struct ScenarioConfig {
   Algorithm algorithm = Algorithm::kStrongGathered;

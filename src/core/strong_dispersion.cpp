@@ -2,14 +2,11 @@
 
 #include <algorithm>
 
-#include "core/dispersion_using_map.h"
+#include "core/protocol_slack.h"
 #include "explore/engine_map.h"
 
 namespace bdg::core {
 namespace {
-
-using explore::MapFindConfig;
-using explore::MapFindOutcome;
 
 struct StrongPlanConfig {
   std::vector<sim::RobotId> ids;  // sorted; the gathered-set common knowledge
@@ -29,23 +26,15 @@ sim::Proc strong_robot(sim::Ctx ctx, StrongPlanConfig cfg) {
   // Phase 1: one group map-finding run, halves by sorted ID, absolute
   // floor(n/4) quorums (paper Section 4).
   const std::size_t half = cfg.ids.size() / 2;
-  MapFindConfig mf;
+  explore::MapFindConfig mf;
   mf.agents.assign(cfg.ids.begin(), cfg.ids.begin() + half);
   mf.tokens.assign(cfg.ids.begin() + half, cfg.ids.end());
   mf.agent_quorum = std::max<std::uint32_t>(1, cfg.n / 4);
   mf.token_quorum = std::max<std::uint32_t>(1, cfg.n / 4);
   mf.round_budget = cfg.t2;
   mf.n = cfg.n;
-  const bool is_agent =
-      std::binary_search(mf.agents.begin(), mf.agents.end(), ctx.self());
-  // co_await must not sit inside a conditional expression (GCC frees the
-  // temporary task frame early); use plain statements.
-  MapFindOutcome out;
-  if (is_agent) {
-    out = co_await explore::run_map_agent(ctx, mf);
-  } else {
-    out = co_await explore::run_map_token(ctx, mf);
-  }
+  const explore::MapFindOutcome out =
+      co_await explore::run_map_member(ctx, std::move(mf));
   const auto map =
       out.code.has_value() ? decode_map(*out.code, cfg.n) : std::nullopt;
   if (!map.has_value()) co_return;
@@ -80,7 +69,7 @@ AlgorithmPlan plan_strong(const Graph& g, std::vector<sim::RobotId> ids,
   const Round assign = Round(n) + 8;
 
   AlgorithmPlan plan;
-  plan.total_rounds = gather_rounds + t2 + assign + 8;
+  plan.total_rounds = gather_rounds + t2 + assign + kPlanCloseSlack;
   plan.byz_wake_round = gather_rounds;
   plan.honest = [=, g = &g](sim::RobotId, NodeId start) -> sim::ProgramFactory {
     StrongPlanConfig cfg;

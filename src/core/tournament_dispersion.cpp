@@ -156,16 +156,9 @@ sim::Proc tournament_robot(sim::Ctx ctx, TournamentConfig cfg) {
           "constants out of step with the window protocol?)");
   }
 
-  const auto code = majority_code(st.votes, cfg.f);
-  const auto map = code.has_value() ? decode_map(*code, cfg.n) : std::nullopt;
-  if (!map.has_value()) co_return;  // tolerance exceeded; verifier will flag
-
   // Phase 3: disperse from the rally node (map node 0).
-  DispersionParams params;
-  params.map = *map;
-  params.map_root = 0;
-  params.phase_rounds = cfg.phase_rounds;
-  (void)co_await run_dispersion_using_map(ctx, std::move(params));
+  (void)co_await disperse_from_vote(ctx, majority_code(st.votes, cfg.f),
+                                    cfg.n, cfg.phase_rounds);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "explore/engine_map.h"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -366,6 +367,15 @@ Task<MapFindOutcome> run_map_token(Ctx ctx, MapFindConfig cfg) {
   co_return out;
 }
 
+Task<MapFindOutcome> run_map_member(Ctx ctx, MapFindConfig cfg) {
+  // A plain function handing back the chosen task: no co_await inside a
+  // conditional expression, which GCC miscompiles (it frees the temporary
+  // task frame early).
+  if (std::binary_search(cfg.agents.begin(), cfg.agents.end(), ctx.self()))
+    return run_map_agent(ctx, std::move(cfg));
+  return run_map_token(ctx, std::move(cfg));
+}
+
 Task<MapFindOutcome> run_map_agent_cached(Ctx ctx, MapFindConfig cfg,
                                           const Graph& cached_map,
                                           const CanonicalCode& cached_code) {
@@ -450,14 +460,9 @@ Task<MapFindOutcome> run_map_publish(Ctx ctx, MapFindConfig cfg,
 
 namespace {
 
-sim::Proc reference_agent(Ctx ctx, MapFindConfig cfg,
-                          std::shared_ptr<MapFindOutcome> out) {
-  *out = co_await run_map_agent(ctx, cfg);
-}
-
-sim::Proc reference_token(Ctx ctx, MapFindConfig cfg,
-                          std::shared_ptr<MapFindOutcome> out) {
-  *out = co_await run_map_token(ctx, cfg);
+sim::Proc reference_member(Ctx ctx, MapFindConfig cfg,
+                           std::shared_ptr<MapFindOutcome> out) {
+  *out = co_await run_map_member(ctx, std::move(cfg));
 }
 
 }  // namespace
@@ -471,12 +476,10 @@ ReferenceMapResult build_map_with_token(const Graph& g, NodeId start) {
   cfg.round_budget = default_map_window(cfg.n);
   auto agent_out = std::make_shared<MapFindOutcome>();
   auto token_out = std::make_shared<MapFindOutcome>();
-  eng.add_robot(1, sim::Faultiness::kHonest, start, [=](Ctx c) {
-    return reference_agent(c, cfg, agent_out);
-  });
-  eng.add_robot(2, sim::Faultiness::kHonest, start, [=](Ctx c) {
-    return reference_token(c, cfg, token_out);
-  });
+  eng.add_robot(1, sim::Faultiness::kHonest, start,
+                [=](Ctx c) { return reference_member(c, cfg, agent_out); });
+  eng.add_robot(2, sim::Faultiness::kHonest, start,
+                [=](Ctx c) { return reference_member(c, cfg, token_out); });
   eng.run(cfg.round_budget + core::kPlanCloseSlack);
   if (!agent_out->code.has_value())
     throw std::runtime_error("build_map_with_token: honest run failed");

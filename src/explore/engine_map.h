@@ -108,6 +108,11 @@ struct MapFindOutcome {
 [[nodiscard]] sim::Task<MapFindOutcome> run_map_token(sim::Ctx ctx,
                                                       MapFindConfig cfg);
 
+/// Group-run member program: run_map_agent when the robot is in
+/// cfg.agents, else run_map_token (same window contract).
+[[nodiscard]] sim::Task<MapFindOutcome> run_map_member(sim::Ctx ctx,
+                                                       MapFindConfig cfg);
+
 /// Agent-side window that reuses a previously self-built map instead of
 /// exploring from scratch: a silent verify-only walk covers every edge of
 /// `cached_map` (DFS tree advances/retreats plus out-and-back probes of

@@ -21,22 +21,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-/// CLI algorithm names in registry order (also the help-text order).
-constexpr struct {
-  const char* name;
-  core::Algorithm algorithm;
-} kAlgorithms[] = {
-    {"quotient", core::Algorithm::kQuotient},
-    {"tournament-arbitrary", core::Algorithm::kTournamentArbitrary},
-    {"sqrt-arbitrary", core::Algorithm::kSqrtArbitrary},
-    {"tournament-gathered", core::Algorithm::kTournamentGathered},
-    {"three-group", core::Algorithm::kThreeGroupGathered},
-    {"strong-arbitrary", core::Algorithm::kStrongArbitrary},
-    {"strong-gathered", core::Algorithm::kStrongGathered},
-    {"crash-real-gathering", core::Algorithm::kCrashRealGathering},
-    {"ring-baseline", core::Algorithm::kRingBaseline},
-};
-
 /// Whole-string decimal: nullopt on empty text, any non-digit or overflow.
 std::optional<std::uint64_t> parse_decimal(const std::string& text) {
   std::uint64_t value = 0;
@@ -106,9 +90,9 @@ GridFlagsResult parse_grid_flags(int argc, char** argv) {
       if (auto v = flag_value(arg, "--algorithms")) {
         for (const std::string& name : split(*v, ',')) {
           const std::size_t before = spec.algorithms.size();
-          for (const auto& a : kAlgorithms)
-            if (name == "all" || name == a.name)
-              spec.algorithms.push_back(a.algorithm);
+          for (const core::AlgorithmInfo& row : core::algorithm_table())
+            if (name == "all" || name == row.cli_name)
+              spec.algorithms.push_back(row.algorithm);
           if (spec.algorithms.size() == before)
             return fail("unknown algorithm '" + name + "'");
         }
@@ -184,9 +168,9 @@ GridFlagsResult parse_grid_flags(int argc, char** argv) {
     return fail(e.what());  // a malformed number, naming its flag
   }
   if (spec.algorithms.empty())  // the general-graph default
-    for (const auto& a : kAlgorithms)
-      if (a.algorithm != core::Algorithm::kRingBaseline)
-        spec.algorithms.push_back(a.algorithm);
+    for (const core::AlgorithmInfo& row : core::algorithm_table())
+      if (row.graph != core::GraphNeed::kRing)
+        spec.algorithms.push_back(row.algorithm);
   return res;
 }
 
@@ -233,7 +217,8 @@ void print_grid_flag_help(std::FILE* to) {
 
 void print_grid_name_lists(std::FILE* to) {
   std::fputs("algorithm names:\n", to);
-  for (const auto& a : kAlgorithms) std::fprintf(to, "  %s\n", a.name);
+  for (const core::AlgorithmInfo& row : core::algorithm_table())
+    std::fprintf(to, "  %s\n", row.cli_name);
   std::fputs("strategy names:\n", to);
   std::vector<core::ByzStrategy> strategies = core::weak_strategies();
   strategies.push_back(core::ByzStrategy::kSpoofer);

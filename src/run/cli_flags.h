@@ -48,7 +48,7 @@ struct GridFlagsResult {
 /// --families, --sizes, --k, --byz, --seeds, --strategy, --mix,
 /// --no-clamp, --require-trivial-quotient, --common-graphs, --er-p,
 /// --base-seed, --threads, --shard, --resume, --no-timing); without
-/// --algorithms, every algorithm but the ring-only baseline.
+/// --algorithms, every algorithm row that needs no ring.
 /// Malformed values (unknown names, numbers parse_flag_number rejects,
 /// i >= m shards) fail the parse; unknown flags are returned, not
 /// rejected, so each front-end can layer its own flags on top.

@@ -87,9 +87,19 @@ core::ByzStrategy strategy_for(const SweepSpec& spec, core::Algorithm a) {
   const auto it = spec.strategy_overrides.find(a);
   if (it != spec.strategy_overrides.end()) return it->second;
   if (!spec.strategy_follows_algorithm) return spec.strategy;
-  if (core::handles_strong(a)) return core::ByzStrategy::kSpoofer;
-  if (a == core::Algorithm::kCrashRealGathering) return core::ByzStrategy::kCrash;
-  return spec.strategy;
+  return core::algorithm_info(a).own_adversary.value_or(spec.strategy);
+}
+
+/// With common_graphs, an algorithm that needs a trivial quotient imposes
+/// it on every point, or its points would resample onto other graphs than
+/// their cell mates.
+bool common_graphs_need_trivial_quotient(const SweepSpec& spec) {
+  return spec.common_graphs &&
+         std::any_of(spec.algorithms.begin(), spec.algorithms.end(),
+                     [](core::Algorithm a) {
+                       return core::algorithm_info(a).graph ==
+                              core::GraphNeed::kTrivialQuotient;
+                     });
 }
 
 }  // namespace
@@ -146,38 +156,8 @@ bool same_point(const SweepPoint& a, const SweepPoint& b) {
 
 bool algorithm_supports_k(core::Algorithm a, std::uint32_t k,
                           std::uint32_t n) {
-  if (k == 0 || k == n) return true;  // the Table 1 setting
-  switch (a) {
-    // Map-based pipelines: Find-Map is per-robot (quotient) or a
-    // tournament/vote among the actual participants, and
-    // Dispersion-Using-Map settles any number of robots <= n per wave.
-    case core::Algorithm::kQuotient:
-    case core::Algorithm::kTournamentArbitrary:
-    case core::Algorithm::kTournamentGathered:
-      return true;
-    // The three-group rotation needs at least one robot per role; with
-    // k < 3 the A/B thirds are empty and the map vote degenerates.
-    case core::Algorithm::kThreeGroupGathered:
-    case core::Algorithm::kCrashRealGathering:
-      return k >= 3;
-    // The two-group split needs both halves to hold honest majorities of
-    // the *robot* population; undersubscribed halves below 2 robots
-    // degenerate. Supported for k >= 4.
-    case core::Algorithm::kSqrtArbitrary:
-      return k >= 4;
-    // The strong algorithms' floor(n/4)-quorum argument assumes all k
-    // robots share one instance: with k < n the agent half can be smaller
-    // than one quorum, and across k > n waves the spoofers of one wave can
-    // impersonate another wave's participants and forge its quorums. Only
-    // the paper's k = n setting is sound.
-    case core::Algorithm::kStrongArbitrary:
-    case core::Algorithm::kStrongGathered:
-      return false;
-    // The ring baseline's O(n) schedule assumes one robot per ring node.
-    case core::Algorithm::kRingBaseline:
-      return false;
-  }
-  return false;
+  const std::optional<std::uint32_t> min_k = core::algorithm_info(a).min_k;
+  return k == 0 || k == n || (min_k.has_value() && k >= *min_k);
 }
 
 std::vector<SweepPoint> expand_grid(const SweepSpec& spec) {
@@ -266,13 +246,10 @@ std::vector<SweepPoint> expand_grid(const SweepSpec& spec) {
 }
 
 std::uint64_t spec_fingerprint(const SweepSpec& spec) {
-  const bool quotient_in_sweep =
-      std::find(spec.algorithms.begin(), spec.algorithms.end(),
-                core::Algorithm::kQuotient) != spec.algorithms.end();
   std::uint64_t h = mix(0x5FEC0FF5EEDC0DE5ULL, spec.base_seed);
   h = mix(h, spec.common_graphs ? 1 : 0);
   h = mix(h, spec.require_trivial_quotient ? 1 : 0);
-  h = mix(h, quotient_in_sweep && spec.common_graphs ? 1 : 0);
+  h = mix(h, common_graphs_need_trivial_quotient(spec) ? 1 : 0);
   std::uint64_t er_bits = 0;
   static_assert(sizeof er_bits == sizeof spec.er_edge_probability);
   std::memcpy(&er_bits, &spec.er_edge_probability, sizeof er_bits);
@@ -331,7 +308,8 @@ PointResult run_point(const SweepSpec& spec, const SweepPoint& p) {
   r.derived_seed = point_seed(spec.base_seed, p);
   const std::uint32_t k = p.k == 0 ? p.n : p.k;
 
-  if (p.algorithm == core::Algorithm::kRingBaseline && p.family != "ring" &&
+  const core::AlgorithmInfo& info = core::algorithm_info(p.algorithm);
+  if (info.graph == core::GraphNeed::kRing && p.family != "ring" &&
       p.family != "oriented_ring") {
     r.skipped = true;
     r.skip_reason = "ring baseline requires a ring family";
@@ -364,15 +342,9 @@ PointResult run_point(const SweepSpec& spec, const SweepPoint& p) {
                     " robots setting on n=" + std::to_string(p.n);
     return r;
   }
-  // With common_graphs, a sweep containing kQuotient must hold the
-  // trivial-quotient requirement for every point, or the quotient points
-  // would silently resample onto a different graph than their cell mates.
-  const bool need_trivial =
-      spec.require_trivial_quotient ||
-      p.algorithm == core::Algorithm::kQuotient ||
-      (spec.common_graphs &&
-       std::find(spec.algorithms.begin(), spec.algorithms.end(),
-                 core::Algorithm::kQuotient) != spec.algorithms.end());
+  const bool need_trivial = spec.require_trivial_quotient ||
+                            info.graph == core::GraphNeed::kTrivialQuotient ||
+                            common_graphs_need_trivial_quotient(spec);
   const std::optional<Graph> g =
       build_family_graph(p.family, p.n, point_graph_seed(spec, p),
                          need_trivial, spec.er_edge_probability);
@@ -391,7 +363,6 @@ PointResult run_point(const SweepSpec& spec, const SweepPoint& p) {
   cfg.strategy = p.strategy;
   cfg.strategies = p.mix;
   cfg.byz_smallest_ids = spec.byz_smallest_ids;
-  cfg.strong_byzantine = core::handles_strong(p.algorithm);
   cfg.seed = mix(r.derived_seed, 0x5CE42AE05C0F5AB1ULL);
   cfg.cost = spec.cost;
 

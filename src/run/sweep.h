@@ -101,8 +101,9 @@ struct SweepSpec {
   /// Grid seeds (each is an independent repetition of every cell).
   std::vector<std::uint64_t> seeds = {1};
   /// Adversary. When `strategy_follows_algorithm` is set the strategy is
-  /// chosen per algorithm as the e2e suite does (spoofer for the strong
-  /// algorithms, crash for crash-real gathering, `strategy` otherwise).
+  /// the algorithm row's own adversary (core::AlgorithmInfo::own_adversary:
+  /// spoofer for the strong algorithms, crash for crash-real gathering),
+  /// else `strategy`.
   /// `strategy_overrides` wins over both for the listed algorithms, so one
   /// sweep can pit each algorithm against its own adversary (the figure
   /// benches sweep all algorithms in a single parallel grid this way).
@@ -235,7 +236,8 @@ struct SweepResult {
 
 /// Whether the scenario harness can actually execute algorithm `a` with k
 /// robots on an n-node graph (independent of Theorem 8 feasibility, which
-/// run_point checks separately). k == n is always supported; the k-axis
+/// run_point checks separately). k == n is always supported; otherwise the
+/// algorithm's row (core::AlgorithmInfo::min_k) decides. The k-axis
 /// algorithms are validated by the k-robots conformance tier.
 [[nodiscard]] bool algorithm_supports_k(core::Algorithm a, std::uint32_t k,
                                         std::uint32_t n);
@@ -251,11 +253,12 @@ struct SweepResult {
 
 /// Fingerprint of every spec knob that changes what a point *computes*
 /// beyond its own coordinates: base_seed, common_graphs,
-/// require_trivial_quotient (and whether kQuotient is in the sweep, which
-/// tightens graph sampling under common_graphs), er_edge_probability, the
-/// cost model, byz_smallest_ids and measure_seconds (cached wall seconds
-/// must not leak into a deterministic-report run). Checkpoint entries
-/// record it, and resume only reuses entries whose fingerprint matches —
+/// require_trivial_quotient (and whether an algorithm that needs a trivial
+/// quotient is in the sweep, which tightens graph sampling under
+/// common_graphs), er_edge_probability, the cost model, byz_smallest_ids
+/// and measure_seconds (cached wall seconds must not leak into a
+/// deterministic-report run). Checkpoint entries record it, and resume
+/// only reuses entries whose fingerprint matches —
 /// a checkpoint written under different knobs re-runs instead of silently
 /// importing foreign results. Execution-shape knobs (threads, shards,
 /// progress) are deliberately excluded: they never change point results.

@@ -60,9 +60,13 @@ TEST(CliFlags, DefaultsToTheCliGrid) {
   ASSERT_TRUE(res.ok);
   EXPECT_EQ(res.spec.families, (std::vector<std::string>{"er"}));
   EXPECT_EQ(res.spec.sizes, (std::vector<std::uint32_t>{8, 12, 16}));
-  EXPECT_EQ(res.spec.algorithms.size(), 8u);  // all but the ring baseline
-  for (const core::Algorithm a : res.spec.algorithms)
-    EXPECT_NE(a, core::Algorithm::kRingBaseline);
+  // Every row but the ring baseline, in table order.
+  std::vector<core::Algorithm> expected;
+  for (const core::AlgorithmInfo& row : core::algorithm_table())
+    if (row.algorithm != core::Algorithm::kRingBaseline)
+      expected.push_back(row.algorithm);
+  EXPECT_EQ(expected.size(), 8u);
+  EXPECT_EQ(res.spec.algorithms, expected);
 }
 
 TEST(CliFlags, RejectsJunkNegativeAndOutOfRangeNumbers) {

@@ -76,8 +76,8 @@ TEST(CrashReal, CheaperThanChargedTheorem2Bound) {
 TEST(CrashReal, MetadataRegistered) {
   EXPECT_EQ(to_string(Algorithm::kCrashRealGathering),
             "crash-real-gathering(ext)");
-  EXPECT_FALSE(starts_gathered(Algorithm::kCrashRealGathering));
-  EXPECT_FALSE(handles_strong(Algorithm::kCrashRealGathering));
+  EXPECT_FALSE(algorithm_info(Algorithm::kCrashRealGathering).starts_gathered);
+  EXPECT_FALSE(algorithm_info(Algorithm::kCrashRealGathering).handles_strong);
   EXPECT_EQ(max_tolerated_f(Algorithm::kCrashRealGathering, 9), 2u);
 }
 

@@ -123,7 +123,9 @@ TEST(Parallel, ScenarioSweepMatchesSerialResults) {
   };
   constexpr std::size_t kPoints = 6;
   std::vector<std::uint64_t> serial(kPoints), parallel(kPoints);
-  std::vector<bool> serial_ok(kPoints), parallel_ok(kPoints);
+  // char, not bool: vector<bool> packs neighbouring flags into one word,
+  // so writes from different threads would race.
+  std::vector<char> serial_ok(kPoints), parallel_ok(kPoints);
   for (std::size_t i = 0; i < kPoints; ++i) {
     const auto r = run_point(i);
     serial[i] = r.stats.moves;

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/quotient.h"
+#include "run/cli_flags.h"
 
 namespace bdg::core {
 namespace {
@@ -28,28 +32,57 @@ TEST(ScenarioMeta, ToleranceTable) {
 }
 
 TEST(ScenarioMeta, StartingConfigurations) {
-  EXPECT_FALSE(starts_gathered(Algorithm::kQuotient));
-  EXPECT_FALSE(starts_gathered(Algorithm::kTournamentArbitrary));
-  EXPECT_FALSE(starts_gathered(Algorithm::kSqrtArbitrary));
-  EXPECT_FALSE(starts_gathered(Algorithm::kStrongArbitrary));
-  EXPECT_TRUE(starts_gathered(Algorithm::kTournamentGathered));
-  EXPECT_TRUE(starts_gathered(Algorithm::kThreeGroupGathered));
-  EXPECT_TRUE(starts_gathered(Algorithm::kStrongGathered));
+  const auto gathered = [](Algorithm a) {
+    return algorithm_info(a).starts_gathered;
+  };
+  EXPECT_FALSE(gathered(Algorithm::kQuotient));
+  EXPECT_FALSE(gathered(Algorithm::kTournamentArbitrary));
+  EXPECT_FALSE(gathered(Algorithm::kSqrtArbitrary));
+  EXPECT_FALSE(gathered(Algorithm::kStrongArbitrary));
+  EXPECT_TRUE(gathered(Algorithm::kTournamentGathered));
+  EXPECT_TRUE(gathered(Algorithm::kThreeGroupGathered));
+  EXPECT_TRUE(gathered(Algorithm::kStrongGathered));
 }
 
 TEST(ScenarioMeta, StrongHandling) {
-  EXPECT_TRUE(handles_strong(Algorithm::kStrongGathered));
-  EXPECT_TRUE(handles_strong(Algorithm::kStrongArbitrary));
-  EXPECT_FALSE(handles_strong(Algorithm::kTournamentGathered));
+  EXPECT_TRUE(algorithm_info(Algorithm::kStrongGathered).handles_strong);
+  EXPECT_TRUE(algorithm_info(Algorithm::kStrongArbitrary).handles_strong);
+  EXPECT_FALSE(algorithm_info(Algorithm::kTournamentGathered).handles_strong);
 }
 
 TEST(ScenarioMeta, AlgorithmNamesRoundTrip) {
-  for (int i = 0; i <= static_cast<int>(Algorithm::kRingBaseline); ++i) {
+  // One row per enumerator, in enum order.
+  const auto table = algorithm_table();
+  ASSERT_EQ(table.size(), static_cast<std::size_t>(Algorithm::kRingBaseline) + 1);
+  std::set<std::string> report_names, cli_names;
+  for (std::size_t i = 0; i < table.size(); ++i) {
     const auto a = static_cast<Algorithm>(i);
+    EXPECT_EQ(table[i].algorithm, a);
+    EXPECT_EQ(&algorithm_info(a), &table[i]);
+    // Report names round-trip through algorithm_from_string.
     const auto back = algorithm_from_string(to_string(a));
     ASSERT_TRUE(back.has_value()) << to_string(a);
     EXPECT_EQ(*back, a);
+    EXPECT_EQ(to_string(a), table[i].report_name);
+    EXPECT_TRUE(report_names.insert(table[i].report_name).second)
+        << table[i].report_name;
+    EXPECT_TRUE(cli_names.insert(table[i].cli_name).second)
+        << table[i].cli_name;
   }
+  // CLI names round-trip through the sweep front-ends' --algorithms flag.
+  for (const AlgorithmInfo& row : table) {
+    std::string arg = std::string("--algorithms=") + row.cli_name;
+    char prog[] = "sweep_cli";
+    char* argv[] = {prog, arg.data()};
+    const run::GridFlagsResult res = run::parse_grid_flags(2, argv);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.spec.algorithms, std::vector<Algorithm>{row.algorithm});
+  }
+  // A corrupted value has no row.
+  EXPECT_THROW((void)algorithm_info(static_cast<Algorithm>(table.size())),
+               std::invalid_argument);
+  EXPECT_THROW((void)algorithm_info(static_cast<Algorithm>(-1)),
+               std::invalid_argument);
 }
 
 TEST(ScenarioMeta, ToStringThrowsOnCorruptEnumValue) {
