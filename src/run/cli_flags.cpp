@@ -1,6 +1,5 @@
 #include "run/cli_flags.h"
 
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -8,6 +7,7 @@
 #include <stdexcept>
 
 #include "run/report.h"
+#include "util/json_mini.h"
 
 namespace bdg::run {
 namespace {
@@ -19,15 +19,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
   while (std::getline(ss, item, sep))
     if (!item.empty()) out.push_back(item);
   return out;
-}
-
-/// Whole-string decimal: nullopt on empty text, any non-digit or overflow.
-std::optional<std::uint64_t> parse_decimal(const std::string& text) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
 }
 
 double parse_flag_double(const std::string& text, const char* flag) {
@@ -65,7 +56,7 @@ std::optional<std::string> flag_value(const std::string& arg,
 
 std::uint64_t parse_flag_uint(const std::string& text, const char* flag,
                               std::uint64_t max, std::uint64_t min) {
-  const std::optional<std::uint64_t> value = parse_decimal(text);
+  const std::optional<std::uint64_t> value = json::parse_decimal(text);
   if (!value || *value < min || *value > max)
     throw std::invalid_argument("bad value '" + text + "' for " + flag +
                                 " (want an integer in [" +
@@ -236,7 +227,7 @@ bool parse_host_port(const std::string& text, std::string& host,
     port_part = text.substr(colon + 1);
     if (host_part.empty()) return false;
   }
-  const std::optional<std::uint64_t> value = parse_decimal(port_part);
+  const std::optional<std::uint64_t> value = json::parse_decimal(port_part);
   if (!value || *value == 0 || *value > 65535) return false;
   host = host_part;
   port = static_cast<std::uint16_t>(*value);

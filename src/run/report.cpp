@@ -6,6 +6,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -34,8 +35,8 @@ bool find_round(const std::string& line, const char* key, core::Round& out) {
   return true;
 }
 
-}  // namespace
-
+/// Quote a field when it contains CSV metacharacters (the ring-baseline
+/// algorithm name carries a literal comma in its citation brackets).
 std::string csv_field(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
   std::string out = "\"";
@@ -46,6 +47,151 @@ std::string csv_field(const std::string& s) {
   out += '"';
   return out;
 }
+
+/// How a column's value is spelled: text is CSV-quoted / JSON-escaped, a
+/// number prints as the stream formats it, and a flag is 1/0 in CSV and
+/// true/false in JSON.
+enum class ColumnKind : std::uint8_t { kText, kNumber, kFlag };
+using enum ColumnKind;
+
+/// Where a column value is written, and in which format. The value's type
+/// picks its spelling; a row's kind names the same one.
+struct Out {
+  std::ostream& os;
+  bool json;
+  void operator()(const std::string& text) const {
+    if (json)
+      os << '"' << json::escape(text) << '"';
+    else
+      os << csv_field(text);
+  }
+  void operator()(bool flag) const {
+    os << (json ? (flag ? "true" : "false") : (flag ? "1" : "0"));
+  }
+  template <typename Number>
+  void operator()(const Number& number) const {
+    os << number;
+  }
+};
+
+template <typename Record>
+struct Column {
+  const char* name;
+  ColumnKind kind;
+  void (*print)(Out, const Record&);
+};
+
+template <typename Record>
+using Columns = std::span<const Column<Record>>;
+
+/// Prints the field at a member path, e.g. field<&P::point, &S::n>.
+template <auto... path, typename Record>
+void field(Out out, const Record& r) {
+  out((r .* ... .* path));
+}
+
+using P = PointResult;
+using S = SweepPoint;
+using R = sim::RunStats;
+using C = CellAggregate;
+
+/// Point columns: the coordinates (the first kPointCoordinates rows), then
+/// the outcome, which skipped points do not have. k is reported resolved:
+/// a hand-built point may spell k = n as 0.
+constexpr Column<P> kPointColumns[] = {
+    {"algorithm", kText,
+     [](Out o, const P& p) { o(core::to_string(p.point.algorithm)); }},
+    {"family", kText, field<&P::point, &S::family>},
+    {"n", kNumber, field<&P::point, &S::n>},
+    {"k", kNumber,
+     [](Out o, const P& p) { o(p.point.k == 0 ? p.point.n : p.point.k); }},
+    {"f", kNumber, field<&P::point, &S::f>},
+    {"seed", kNumber, field<&P::point, &S::seed>},
+    {"strategy", kText,
+     [](Out o, const P& p) { o(core::to_string(p.point.strategy)); }},
+    {"mix", kText, [](Out o, const P& p) { o(mix_to_string(p.point.mix)); }},
+    {"derived_seed", kNumber, field<&P::derived_seed>},
+    {"ok", kFlag, field<&P::ok>},
+    {"rounds", kNumber, field<&P::stats, &R::rounds>},
+    {"simulated_rounds", kNumber, field<&P::stats, &R::simulated_rounds>},
+    {"moves", kNumber, field<&P::stats, &R::moves>},
+    {"messages", kNumber, field<&P::stats, &R::messages>},
+    {"planned_rounds", kNumber, field<&P::planned_rounds>},
+    {"seconds", kNumber, field<&P::seconds>},
+};
+constexpr std::size_t kPointCoordinates = 9;
+
+/// Cell columns: the cell coordinates, then the aggregates over its seeds.
+constexpr Column<C> kCellColumns[] = {
+    {"algorithm", kText,
+     [](Out o, const C& c) { o(core::to_string(c.algorithm)); }},
+    {"family", kText, field<&C::family>},
+    {"n", kNumber, field<&C::n>},
+    {"k", kNumber, [](Out o, const C& c) { o(c.k == 0 ? c.n : c.k); }},
+    {"f", kNumber, field<&C::f>},
+    {"mix", kText, [](Out o, const C& c) { o(mix_to_string(c.mix)); }},
+    {"runs", kNumber, field<&C::runs>},
+    {"dispersed", kNumber, field<&C::dispersed>},
+    {"min_rounds", kNumber, field<&C::min_rounds>},
+    {"max_rounds", kNumber, field<&C::max_rounds>},
+    {"mean_rounds", kNumber, field<&C::mean_rounds>},
+    {"mean_simulated", kNumber, field<&C::mean_simulated>},
+    {"mean_moves", kNumber, field<&C::mean_moves>},
+    {"mean_messages", kNumber, field<&C::mean_messages>},
+    {"mean_seconds", kNumber, field<&C::mean_seconds>},
+};
+
+template <typename Record>
+void write_csv_header(std::ostream& os, Columns<Record> columns) {
+  for (const Column<Record>& c : columns)
+    os << (&c == columns.data() ? "" : ",") << c.name;
+  os << '\n';
+}
+
+/// Each column's value after `sep`: comma-separated in CSV; in JSON after
+/// its `"name": ` key, where a first sep of "{" opens the object.
+template <typename Record>
+void write_fields(Out out, Columns<Record> columns, const Record& r,
+                  const char* sep) {
+  for (const Column<Record>& c : columns) {
+    out.os << sep;
+    sep = out.json ? ", " : ",";
+    if (out.json) out.os << '"' << c.name << "\": ";
+    c.print(out, r);
+  }
+}
+
+/// One report-JSON body's CSV row: each column's raw token, re-spelled by
+/// its kind. Empty when the body lacks a column (a skipped point).
+template <typename Record>
+std::string csv_row_from_json(Columns<Record> columns,
+                              const std::string& body) {
+  std::ostringstream row;
+  const Out csv{row, false};
+  std::string raw;
+  for (const Column<Record>& c : columns) {
+    if (!json::find_raw(body, c.name, raw)) return "";
+    if (&c != columns.data()) row << ',';
+    switch (c.kind) {
+      case kText: csv(json::unescape(raw)); break;
+      case kNumber: row << raw; break;
+      case kFlag: csv(raw == "true"); break;
+    }
+  }
+  return row.str();
+}
+
+template <typename Record>
+void csv_from_json(std::ostream& os, Columns<Record> columns,
+                   const std::vector<std::string>& bodies) {
+  write_csv_header(os, columns);
+  for (const std::string& body : bodies) {
+    const std::string row = csv_row_from_json(columns, body);
+    if (!row.empty()) os << row << '\n';
+  }
+}
+
+}  // namespace
 
 std::string mix_to_string(const std::vector<core::ByzStrategy>& mix) {
   if (mix.empty()) return "-";
@@ -72,76 +218,47 @@ std::optional<std::vector<core::ByzStrategy>> mix_from_string(
 }
 
 void write_points_csv(std::ostream& os, const SweepResult& result) {
-  os << kPointsCsvHeader << '\n';
+  write_csv_header<P>(os, kPointColumns);
   for (const PointResult& p : result.points) {
     if (p.skipped) continue;
-    os << csv_field(core::to_string(p.point.algorithm)) << ','
-       << csv_field(p.point.family) << ',' << p.point.n << ','
-       << (p.point.k == 0 ? p.point.n : p.point.k) << ',' << p.point.f
-       << ',' << p.point.seed << ','
-       << csv_field(core::to_string(p.point.strategy)) << ','
-       << csv_field(mix_to_string(p.point.mix)) << ',' << p.derived_seed
-       << ',' << (p.ok ? 1 : 0) << ',' << p.stats.rounds << ','
-       << p.stats.simulated_rounds << ',' << p.stats.moves << ','
-       << p.stats.messages << ',' << p.planned_rounds << ',' << p.seconds
-       << '\n';
+    write_fields<P>({os, false}, kPointColumns, p, "");
+    os << '\n';
   }
 }
 
 void write_cells_csv(std::ostream& os, const SweepResult& result) {
-  os << kCellsCsvHeader << '\n';
+  write_csv_header<C>(os, kCellColumns);
   for (const CellAggregate& c : result.cells) {
-    os << csv_field(core::to_string(c.algorithm)) << ',' << csv_field(c.family)
-       << ',' << c.n << ',' << (c.k == 0 ? c.n : c.k) << ',' << c.f << ','
-       << csv_field(mix_to_string(c.mix)) << ',' << c.runs << ','
-       << c.dispersed << ',' << c.min_rounds << ',' << c.max_rounds << ','
-       << c.mean_rounds << ',' << c.mean_simulated << ',' << c.mean_moves
-       << ',' << c.mean_messages << ',' << c.mean_seconds << '\n';
+    write_fields<C>({os, false}, kCellColumns, c, "");
+    os << '\n';
   }
 }
 
 void write_point_json(std::ostream& os, const PointResult& p) {
-  os << "{\"algorithm\": \""
-     << json::escape(core::to_string(p.point.algorithm)) << "\", \"family\": \""
-     << json::escape(p.point.family) << "\", \"n\": " << p.point.n
-     << ", \"k\": " << (p.point.k == 0 ? p.point.n : p.point.k)
-     << ", \"f\": " << p.point.f << ", \"seed\": " << p.point.seed
-     << ", \"strategy\": \""
-     << json::escape(core::to_string(p.point.strategy)) << "\", \"mix\": \""
-     << json::escape(mix_to_string(p.point.mix)) << "\", \"derived_seed\": "
-     << p.derived_seed;
+  const Columns<P> columns = kPointColumns;
+  write_fields({os, true}, columns.first(kPointCoordinates), p, "{");
   if (p.skipped) {
     os << ", \"skipped\": true, \"skip_reason\": \""
        << json::escape(p.skip_reason) << "\"";
     if (p.saturated) os << ", \"saturated\": true";
-    os << '}';
   } else {
-    os << ", \"ok\": " << (p.ok ? "true" : "false")
-       << ", \"rounds\": " << p.stats.rounds
-       << ", \"simulated_rounds\": " << p.stats.simulated_rounds
-       << ", \"moves\": " << p.stats.moves
-       << ", \"messages\": " << p.stats.messages
-       << ", \"planned_rounds\": " << p.planned_rounds
-       << ", \"seconds\": " << p.seconds;
+    write_fields({os, true}, columns.subspan(kPointCoordinates), p, ", ");
     if (!p.ok) os << ", \"detail\": \"" << json::escape(p.detail) << "\"";
-    os << '}';
   }
+  os << '}';
 }
 
 void write_cell_json(std::ostream& os, const CellAggregate& c) {
-  os << "{\"algorithm\": \""
-     << json::escape(core::to_string(c.algorithm)) << "\", \"family\": \""
-     << json::escape(c.family) << "\", \"n\": " << c.n << ", \"k\": "
-     << (c.k == 0 ? c.n : c.k) << ", \"f\": " << c.f << ", \"mix\": \""
-     << json::escape(mix_to_string(c.mix)) << "\""
-     << ", \"runs\": " << c.runs << ", \"dispersed\": " << c.dispersed
-     << ", \"min_rounds\": " << c.min_rounds
-     << ", \"max_rounds\": " << c.max_rounds
-     << ", \"mean_rounds\": " << c.mean_rounds
-     << ", \"mean_simulated\": " << c.mean_simulated
-     << ", \"mean_moves\": " << c.mean_moves
-     << ", \"mean_messages\": " << c.mean_messages
-     << ", \"mean_seconds\": " << c.mean_seconds << '}';
+  write_fields<C>({os, true}, kCellColumns, c, "{");
+  os << '}';
+}
+
+void write_csv_from_json(std::ostream& os, ReportRecord record,
+                         const std::vector<std::string>& bodies) {
+  if (record == ReportRecord::kCell)
+    csv_from_json<C>(os, kCellColumns, bodies);
+  else
+    csv_from_json<P>(os, kPointColumns, bodies);
 }
 
 void write_json(std::ostream& os, const SweepResult& result) {

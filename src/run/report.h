@@ -3,9 +3,11 @@
 // per-cell), for EXPERIMENTS.md tables, plotting scripts and CI artifacts —
 // plus the JSON-lines checkpoint format resumable sweeps persist per-point
 // results through.
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "run/sweep.h"
 #include "util/flat_hash.h"
@@ -21,22 +23,13 @@ namespace bdg::run {
 [[nodiscard]] std::optional<std::vector<core::ByzStrategy>> mix_from_string(
     const std::string& text);
 
-/// CSV header rows (no trailing newline), shared with the sweep_query
-/// client so its CSV output diffs clean against report CSVs.
-inline constexpr const char kPointsCsvHeader[] =
-    "algorithm,family,n,k,f,seed,strategy,mix,derived_seed,ok,rounds,"
-    "simulated_rounds,moves,messages,planned_rounds,seconds";
-inline constexpr const char kCellsCsvHeader[] =
-    "algorithm,family,n,k,f,mix,runs,dispersed,min_rounds,max_rounds,"
-    "mean_rounds,mean_simulated,mean_moves,mean_messages,mean_seconds";
+// Report columns are declared once, as ordered tables in report.cpp (one
+// row per column: name, kind, value printer); every writer below walks
+// them, so a new column is one new row.
 
-/// Quote a field when it contains CSV metacharacters (the ring-baseline
-/// algorithm name carries a literal comma in its citation brackets).
-[[nodiscard]] std::string csv_field(const std::string& s);
-
-/// One CSV row per non-skipped point:
-/// algorithm,family,n,k,f,seed,strategy,mix,derived_seed,ok,rounds,
-/// simulated_rounds,moves,messages,planned_rounds,seconds
+/// One CSV row per non-skipped point, under a header of the point
+/// columns: the coordinates algorithm ... derived_seed, then the outcome
+/// ok ... seconds.
 void write_points_csv(std::ostream& os, const SweepResult& result);
 
 /// One CSV row per (algorithm, family, n, k, f, mix) cell aggregate.
@@ -45,10 +38,23 @@ void write_cells_csv(std::ostream& os, const SweepResult& result);
 /// One point as a flat JSON object (no surrounding whitespace) — the
 /// exact per-point object write_json emits, shared with the sweepd query
 /// wire so query responses are byte-identical to report fragments.
+/// Skipped points carry skipped/skip_reason (and saturated) instead of
+/// the outcome columns; failed points add their verifier detail.
 void write_point_json(std::ostream& os, const PointResult& p);
 
 /// One cell aggregate as a flat JSON object — same sharing contract.
 void write_cell_json(std::ostream& os, const CellAggregate& c);
+
+/// Which record a report body holds.
+enum class ReportRecord : std::uint8_t { kPoint, kCell };
+
+/// The CSV write_points_csv / write_cells_csv would print for the records
+/// behind `bodies` (write_point_json / write_cell_json objects): the
+/// header, then one row per body by raw-token passthrough — numbers are
+/// copied verbatim (no parse/re-print drift), strings unescaped and
+/// CSV-quoted. A body lacking a column (a skipped point) has no row.
+void write_csv_from_json(std::ostream& os, ReportRecord record,
+                         const std::vector<std::string>& bodies);
 
 /// Full result (points incl. skips, cells, wall time) as a JSON document.
 void write_json(std::ostream& os, const SweepResult& result);

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -195,38 +196,55 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
     std::string error;
     bool pending_point = false;
     std::vector<std::string> bodies;
+    // A numeric selector that is present must parse and fit: a malformed
+    // one rejects the query naming it, never widens it to a wildcard.
+    const auto number_selector =
+        [&](const char* key,
+            std::uint64_t max) -> std::optional<std::uint64_t> {
+      std::string raw;
+      if (!json::find_raw(payload, key, raw)) return std::nullopt;
+      const std::optional<std::uint64_t> v = json::parse_decimal(raw);
+      if (v && *v <= max) return v;
+      if (error.empty())
+        error = "bad selector " + std::string(key) + ": " + raw;
+      return std::nullopt;
+    };
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+    constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
     if (what == "cells") {
       std::optional<std::string> algorithm, family, mix;
       std::string s;
       if (json::find_string(payload, "algorithm", s)) algorithm = s;
       if (json::find_string(payload, "family", s)) family = s;
       if (json::find_string(payload, "mix", s)) mix = s;
-      std::uint32_t u = 0;
-      std::optional<std::uint32_t> n, k, f;
-      if (json::find_u32(payload, "n", u)) n = u;
-      if (json::find_u32(payload, "k", u)) k = u;
-      if (json::find_u32(payload, "f", u)) f = u;
+      const auto n = number_selector("n", kU32);
+      const auto k = number_selector("k", kU32);
+      const auto f = number_selector("f", kU32);
       for (const CellAggregate& c : ex.aggregates().cells()) {
+        if (!error.empty()) break;  // a malformed selector matches nothing
         if (algorithm && *algorithm != core::to_string(c.algorithm)) continue;
         if (family && *family != c.family) continue;
         if (mix && *mix != mix_to_string(c.mix)) continue;
         if (n && *n != c.n) continue;
-        if (k && *k != (c.k == 0 ? c.n : c.k)) continue;
+        if (k && *k != c.k) continue;  // expand_grid stores k resolved
         if (f && *f != c.f) continue;
         std::ostringstream os;
         write_cell_json(os, c);
         bodies.push_back(os.str());
       }
     } else if (what == "point") {
-      std::uint64_t key = 0;
+      const auto index = number_selector("index", kU64);
+      const auto derived_seed = number_selector("derived_seed", kU64);
       std::size_t idx = grid.size();
-      if (json::find_u64(payload, "index", key)) {
-        if (key < grid.size())
-          idx = static_cast<std::size_t>(key);
+      if (!error.empty()) {
+        // a malformed selector: rejected above
+      } else if (index) {
+        if (*index < grid.size())
+          idx = static_cast<std::size_t>(*index);
         else
           error = "index out of range";
-      } else if (json::find_u64(payload, "derived_seed", key)) {
-        const std::size_t* found = seed_to_index.find(key);
+      } else if (derived_seed) {
+        const std::size_t* found = seed_to_index.find(*derived_seed);
         if (found != nullptr)
           idx = *found;
         else

@@ -8,10 +8,14 @@
 // checkpoint records and the framed control messages round-trip without an
 // external dependency. Anything else (torn tails, foreign data) must fail
 // parsing, never be guessed at.
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace bdg::json {
 
@@ -113,19 +117,32 @@ inline bool find_string(const std::string& line, const char* key,
   return true;
 }
 
+/// Whole-token unsigned decimal: digits only — no sign, no whitespace, no
+/// trailing junk — and within 64 bits; nullopt otherwise.
+inline std::optional<std::uint64_t> parse_decimal(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 inline bool find_u64(const std::string& line, const char* key,
                      std::uint64_t& out) {
   std::string raw;
   if (!find_raw(line, key, raw)) return false;
-  char* end = nullptr;
-  out = std::strtoull(raw.c_str(), &end, 10);
-  return end != raw.c_str();
+  const std::optional<std::uint64_t> value = parse_decimal(raw);
+  if (!value) return false;
+  out = *value;
+  return true;
 }
 
+/// find_u64 narrowed to 32 bits: an out-of-range value fails, never wraps.
 inline bool find_u32(const std::string& line, const char* key,
                      std::uint32_t& out) {
   std::uint64_t v = 0;
-  if (!find_u64(line, key, v)) return false;
+  if (!find_u64(line, key, v) || v > std::numeric_limits<std::uint32_t>::max())
+    return false;
   out = static_cast<std::uint32_t>(v);
   return true;
 }
@@ -144,13 +161,18 @@ inline bool find_bool(const std::string& line, const char* key, bool& out) {
   return false;
 }
 
+/// The whole token must be one decimal floating-point number (no leading
+/// '+', whitespace, hex or trailing junk).
 inline bool find_double(const std::string& line, const char* key,
                         double& out) {
   std::string raw;
   if (!find_raw(line, key, raw)) return false;
-  char* end = nullptr;
-  out = std::strtod(raw.c_str(), &end);
-  return end != raw.c_str();
+  double value = 0.0;
+  const char* end = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, value);
+  if (raw.empty() || ec != std::errc() || ptr != end) return false;
+  out = value;
+  return true;
 }
 
 }  // namespace bdg::json

@@ -275,6 +275,53 @@ TEST(SweepResume, CheckpointLinesRoundTrip) {
   EXPECT_TRUE(load_checkpoint(other, fp + 1).empty());
 }
 
+// Checkpoint numbers parse as whole tokens: digits only and within the
+// field's range. A sign, trailing junk or a value past 32 bits makes the
+// line malformed, never a wrapped, truncated or prefix-parsed value.
+TEST(SweepResume, LenientCheckpointNumbersAreMalformed) {
+  PointResult p;
+  p.point = {Algorithm::kThreeGroupGathered, "er", 8, 8, 1, 3,
+             ByzStrategy::kCrash, {}};
+  p.derived_seed = 42;
+  p.ok = true;
+  p.stats.rounds = 100;
+  p.planned_rounds = 120;
+  p.seconds = 0.5;
+  const std::uint64_t fp = 7;
+  std::ostringstream os;
+  write_checkpoint_line(os, p, fp);
+  std::string line = os.str();
+  line.pop_back();
+  ASSERT_TRUE(parse_checkpoint_line(line).has_value());
+
+  const auto with = [&line](const std::string& from, const std::string& to) {
+    std::string out = line;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  const std::vector<std::string> bad = {
+      with("\"n\": 8", "\"n\": 4294967304"),  // 2^32 + 8: no truncation
+      with("\"n\": 8", "\"n\": -1"),          // no sign wrap-around
+      with("\"n\": 8", "\"n\": 8x"),          // no trailing junk
+      with("\"derived_seed\": 42", "\"derived_seed\": -42"),
+      with("\"seconds\": 0.5", "\"seconds\": 0.5s"),
+  };
+  std::string stream_text = line + "\n";
+  for (const std::string& b : bad) {
+    EXPECT_FALSE(parse_checkpoint_line(b).has_value()) << b;
+    stream_text += b + "\n";
+  }
+  std::istringstream stream(stream_text);
+  CheckpointLoadStats stats;
+  const auto loaded = load_checkpoint(stream, fp, &stats);
+  EXPECT_EQ(stats.loaded, 1u);
+  EXPECT_EQ(stats.malformed, bad.size());
+  ASSERT_TRUE(loaded.contains(42));
+  EXPECT_EQ(loaded.find(42)->point.n, 8u);
+}
+
 // A checkpoint entry whose coordinates do not match the grid point (stale
 // file from another grid, or a derived-seed collision) is ignored — the
 // point re-runs instead of importing foreign results.

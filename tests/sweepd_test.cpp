@@ -609,6 +609,73 @@ TEST(Sweepd, ServeModeAnswersFromFinishedCheckpoint) {
   expect_identical_results(full, served);
 }
 
+// A numeric selector that is present but malformed or out of range is an
+// error naming it — never a wildcard, never silently truncated — and the
+// connection keeps answering well-formed queries. Raw frames, because
+// QueryRequest cannot spell a malformed value.
+TEST(Sweepd, MalformedSelectorsAreRejectedNamingThem) {
+  SweepSpec spec = small_spec();
+  spec.checkpoint_path = temp_path("sweepd_bad_selectors.jsonl");
+  std::remove(spec.checkpoint_path.c_str());
+  const SweepResult full = run_sweep(spec);
+
+  ServiceConfig svc;
+  svc.serve_after_finish = true;
+  Coordinator coordinator(spec, svc);
+  std::atomic<bool> stop{false};
+  std::thread serve_thread([&] { (void)coordinator.serve(&stop); });
+
+  auto conn = net::dial("127.0.0.1", coordinator.port());
+  ASSERT_TRUE(conn != nullptr);
+  // Send one query and read its header; returns the header's error and
+  // collects its body frames.
+  const auto query = [&](const std::string& frame,
+                         std::vector<std::string>& bodies) {
+    bodies.clear();
+    std::string header, error, body;
+    std::uint64_t count = 0;
+    EXPECT_TRUE(conn->send_frame(frame));
+    EXPECT_EQ(conn->recv_frame(header, 2000), net::RecvStatus::kFrame);
+    json::find_string(header, "error", error);
+    EXPECT_TRUE(json::find_u64(header, "count", count)) << header;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      EXPECT_EQ(conn->recv_frame(body, 2000), net::RecvStatus::kFrame);
+      bodies.push_back(body);
+    }
+    return error;
+  };
+  const std::string n = std::to_string(full.cells[0].n);
+  std::vector<std::string> bodies;
+  for (const std::string& bad :
+       std::vector<std::string>{"\"x\"", "4294967304", "-1", n + "x"}) {
+    SCOPED_TRACE("n = " + bad);
+    const std::string error = query(
+        "{\"type\": \"query\", \"id\": 1, \"what\": \"cells\", \"n\": " +
+            bad + "}",
+        bodies);
+    EXPECT_NE(error.find("selector n"), std::string::npos) << error;
+    EXPECT_TRUE(bodies.empty());
+  }
+  EXPECT_NE(query("{\"type\": \"query\", \"id\": 2, \"what\": \"point\", "
+                  "\"derived_seed\": -42}",
+                  bodies)
+                .find("selector derived_seed"),
+            std::string::npos);
+
+  // Well-formed: every cell of this grid has this n.
+  EXPECT_EQ(query("{\"type\": \"query\", \"id\": 3, \"what\": \"cells\", "
+                  "\"n\": " + n + "}",
+                  bodies),
+            "");
+  ASSERT_EQ(bodies.size(), full.cells.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i)
+    EXPECT_EQ(bodies[i], cell_json(full.cells[i]));
+
+  conn.reset();
+  stop.store(true);
+  serve_thread.join();
+}
+
 // Mid-sweep queries: freeze a coordinator with a half-restored
 // checkpoint and no way to advance (no workers, no fallback). Its
 // answers must equal rebuild_cell_aggregates over exactly the completed

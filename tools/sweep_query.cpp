@@ -26,7 +26,6 @@
 #include "run/cli_flags.h"
 #include "run/report.h"
 #include "run/service.h"
-#include "util/json_mini.h"
 
 namespace {
 
@@ -59,66 +58,6 @@ void usage(std::FILE* to) {
       "                         (default 5)\n"
       "  --jitter-seed=S        dial backoff jitter stream (default 1)\n",
       to);
-}
-
-/// One cells-CSV row from a cell's report-JSON body, by raw-token
-/// passthrough: numeric tokens are copied verbatim (no parse/re-print
-/// drift), strings are unescaped and CSV-quoted exactly as
-/// write_cells_csv does.
-bool cell_csv_row(const std::string& body, std::string& out) {
-  std::string algorithm, family, mix;
-  std::string n, k, f, runs, dispersed, min_r, max_r, mean_r, mean_sim,
-      mean_mov, mean_msg, mean_sec;
-  if (!json::find_string(body, "algorithm", algorithm) ||
-      !json::find_string(body, "family", family) ||
-      !json::find_string(body, "mix", mix) || !json::find_raw(body, "n", n) ||
-      !json::find_raw(body, "k", k) || !json::find_raw(body, "f", f) ||
-      !json::find_raw(body, "runs", runs) ||
-      !json::find_raw(body, "dispersed", dispersed) ||
-      !json::find_raw(body, "min_rounds", min_r) ||
-      !json::find_raw(body, "max_rounds", max_r) ||
-      !json::find_raw(body, "mean_rounds", mean_r) ||
-      !json::find_raw(body, "mean_simulated", mean_sim) ||
-      !json::find_raw(body, "mean_moves", mean_mov) ||
-      !json::find_raw(body, "mean_messages", mean_msg) ||
-      !json::find_raw(body, "mean_seconds", mean_sec))
-    return false;
-  out = run::csv_field(algorithm) + ',' + run::csv_field(family) + ',' + n +
-        ',' + k + ',' + f + ',' + run::csv_field(mix) + ',' + runs + ',' +
-        dispersed + ',' + min_r + ',' + max_r + ',' + mean_r + ',' + mean_sim +
-        ',' + mean_mov + ',' + mean_msg + ',' + mean_sec;
-  return true;
-}
-
-/// One points-CSV row from a point's report-JSON body. Skipped points have
-/// no row in write_points_csv, so they have none here either.
-bool point_csv_row(const std::string& body, std::string& out) {
-  bool skipped = false;
-  if (json::find_bool(body, "skipped", skipped) && skipped) return false;
-  std::string algorithm, family, strategy, mix;
-  std::string n, k, f, seed, derived, ok, rounds, sim, moves, msgs, planned,
-      seconds;
-  if (!json::find_string(body, "algorithm", algorithm) ||
-      !json::find_string(body, "family", family) ||
-      !json::find_string(body, "strategy", strategy) ||
-      !json::find_string(body, "mix", mix) || !json::find_raw(body, "n", n) ||
-      !json::find_raw(body, "k", k) || !json::find_raw(body, "f", f) ||
-      !json::find_raw(body, "seed", seed) ||
-      !json::find_raw(body, "derived_seed", derived) ||
-      !json::find_raw(body, "ok", ok) ||
-      !json::find_raw(body, "rounds", rounds) ||
-      !json::find_raw(body, "simulated_rounds", sim) ||
-      !json::find_raw(body, "moves", moves) ||
-      !json::find_raw(body, "messages", msgs) ||
-      !json::find_raw(body, "planned_rounds", planned) ||
-      !json::find_raw(body, "seconds", seconds))
-    return false;
-  out = run::csv_field(algorithm) + ',' + run::csv_field(family) + ',' + n +
-        ',' + k + ',' + f + ',' + seed + ',' + run::csv_field(strategy) + ',' +
-        run::csv_field(mix) + ',' + derived + ',' +
-        (ok == "true" ? "1" : "0") + ',' + rounds + ',' + sim + ',' + moves +
-        ',' + msgs + ',' + planned + ',' + seconds;
-  return true;
 }
 
 }  // namespace
@@ -237,15 +176,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (csv) {
-    std::cout << (req.what == "cells" ? run::kCellsCsvHeader
-                                      : run::kPointsCsvHeader)
-              << '\n';
-    for (const std::string& body : reply->bodies) {
-      std::string row;
-      const bool ok = req.what == "cells" ? cell_csv_row(body, row)
-                                          : point_csv_row(body, row);
-      if (ok) std::cout << row << '\n';
-    }
+    run::write_csv_from_json(std::cout,
+                             req.what == "cells" ? run::ReportRecord::kCell
+                                                 : run::ReportRecord::kPoint,
+                             reply->bodies);
   } else {
     for (const std::string& body : reply->bodies) std::cout << body << '\n';
   }
