@@ -51,17 +51,6 @@ RowPoint run_point(core::Algorithm algo, const Graph& g, std::uint32_t f,
   return p;
 }
 
-RowPoint to_row_point(const run::PointResult& p) {
-  RowPoint r;
-  r.n = p.point.n;
-  r.f = p.point.f;
-  r.rounds = p.stats.rounds;
-  r.simulated = p.stats.simulated_rounds;
-  r.dispersed = p.ok;
-  r.seconds = p.seconds;
-  return r;
-}
-
 void maybe_dump_sweep(const run::SweepResult& result) {
   const auto dump = [&](const char* env, const char* what,
                         void (*write)(std::ostream&, const run::SweepResult&)) {
@@ -75,57 +64,6 @@ void maybe_dump_sweep(const run::SweepResult& result) {
   };
   dump("BDG_SWEEP_JSON", "json", run::write_json);
   dump("BDG_SWEEP_CSV", "csv", run::write_points_csv);
-}
-
-std::vector<RowPoint> run_row_bench(const RowBenchSpec& spec) {
-  std::printf("== %s ==\n", spec.title.c_str());
-  std::printf("paper claim: %s\n", spec.claim.c_str());
-  std::printf("adversary: %s at maximum claimed tolerance\n\n",
-              core::to_string(spec.strategy).c_str());
-
-  run::SweepSpec sweep = sweep_base();
-  sweep.algorithms = {spec.algorithm};
-  sweep.sizes = spec.sizes;
-  sweep.strategy = spec.strategy;
-  const run::SweepResult result = run::run_sweep(sweep);
-  maybe_dump_sweep(result);
-
-  Table table({"n", "f", "rounds", "simulated", spec.bound_name,
-               "rounds/" + spec.bound_name, "dispersed", "sec"});
-  std::vector<RowPoint> points;
-  std::vector<double> xs, ys;
-  for (const run::PointResult& pr : result.points) {
-    if (pr.skipped) {
-      // A row bench point that cannot run is a failure of the bench, not
-      // silence: record it undispersed so callers exit nonzero.
-      std::printf("n=%u SKIPPED (%s) — counting as failure\n", pr.point.n,
-                  pr.skip_reason.c_str());
-      RowPoint p;
-      p.n = pr.point.n;
-      p.f = pr.point.f;
-      p.dispersed = false;
-      points.push_back(p);
-      continue;
-    }
-    const RowPoint p = to_row_point(pr);
-    points.push_back(p);
-    const double bound = spec.bound(p.n);
-    table.add_row({Table::num(static_cast<std::uint64_t>(p.n)),
-                   Table::num(static_cast<std::uint64_t>(p.f)),
-                   p.rounds.to_string(), Table::num(p.simulated),
-                   Table::num(bound, 0),
-                   Table::num(p.rounds.to_double() / bound, 3),
-                   p.dispersed ? "yes" : "NO", Table::num(p.seconds, 2)});
-    xs.push_back(p.n);
-    ys.push_back(p.rounds.to_double());
-  }
-  table.print(std::cout);
-
-  const PowerFit fit = fit_power_law(xs, ys);
-  std::printf(
-      "\nfitted growth: rounds ~ %.3g * n^%.2f   (R^2 = %.3f, claimed %s)\n\n",
-      fit.constant, fit.exponent, fit.r2, spec.bound_name.c_str());
-  return points;
 }
 
 }  // namespace bdg::bench

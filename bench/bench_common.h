@@ -1,19 +1,12 @@
 #pragma once
-// Shared harness for the Table 1 row benchmarks, built on the run/ sweep
-// subsystem.
-//
-// Each row bench sweeps n, runs the row's algorithm at its maximum claimed
-// Byzantine tolerance against a chosen adversary, and prints a paper-style
-// table: measured rounds, the claimed bound, tolerance verdict, plus a
-// fitted growth exponent of the measured series. The points themselves are
-// expanded and executed (in parallel, bit-reproducibly) by
-// run::run_sweep; set BDG_SWEEP_JSON / BDG_SWEEP_CSV to a path to also
-// dump the raw sweep result for plotting. Wall-clock timing of the
-// substrate operations is handled separately by google-benchmark in
-// bench_substrates.
+// Shared harness for the figure, ablation and hot-path benchmarks, built on
+// the run/ sweep subsystem: the base sweep spec, ad-hoc scenario probes and
+// the raw-sweep dump (set BDG_SWEEP_JSON / BDG_SWEEP_CSV to a path to also
+// dump a bench's sweep for plotting). The Table 1 rows are sweep_cli grids
+// (README, "Benchmarks and examples"). Wall-clock timing of the substrate
+// operations is handled separately by google-benchmark in bench_substrates.
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -37,9 +30,11 @@ struct RowPoint {
   double seconds = 0.0;
 };
 
-/// Base sweep spec shared by the row/figure benches: the sparse ER family
+/// Base sweep spec shared by the figure benches: the sparse ER family
 /// restricted to all-distinct views (so every algorithm, including
-/// Theorem 1, applies to the same graphs).
+/// Theorem 1, applies to the same graphs). sweep_cli's
+/// --families=er --require-trivial-quotient --common-graphs --er-p=0 is
+/// the same spec.
 [[nodiscard]] run::SweepSpec sweep_base();
 
 /// Graph used by ad-hoc bench probes: a port-shuffled connected ER graph
@@ -51,26 +46,9 @@ struct RowPoint {
                                  std::uint32_t f, core::ByzStrategy strategy,
                                  std::uint64_t seed);
 
-[[nodiscard]] RowPoint to_row_point(const run::PointResult& p);
-
 /// Honor BDG_SWEEP_JSON / BDG_SWEEP_CSV: dump the raw sweep result to the
 /// given paths (no-op when unset). Each binary should issue one sweep and
 /// dump once — a second dump truncate-overwrites the file.
 void maybe_dump_sweep(const run::SweepResult& result);
-
-struct RowBenchSpec {
-  std::string title;             ///< e.g. "Table 1 row 5 (Theorem 4)"
-  std::string claim;             ///< e.g. "O(n^3), gathered, f <= n/3-1"
-  core::Algorithm algorithm;
-  core::ByzStrategy strategy = core::ByzStrategy::kFakeSettler;
-  std::vector<std::uint32_t> sizes;
-  /// Claimed asymptotic bound as a function of n (for the ratio column).
-  std::function<double(std::uint32_t)> bound;
-  std::string bound_name;        ///< e.g. "n^3"
-};
-
-/// Run the sweep and print the table + fitted exponent; returns the
-/// points for callers that post-process.
-std::vector<RowPoint> run_row_bench(const RowBenchSpec& spec);
 
 }  // namespace bdg::bench

@@ -36,6 +36,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <ostream>
 

@@ -34,21 +34,43 @@ std::uint32_t sqrt_tolerance(std::uint32_t n) {
   return std::min(sqrtn, group_safe);
 }
 
+/// n^P: the polynomial round bounds.
+template <int P>
+double power(std::uint32_t n) {
+  double x = 1.0;
+  for (int i = 0; i < P; ++i) x *= n;
+  return x;
+}
+/// Row 2: the charged [24] gathering, 4 n^4 |Lambda| X(n), with
+/// |Lambda| = ceil(log2 n^2) ID bits, at least one (n = 1 has an ID too).
+double gathering_bound(std::uint32_t n) {
+  const double id_bits = std::max(1.0, std::ceil(std::log2(power<2>(n))));
+  return 4.0 * power<4>(n) * id_bits * (2.0 * n + 2.0);
+}
+/// Row 3: dominated by its single T2 = 8n^3 map-finding window.
+double window_bound(std::uint32_t n) { return 8.0 * power<3>(n); }
+/// Row 6: the charged exponential strong-Byzantine gathering.
+double exponential(std::uint32_t n) { return std::exp2(n); }
+
 constexpr std::optional<std::uint32_t> kOnlyKEqualsN = std::nullopt;
 
 // Columns: enumerator, report name, CLI name, starts gathered, handles
-// strong, tolerance, own adversary, min k (k != n), graph need, planner.
-// The min k comments give each row's reason.
+// strong, tolerance, round bound and its name, own adversary, min k
+// (k != n), graph need, planner. The min k comments give each row's
+// reason. crash-real-gathering's n^3 and ring-baseline's n are the shapes
+// of their measured rounds (24-32 n^3 and 7n+17), not paper claims.
 constexpr AlgorithmInfo kTable[] = {
     // Map-based pipelines: Find-Map is per-robot (quotient) or a
     // tournament/vote among the actual participants, and
     // Dispersion-Using-Map settles any number of robots <= n per wave.
     {Algorithm::kQuotient, "quotient(T1)", "quotient", false, false,
-     &below_share<1>, std::nullopt, 1, GraphNeed::kTrivialQuotient,
+     &below_share<1>, &power<3>, "n^3", std::nullopt, 1,
+     GraphNeed::kTrivialQuotient,
      [](const PlanArgs& r) { return plan_quotient_dispersion(r.g, r.cost); }},
     {Algorithm::kTournamentArbitrary, "tournament-arbitrary(T2)",
-     "tournament-arbitrary", false, false, &below_share<2>, std::nullopt, 1,
-     GraphNeed::kAny, [](const PlanArgs& r) {
+     "tournament-arbitrary", false, false, &below_share<2>, &gathering_bound,
+     "4n^4*ceil(log2(n^2))*(2n+2)", std::nullopt, 1, GraphNeed::kAny,
+     [](const PlanArgs& r) {
        return plan_tournament_dispersion(r.g, r.ids, /*gathered=*/false, r.f,
                                          r.cost, r.batched_pairing);
      }},
@@ -56,21 +78,21 @@ constexpr AlgorithmInfo kTable[] = {
     // the *robot* population; undersubscribed halves below 2 robots
     // degenerate. Supported for k >= 4.
     {Algorithm::kSqrtArbitrary, "sqrt-arbitrary(T5)", "sqrt-arbitrary", false,
-     false, &sqrt_tolerance, std::nullopt, 4, GraphNeed::kAny,
-     [](const PlanArgs& r) {
+     false, &sqrt_tolerance, &window_bound, "8n^3", std::nullopt, 4,
+     GraphNeed::kAny, [](const PlanArgs& r) {
        return plan_sqrt_dispersion(r.g, r.ids, r.f, r.cost);
      }},
     // Map-based, as the quotient row.
     {Algorithm::kTournamentGathered, "tournament-gathered(T3)",
-     "tournament-gathered", true, false, &below_share<2>, std::nullopt, 1,
-     GraphNeed::kAny, [](const PlanArgs& r) {
+     "tournament-gathered", true, false, &below_share<2>, &power<4>, "n^4",
+     std::nullopt, 1, GraphNeed::kAny, [](const PlanArgs& r) {
        return plan_tournament_dispersion(r.g, r.ids, /*gathered=*/true, r.f,
                                          r.cost, r.batched_pairing);
      }},
     // The three-group rotation needs at least one robot per role; with
     // k < 3 the A/B thirds are empty and the map vote degenerates.
     {Algorithm::kThreeGroupGathered, "three-group(T4)", "three-group", true,
-     false, &below_share<3>, std::nullopt, 3, GraphNeed::kAny,
+     false, &below_share<3>, &power<3>, "n^3", std::nullopt, 3, GraphNeed::kAny,
      [](const PlanArgs& r) {
        return plan_three_group_dispersion(r.g, r.ids, r.cost);
      }},
@@ -80,24 +102,25 @@ constexpr AlgorithmInfo kTable[] = {
     // impersonate another wave's participants and forge its quorums. Only
     // the paper's k = n setting is sound.
     {Algorithm::kStrongArbitrary, "strong-arbitrary(T7)", "strong-arbitrary",
-     false, true, &below_share<4>, ByzStrategy::kSpoofer, kOnlyKEqualsN,
-     GraphNeed::kAny, [](const PlanArgs& r) {
+     false, true, &below_share<4>, &exponential, "2^n", ByzStrategy::kSpoofer,
+     kOnlyKEqualsN, GraphNeed::kAny, [](const PlanArgs& r) {
        return plan_strong_arbitrary_dispersion(r.g, r.ids, r.f, r.cost);
      }},
     {Algorithm::kStrongGathered, "strong-gathered(T6)", "strong-gathered",
-     true, true, &below_share<4>, ByzStrategy::kSpoofer, kOnlyKEqualsN,
-     GraphNeed::kAny, [](const PlanArgs& r) {
+     true, true, &below_share<4>, &power<3>, "n^3", ByzStrategy::kSpoofer,
+     kOnlyKEqualsN, GraphNeed::kAny, [](const PlanArgs& r) {
        return plan_strong_gathered_dispersion(r.g, r.ids, r.cost);
      }},
     // Theorem 4's phases after real gathering: as the three-group row.
     {Algorithm::kCrashRealGathering, "crash-real-gathering(ext)",
-     "crash-real-gathering", false, false, &below_share<3>,
+     "crash-real-gathering", false, false, &below_share<3>, &power<3>, "n^3",
      ByzStrategy::kCrash, 3, GraphNeed::kAny, [](const PlanArgs& r) {
        return plan_crash_real_dispersion(r.g, r.ids, r.cost);
      }},
     // The ring baseline's O(n) schedule assumes one robot per ring node.
     {Algorithm::kRingBaseline, "ring-baseline[34,36]", "ring-baseline", false,
-     false, &below_share<1>, std::nullopt, kOnlyKEqualsN, GraphNeed::kRing,
+     false, &below_share<1>, &power<1>, "n", std::nullopt, kOnlyKEqualsN,
+     GraphNeed::kRing,
      [](const PlanArgs& r) { return plan_ring_dispersion(r.g, r.cost); }},
 };
 

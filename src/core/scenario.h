@@ -59,6 +59,11 @@ struct AlgorithmInfo {
   bool handles_strong;      ///< claims tolerance of strong Byzantine robots
   /// Claimed weak-Byzantine tolerance (Table 1), given n.
   std::uint32_t (*max_f)(std::uint32_t n);
+  /// Claimed round bound (Table 1), given n, under the scaled cost model
+  /// (covering-walk length X(n) = 2n+2), and its printable name. Reports
+  /// divide measured rounds by it (max_bound_ratio).
+  double (*round_bound)(std::uint32_t n);
+  const char* bound_name;
   /// The adversary a sweep runs against this row when its strategy follows
   /// the algorithm; nullopt = the sweep's own strategy.
   std::optional<ByzStrategy> own_adversary;

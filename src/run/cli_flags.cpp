@@ -1,13 +1,17 @@
 #include "run/cli_flags.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "run/report.h"
 #include "util/json_mini.h"
+#include "util/stats.h"
 
 namespace bdg::run {
 namespace {
@@ -42,6 +46,35 @@ bool write_report(const char* prog, const std::string& path,
   os.flush();
   if (!os) std::fprintf(stderr, "%s: cannot write %s\n", prog, path.c_str());
   return static_cast<bool>(os);
+}
+
+/// One stderr line per (algorithm, family) whose k = n cells span at least
+/// three sizes: the range of their max_bound_ratio, and the growth exponent
+/// of max_rounds in n beside the row's claimed bound.
+void print_bound_fits(const char* prog, const SweepResult& result) {
+  struct Series {
+    std::vector<double> n, rounds, ratios;
+  };
+  std::map<std::pair<core::Algorithm, std::string>, Series> rows;
+  for (const CellAggregate& c : result.cells) {
+    if (c.k != 0 && c.k != c.n) continue;
+    Series& s = rows[{c.algorithm, c.family}];
+    s.n.push_back(c.n);
+    s.rounds.push_back(c.max_rounds.to_double());
+    s.ratios.push_back(max_bound_ratio(c));
+  }
+  for (const auto& [row, s] : rows) {
+    std::set<double> sizes(s.n.begin(), s.n.end());
+    if (sizes.size() < 3) continue;
+    const auto [lo, hi] = std::minmax_element(s.ratios.begin(), s.ratios.end());
+    const PowerFit fit = fit_power_law(s.n, s.rounds);
+    std::fprintf(stderr,
+                 "[%s: %s on %s: max_rounds/%s in %.4g..%.4g, fitted "
+                 "rounds ~ n^%.2f (R^2 = %.3f) over %zu sizes]\n",
+                 prog, core::to_string(row.first).c_str(), row.second.c_str(),
+                 core::algorithm_info(row.first).bound_name, *lo, *hi,
+                 fit.exponent, fit.r2, sizes.size());
+  }
 }
 
 }  // namespace
@@ -185,7 +218,7 @@ void print_grid_flag_help(std::FILE* to) {
       "                         strategy names; each mix adds a grid axis).\n"
       "                         A mix is a multiset: it is canonicalized\n"
       "                         (sorted), then Byzantine robot i runs\n"
-      "                         mix[i %% len] of the canonical order\n"
+      "                         mix[i % len] of the canonical order\n"
       "  --no-clamp             keep f values beyond an algorithm's tolerance\n"
       "  --require-trivial-quotient  restrict graphs to all-distinct views\n"
       "  --common-graphs        share the graph across algorithms and f per\n"
@@ -253,7 +286,7 @@ void print_report_flag_help(std::FILE* to) {
       "  --points-csv=PATH      per-point CSV ('-' = stdout)\n"
       "  --cells-csv=PATH       per-cell aggregate CSV ('-' = stdout)\n"
       "  --json=PATH            full JSON report ('-' = stdout)\n"
-      "  --quiet                suppress the summary line\n",
+      "  --quiet                suppress the summary lines\n",
       to);
 }
 
@@ -286,6 +319,7 @@ int write_sweep_outputs(const char* prog, const SweepResult& result,
                    "[%s: %zu torn checkpoint line(s) skipped and "
                    "re-run — a previous run crashed mid-append]\n",
                    prog, result.torn_checkpoint_lines);
+    print_bound_fits(prog, result);
   }
   if (saturated != 0) {
     // Reject the grid loudly, before any other verdict: a bound past

@@ -74,7 +74,7 @@ void print_grid_name_lists(std::FILE* to);
 /// Report destinations ('-' = stdout, empty = not requested).
 struct ReportFlags {
   std::string points_csv, cells_csv, json;
-  bool quiet = false;  ///< no summary line
+  bool quiet = false;  ///< no summary lines
 };
 /// Consume `arg` if it is --points-csv=, --cells-csv=, --json= or --quiet.
 [[nodiscard]] bool parse_report_flag(const std::string& arg,
@@ -94,8 +94,11 @@ void print_report_flag_help(std::FILE* to);
 
 /// Write the requested reports (the points CSV to stdout when none is);
 /// print to stderr, prefixed with `prog`, the summary (unless quiet;
-/// `summary_extra` goes before its seconds), the torn-line notice and the
-/// saturation rejection naming the first offender; return sweep_exit_code.
+/// `summary_extra` goes before its seconds), the torn-line notice, one
+/// bound line per (algorithm, family) whose k = n cells span at least
+/// three sizes (max_bound_ratio range and fitted growth exponent; unless
+/// quiet) and the saturation rejection naming the first offender; return
+/// sweep_exit_code.
 [[nodiscard]] int write_sweep_outputs(const char* prog,
                                       const SweepResult& result,
                                       const ReportFlags& flags,

@@ -121,7 +121,8 @@ constexpr Column<P> kPointColumns[] = {
 };
 constexpr std::size_t kPointCoordinates = 9;
 
-/// Cell columns: the cell coordinates, then the aggregates over its seeds.
+/// Cell columns: the cell coordinates, then the aggregates over its seeds
+/// and the worst seed's rounds over the row's claimed bound.
 constexpr Column<C> kCellColumns[] = {
     {"algorithm", kText,
      [](Out o, const C& c) { o(core::to_string(c.algorithm)); }},
@@ -139,6 +140,8 @@ constexpr Column<C> kCellColumns[] = {
     {"mean_moves", kNumber, field<&C::mean_moves>},
     {"mean_messages", kNumber, field<&C::mean_messages>},
     {"mean_seconds", kNumber, field<&C::mean_seconds>},
+    {"max_bound_ratio", kNumber,
+     [](Out o, const C& c) { o(max_bound_ratio(c)); }},
 };
 
 template <typename Record>
@@ -192,6 +195,11 @@ void csv_from_json(std::ostream& os, Columns<Record> columns,
 }
 
 }  // namespace
+
+double max_bound_ratio(const CellAggregate& c) {
+  return c.max_rounds.to_double() /
+         core::algorithm_info(c.algorithm).round_bound(c.n);
+}
 
 std::string mix_to_string(const std::vector<core::ByzStrategy>& mix) {
   if (mix.empty()) return "-";

@@ -35,6 +35,10 @@ void write_points_csv(std::ostream& os, const SweepResult& result);
 /// One CSV row per (algorithm, family, n, k, f, mix) cell aggregate.
 void write_cells_csv(std::ostream& os, const SweepResult& result);
 
+/// The cell's max_bound_ratio column: max_rounds over its algorithm row's
+/// claimed round bound at n (core::AlgorithmInfo::round_bound).
+[[nodiscard]] double max_bound_ratio(const CellAggregate& c);
+
 /// One point as a flat JSON object (no surrounding whitespace) — the
 /// exact per-point object write_json emits, shared with the sweepd query
 /// wire so query responses are byte-identical to report fragments.

@@ -1,11 +1,12 @@
 // Unit tier for run/cli_flags, the command-line plumbing every sweep
 // front-end shares: grid flag parsing with checked numbers (junk,
 // negative and out-of-range values are usage errors naming the flag, not
-// silently truncated), --connect address bounds, and the one exit-code
-// policy sweep_cli and sweepd both return.
+// silently truncated), --connect address bounds, the one exit-code
+// policy sweep_cli and sweepd both return, and the shared help text.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -163,6 +164,21 @@ TEST(CliFlags, ReportFlagsAreConsumed) {
   EXPECT_EQ(flags.cells_csv, "c.csv");
   EXPECT_EQ(flags.json, "r.json");
   EXPECT_TRUE(flags.quiet);
+}
+
+TEST(CliFlags, GridHelpPrintsAPlainPercent) {
+  // fputs prints the help verbatim: a printf-style "%%" would show up
+  // doubled in every front-end's --help.
+  std::FILE* tmp = std::tmpfile();
+  ASSERT_NE(tmp, nullptr);
+  print_grid_flag_help(tmp);
+  std::rewind(tmp);
+  std::string help;
+  for (int c = std::fgetc(tmp); c != EOF; c = std::fgetc(tmp))
+    help += static_cast<char>(c);
+  std::fclose(tmp);
+  EXPECT_NE(help.find("mix[i % len]"), std::string::npos) << help;
+  EXPECT_EQ(help.find("%%"), std::string::npos) << help;
 }
 
 }  // namespace

@@ -118,10 +118,10 @@ TEST(Report, CellJsonPassesThroughToTheCsvRow) {
   EXPECT_EQ(direct.str(),
             "algorithm,family,n,k,f,mix,runs,dispersed,min_rounds,max_rounds,"
             "mean_rounds,mean_simulated,mean_moves,mean_messages,"
-            "mean_seconds\n\"" +
+            "mean_seconds,max_bound_ratio\n\"" +
                 core::to_string(Algorithm::kRingBaseline) +
                 "\",ring,6,6,1,crash+map_liar,2,1,59,61,60,59.5,32.25,"
-                "271.125,1e-05\n");
+                "271.125,1e-05,10.1667\n");
 }
 
 }  // namespace
