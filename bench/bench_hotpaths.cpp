@@ -11,8 +11,9 @@
 //  * tournament pairing windows (core/tournament_dispersion.cpp), batched
 //    and unbatched, so the map-cache/early-close speedup is timed in
 //    isolation and its active-round collapse is gated exactly — plus the
-//    f > 0 adversary pair (core/byzantine.cpp range effects): an
-//    always-broadcasting squatter run in bulk (compiled=1, no observer)
+//    f > 0 adversary pairs (core/byzantine.cpp): an always-broadcasting
+//    squatter (range effects) and a map-liar (the replay kernel,
+//    sim::Ctx::ambient_walk) each run in bulk (compiled=1, no observer)
 //    vs. live (compiled=0, a no-op observer attached), gating the
 //    adversarial-batching speedup the same way.
 //
@@ -100,7 +101,9 @@ void pairing_rows(std::ostream& os) {
   // bulk adversary execution itself — an always-broadcasting squatter
   // keeps the engine awake every round when an observer holds it live,
   // while unobserved it parks as a range effect, so compiled=1 (bulk) vs
-  // compiled=0 (live) isolates exactly that.
+  // compiled=0 (live) isolates exactly that. The map-liar pair does the
+  // same for a drawing, moving adversary, whose parked stretches replay
+  // through the engine's ambient_walk kernel.
   os << "algorithm,n,f,strategy,batched,compiled,reps,ok,rounds,"
         "simulated_rounds,moves,messages,planned_rounds,seconds\n";
   Rng rng(19);
@@ -126,6 +129,8 @@ void pairing_rows(std::ostream& os) {
       {&g64, 0, core::ByzStrategy::kCrash, false, true},
       {&g24, 5, core::ByzStrategy::kSquatter, true, true},
       {&g24, 5, core::ByzStrategy::kSquatter, true, false},
+      {&g24, 5, core::ByzStrategy::kMapLiar, true, true},
+      {&g24, 5, core::ByzStrategy::kMapLiar, true, false},
   };
   double squatter_bulk = 0, squatter_live = 0;
   sim::Observer noop;

@@ -87,13 +87,6 @@ void fill_payload(const std::vector<CompiledStrategy::PayloadElem>& elems,
   }
 }
 
-/// Replay-side twin of fill_payload: consume the draws, skip the bytes.
-void consume_payload_draws(
-    const std::vector<CompiledStrategy::PayloadElem>& elems, Rng& rng) {
-  for (const auto& e : elems)
-    if (e.draw_below4) (void)rng.below(4);
-}
-
 std::optional<Port> draw_move(CompiledStrategy::MoveRule rule, Ctx& ctx,
                               Rng& rng) {
   switch (rule) {
@@ -110,8 +103,9 @@ std::optional<Port> draw_move(CompiledStrategy::MoveRule rule, Ctx& ctx,
   return std::nullopt;
 }
 
-/// The one interpreter behind every adversary. Live rounds and replayed
-/// (fast-forwarded) rounds walk the SAME op list, so bulk execution (parked
+/// The one interpreter behind every adversary. Live rounds walk the op
+/// list; replayed (fast-forwarded) rounds run its per-phase digest, which
+/// draws and counts exactly what one walk does. So bulk execution (parked
 /// via end_round_ambient, replaying the rounds the engine skipped) and live
 /// execution (an observer is attached, so the engine resumes the robot in
 /// every round) agree bit-for-bit on RNG draw order, message contents and
@@ -145,14 +139,13 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
   // the live path draws below(4) exactly where fill_payload would.
   std::vector<std::vector<util::SmallVec<util::PayloadRef, 4>>>
       shared_payloads(cs.phases.size());
-  // Replay digest per phase: a phase with no kDrawVictim op replays each
-  // round as `draw4` below(4) draws + one move draw + one ambient step
-  // (spoofs never fire without a victim), so the per-round op walk can
-  // collapse to a tight loop. Draw order is preserved exactly — payload
-  // draws are all below(4) and happen in op order either way.
+  // Replay digest per phase: one round of the op walk as the below()
+  // bounds it draws, in order, plus the broadcasts it emits. A victim draw
+  // is below(|peers|) and needs a peer; a spoof fires (drawing its payload
+  // and counting) only once a victim was drawn this round. Fast-forwarded
+  // rounds replay from this list through Ctx::ambient_walk.
   struct ReplayDigest {
-    bool simple = false;
-    std::uint32_t draw4 = 0;
+    std::vector<std::uint64_t> draws;
     std::uint64_t emitted = 0;
   };
   std::vector<ReplayDigest> replay_digest(cs.phases.size());
@@ -162,17 +155,20 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
       const auto& ops = cs.phases[pi].ops;
       shared_payloads[pi].resize(ops.size());
       ReplayDigest& rd = replay_digest[pi];
-      rd.simple = true;
+      bool have_victim = false;
       for (std::size_t oi = 0; oi < ops.size(); ++oi) {
         const CompiledStrategy::Op& op = ops[oi];
-        if (op.kind == OpKind::kDrawVictim) rd.simple = false;
+        if (op.kind == OpKind::kDrawVictim && !peers.empty()) {
+          rd.draws.push_back(peers.size());
+          have_victim = true;
+        }
         if (op.kind != OpKind::kBroadcast && op.kind != OpKind::kSpoofBroadcast)
           continue;
         const std::size_t draws = static_cast<std::size_t>(
             std::count_if(op.payload.begin(), op.payload.end(),
                           [](const auto& e) { return e.draw_below4; }));
-        if (op.kind == OpKind::kBroadcast) {
-          rd.draw4 += static_cast<std::uint32_t>(draws);
+        if (op.kind == OpKind::kBroadcast || have_victim) {
+          rd.draws.insert(rd.draws.end(), draws, 4);
           ++rd.emitted;
         }
         if (draws > 1) continue;
@@ -240,79 +236,27 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
         now += d < horizon ? d : horizon;
         continue;
       }
+      // Replay the stretch up to the gap's end, the next charged window
+      // and the phase budget, whichever comes first.
       const CompiledStrategy::Phase& p = cs.phases[phase];
+      Round span = ctx.round() - now;
+      if (const Round c = gate.until_next(now); c < span) span = c;
+      if (p.len != LenRule::kForever && Round(left) < span) span = Round(left);
+      std::uint64_t steps = span.fits_u64()
+                                ? span.low_u64()
+                                : std::numeric_limits<std::uint64_t>::max();
       if (p.bulk_ok) {
-        // Draw-free stationary phase: the stretch is ONE range effect —
-        // bounded by the phase budget and the next charged window, and
+        // Draw-free stationary phase: the stretch is ONE range effect,
         // chunked so the message product stays in 64 bits while the
         // resume budget still bounds pathological gaps.
-        Round span = ctx.round() - now;
-        if (const Round c = gate.until_next(now); c < span) span = c;
-        if (p.len != LenRule::kForever && Round(left) < span)
-          span = Round(left);
-        const std::uint64_t steps =
-            span.fits_u64() ? span.low_u64()
-                            : std::numeric_limits<std::uint64_t>::max();
-        const std::uint64_t chunk = std::min<std::uint64_t>(steps, 1ULL << 32);
-        ctx.ambient_round(std::nullopt, chunk * p.messages_per_round);
-        now += Round(chunk);
-        if (p.len != LenRule::kForever && (left -= chunk) == 0)
-          enter_phase(/*advance=*/true);
-        continue;
+        steps = std::min<std::uint64_t>(steps, 1ULL << 32);
+        ctx.ambient_round(std::nullopt, steps * p.messages_per_round);
+      } else {
+        const ReplayDigest& rd = replay_digest[phase];
+        ctx.ambient_walk(steps, rd.draws, p.move, rd.emitted, rng);
       }
-      if (const ReplayDigest& rd = replay_digest[phase]; rd.simple) {
-        // Victim-free phase: replay a whole uncharged stretch in one tight
-        // loop (same draws and ambient steps as the op walk, minus the
-        // per-round dispatch and gate checks). Bounded like the bulk path:
-        // by the gap, the next charged window and the phase budget.
-        Round span = ctx.round() - now;
-        if (const Round c = gate.until_next(now); c < span) span = c;
-        if (p.len != LenRule::kForever && Round(left) < span)
-          span = Round(left);
-        const std::uint64_t steps =
-            span.fits_u64() ? span.low_u64()
-                            : std::numeric_limits<std::uint64_t>::max();
-        if (steps != 0) {
-          for (std::uint64_t s = 0; s < steps; ++s) {
-            for (std::uint32_t k = 0; k < rd.draw4; ++k) (void)rng.below(4);
-            ctx.ambient_round(draw_move(p.move, ctx, rng), rd.emitted);
-          }
-          now += Round(steps);
-          if (p.len != LenRule::kForever && (left -= steps) == 0)
-            enter_phase(/*advance=*/true);
-          continue;
-        }
-      }
-      // Per-round replay: the live op walk with broadcasts suppressed
-      // (but counted) and the move applied immediately, so the next
-      // round's degree/draws see the post-move position.
-      std::uint64_t emitted = 0;
-      bool have_victim = false;
-      for (const CompiledStrategy::Op& op : p.ops) {
-        switch (op.kind) {
-          case OpKind::kDrawVictim:
-            if (!peers.empty()) {
-              (void)rng.below(peers.size());
-              have_victim = true;
-            }
-            break;
-          case OpKind::kBroadcast:
-            consume_payload_draws(op.payload, rng);
-            ++emitted;
-            break;
-          case OpKind::kSpoofBroadcast:
-            if (have_victim) {
-              consume_payload_draws(op.payload, rng);
-              ++emitted;
-            }
-            break;
-          case OpKind::kNextSubround:
-            break;
-        }
-      }
-      ctx.ambient_round(draw_move(p.move, ctx, rng), emitted);
-      now += 1;
-      if (p.len != LenRule::kForever && --left == 0)
+      now += Round(steps);
+      if (p.len != LenRule::kForever && (left -= steps) == 0)
         enter_phase(/*advance=*/true);
       continue;
     }
@@ -436,7 +380,7 @@ CompiledStrategy compile_strategy(ByzStrategy s) {
   // Derive each phase's replay shape: a phase is bulk-replayable (one
   // range effect for the whole stretch) iff no op or move consumes a
   // draw; spoof phases always draw victims, so they never qualify and
-  // their peers-dependent message count stays with the per-round walk.
+  // their peers-dependent message count comes from the replay digest.
   const auto finalize = [](CS cs) {
     for (auto& p : cs.phases) {
       bool draws = p.move != CS::MoveRule::kStay;

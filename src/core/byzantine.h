@@ -90,14 +90,17 @@ struct ChargeGate {
 //  * bulk (no observer): the interpreter parks via Ctx::end_round_ambient
 //    between rounds, so an always-broadcasting adversary never blocks the
 //    engine's O(1) fast-forward over honest sleep windows, and replays
-//    every skipped round by executing the same ops with broadcasts
-//    suppressed (but counted) and moves applied immediately;
+//    every skipped stretch from a per-phase digest of the op list: one
+//    range effect for a draw-free stationary phase, otherwise one
+//    Ctx::ambient_walk call that makes the op list's draws, counts its
+//    broadcasts (suppressed) and applies its moves immediately;
 //  * live (an observer is attached): the engine turns the ambient park
-//    into a plain end_round, so the robot acts in every round and the
-//    observer sees each of its messages and moves.
-// Both modes walk the same op list, so verdicts, rounds, moves, messages,
-// message contents and order, RNG draw order and move timing are
-// bit-identical; only simulated_rounds, resumes and wall clock differ.
+//    into a plain end_round, so the robot walks the op list in every
+//    round and the observer sees each of its messages and moves.
+// The digest draws and counts exactly what the op walk does, so verdicts,
+// rounds, moves, messages, message contents and order, RNG draw order and
+// move timing are bit-identical; only simulated_rounds, resumes and wall
+// clock differ.
 struct CompiledStrategy {
   /// Payload element: a literal, or one rng.below(4) draw at emission
   /// time (draw order = element order within the op list).
@@ -123,12 +126,9 @@ struct CompiledStrategy {
     kDrawOnce,       ///< base + below(bound) drawn once at program start
     kDrawEachEntry,  ///< base + below(bound) drawn at every phase entry
   };
-  /// Move drawn at each round boundary of the phase.
-  enum class MoveRule : std::uint8_t {
-    kStay,
-    kRandomPort,  ///< below(degree); stays (and draws nothing) at degree 0
-    kChancePort,  ///< chance(1,2), then kRandomPort on success
-  };
+  /// Move drawn at each round boundary of the phase (the engine's replay
+  /// kernel, Ctx::ambient_walk, takes the same enum).
+  using MoveRule = sim::WalkMove;
   struct Phase {
     LenRule len = LenRule::kForever;
     std::uint64_t base = 0;   ///< fixed length / draw offset
@@ -139,7 +139,7 @@ struct CompiledStrategy {
     // Derived by compile_strategy():
     /// Draw-free and stationary: a fast-forwarded stretch inside this
     /// phase replays as one range effect (message count += rounds x
-    /// messages_per_round) instead of round by round.
+    /// messages_per_round) instead of through Ctx::ambient_walk.
     bool bulk_ok = false;
     std::uint64_t messages_per_round = 0;
   };

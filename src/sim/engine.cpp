@@ -15,6 +15,13 @@ std::uint64_t delivery_epoch() noexcept { return t_delivery_epoch; }
 
 Engine::Engine(const Graph& g, EngineConfig cfg) : graph_(g), cfg_(cfg) {
   if (graph_.n() == 0) throw std::invalid_argument("Engine: empty graph");
+  csr_begin_.reserve(graph_.n() + 1);
+  csr_begin_.push_back(0);
+  for (NodeId v = 0; v < graph_.n(); ++v) {
+    const std::vector<HalfEdge>& edges = graph_.edges_of(v);
+    csr_edges_.insert(csr_edges_.end(), edges.begin(), edges.end());
+    csr_begin_.push_back(static_cast<std::uint32_t>(csr_edges_.size()));
+  }
   delivered_.resize(graph_.n());
   pending_.resize(graph_.n());
   ++t_delivery_epoch;
@@ -278,6 +285,52 @@ void Ctx::ambient_round(std::optional<Port> port, std::uint64_t messages) {
   r.pos = he.to;
   r.arrival = he.reverse;
   ++e.stats_.moves;
+}
+
+void Ctx::ambient_walk(std::uint64_t steps,
+                       std::span<const std::uint64_t> draws, WalkMove move,
+                       std::uint64_t emitted, Rng& rng) {
+  Engine& e = *engine_;
+  Engine::Robot& r = e.robots_[idx_];
+  // Step `last` (0-based) is the one whose resume would exceed the budget;
+  // a resumed robot always has stats_.resumes <= max_resumes.
+  const std::uint64_t last = e.cfg_.max_resumes - e.stats_.resumes;
+  const std::uint32_t* begin = e.csr_begin_.data();
+  const HalfEdge* edges = e.csr_edges_.data();
+  Rng local_rng = rng;
+  NodeId pos = r.pos;
+  Port arrival = r.arrival;
+  std::uint64_t moved = 0;
+  std::uint64_t done = 0;
+  for (; done < steps; ++done) {
+    for (const std::uint64_t bound : draws)
+      (void)Rng::below_inline(local_rng, bound);
+    bool hop = move == WalkMove::kRandomPort;
+    if (move == WalkMove::kChancePort)
+      hop = Rng::below_inline(local_rng, 2) < 1;  // chance(1, 2)
+    const std::uint32_t first = begin[pos];
+    const std::uint32_t degree = begin[pos + 1] - first;
+    Port port = kNoPort;
+    if (hop && degree != 0)
+      port = static_cast<Port>(Rng::below_inline(local_rng, degree));
+    if (done == last) break;
+    if (port != kNoPort) {
+      const HalfEdge he = edges[first + port];
+      pos = he.to;
+      arrival = he.reverse;
+      ++moved;
+    }
+  }
+  rng = local_rng;
+  r.pos = pos;
+  r.arrival = arrival;
+  e.stats_.moves += moved;
+  e.stats_.messages += done * emitted;
+  e.stats_.resumes += done;
+  if (done < steps) {
+    ++e.stats_.resumes;
+    throw std::runtime_error("Engine: resume budget exceeded (livelock?)");
+  }
 }
 
 bool Ctx::draining() const { return engine_->draining_; }

@@ -39,6 +39,7 @@
 #include "sim/proc.h"
 #include "util/flat_hash.h"
 #include "util/pool.h"
+#include "util/rng.h"
 #include "util/smallvec.h"
 
 namespace bdg::sim {
@@ -87,6 +88,14 @@ struct Msg {
 };
 
 class Engine;
+
+/// Move drawn at each round of a replayed stretch (Ctx::ambient_walk); the
+/// compiled adversaries' per-phase move rule is this same enum.
+enum class WalkMove : std::uint8_t {
+  kStay,
+  kRandomPort,  ///< below(degree); stays (and draws nothing) at degree 0
+  kChancePort,  ///< chance(1,2), then kRandomPort on success
+};
 
 /// Capability handle passed to a robot program. Valid only while its
 /// coroutine is being resumed by the engine.
@@ -159,11 +168,12 @@ class Ctx {
   /// wake queues, so stretches where every queued robot sleeps still
   /// fast-forward in O(1); on resume ctx.round() may have jumped, and the
   /// program is responsible for replaying the skipped rounds (see
-  /// ambient_round) so its RNG draws, moves and message totals stay
-  /// bit-identical to the per-round execution. Compiled Byzantine
-  /// strategies (core/byzantine.h) are the intended caller. Ambient
-  /// robots never keep the run alive by themselves (matching the rule
-  /// that Byzantine programs that never finish do not block completion).
+  /// ambient_round and ambient_walk) so its RNG draws, moves and message
+  /// totals stay bit-identical to the per-round execution. Compiled
+  /// Byzantine strategies (core/byzantine.h) are the intended caller.
+  /// Ambient robots never keep the run alive by themselves (matching the
+  /// rule that Byzantine programs that never finish do not block
+  /// completion).
   /// While an observer is attached the park is a plain end_round(port):
   /// the robot runs live in every round, so the observer sees all of its
   /// messages and moves, and it never has a gap to replay or a drain.
@@ -179,6 +189,19 @@ class Ctx {
   /// caught like a livelocked coroutine. Only meaningful while the
   /// calling robot is catching up rounds strictly before ctx.round().
   void ambient_round(std::optional<Port> port, std::uint64_t messages);
+  /// Batched ambient_round, the replay kernel: replay `steps`
+  /// fast-forwarded rounds in one call. Each round draws rng.below(b) for
+  /// every b in `draws`, in order, then draws its move by `move` from the
+  /// current node and counts `emitted` suppressed broadcasts — exactly
+  /// what `steps` calls of ambient_round fed by those draws would do, so
+  /// the RNG stream, position, arrival port, moves, messages and resumes
+  /// (one per round) all come out bit-identical. Position, arrival port
+  /// and generator state stay in locals over a flat copy of the graph,
+  /// and the counters are committed once per call. If the resume budget
+  /// runs out mid-stretch it throws at the same step the per-round loop
+  /// would, after that step's draws.
+  void ambient_walk(std::uint64_t steps, std::span<const std::uint64_t> draws,
+                    WalkMove move, std::uint64_t emitted, Rng& rng);
   /// True while the engine is draining parked ambient robots after the
   /// run loop ended: the program must replay up to (not including)
   /// ctx.round(), then park again without acting.
@@ -318,6 +341,10 @@ class Engine {
                 util::PayloadRef payload, bool notify_observer);
 
   Graph graph_;
+  /// Flat (CSR) copy of graph_ for Ctx::ambient_walk: node v's half-edges
+  /// are csr_edges_[csr_begin_[v] .. csr_begin_[v + 1]), port order.
+  std::vector<std::uint32_t> csr_begin_;
+  std::vector<HalfEdge> csr_edges_;
   EngineConfig cfg_;
   std::vector<Robot> robots_;  // contiguous, sorted by ID after start
   /// id -> index into robots_ (insertion index before start_programs,

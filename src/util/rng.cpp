@@ -11,10 +11,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -25,32 +21,10 @@ Rng::Rng(std::uint64_t seed) noexcept {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::next() noexcept { return next_inline(*this); }
 
 std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  // Lemire-style rejection for unbiased bounded values.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
+  return below_inline(*this, bound);
 }
 
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {

@@ -43,7 +43,44 @@ class Rng {
   /// Derive an independent child generator (for per-robot adversary state).
   [[nodiscard]] Rng fork() noexcept;
 
+  /// The bodies of next() and below(), inline for hot replay loops
+  /// (sim::Ctx::ambient_walk) that keep a local generator in registers;
+  /// every other caller uses the out-of-line members, which wrap these.
+  /// Static, taking the generator, so detlint sees each call as a draw.
+  [[nodiscard]] static std::uint64_t next_inline(Rng& rng) noexcept {
+    std::uint64_t* s = rng.s_;
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+  }
+  [[nodiscard]] static std::uint64_t below_inline(Rng& rng,
+                                                  std::uint64_t bound) noexcept {
+    // Lemire-style rejection for unbiased bounded values.
+    std::uint64_t x = next_inline(rng);
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next_inline(rng);
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
+
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -4,11 +4,12 @@
 // rounds the engine fast-forwarded) across a grid of every strategy x
 // {tournament, group, crash-real} x {single-wave k = n, multi-wave k > n}
 // x adversary mixes must leave every result bit-identical — verdict,
-// rounds, planned_rounds, moves, messages — because both modes walk the
-// same op list. Runs at run_scenario level (a sweep spec carries no
-// observer). Scenarios run on parallel threads, and the tsan preset job
-// in CI runs this tier, so both engine paths (ambient parking and the
-// observer's live rounds) are raced there too.
+// rounds, planned_rounds, moves, messages — because the bulk replay
+// digest draws and counts exactly what the live op walk does. Runs at
+// run_scenario level (a sweep spec carries no observer). Scenarios run on
+// parallel threads, and the tsan preset job in CI runs this tier, so both
+// engine paths (ambient parking and the observer's live rounds) are raced
+// there too.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -102,14 +103,16 @@ TEST(CompiledAdversaryScenario, WeakStrategiesSingleWave) {
   EXPECT_EQ(expect_live_matches_bulk(cases), cases.size() * 2);
 }
 
-// The strong spoofer against its algorithm, and crash faults against the
-// REAL (fully simulated) gathering extension — the two per-algorithm
-// default adversaries the weak grid above doesn't reach.
+// The strong spoofer against both strong algorithms (its victim draws and
+// victim-gated spoof payloads replay through the kernel), and crash faults
+// against the REAL (fully simulated) gathering extension — the two
+// per-algorithm default adversaries the weak grid above doesn't reach.
 TEST(CompiledAdversaryScenario, SpooferAndCrashDefaults) {
   std::vector<GridCase> cases;
   for (const char* family : {"er", "ring"}) {
-    cases.push_back(
-        {Algorithm::kStrongGathered, family, 8, 0, {}, ByzStrategy::kSpoofer});
+    for (const Algorithm a :
+         {Algorithm::kStrongGathered, Algorithm::kStrongArbitrary})
+      cases.push_back({a, family, 8, 0, {}, ByzStrategy::kSpoofer});
     cases.push_back({Algorithm::kCrashRealGathering, family, 8, 0, {},
                      ByzStrategy::kCrash});
   }
@@ -117,14 +120,28 @@ TEST(CompiledAdversaryScenario, SpooferAndCrashDefaults) {
 }
 
 // Multi-wave k > n points: the Byzantine schedule gains charged windows
-// from every later wave, so bulk execution's ChargeGate jumps and range
-// replays are exercised against live execution's sleep pattern.
+// from every later wave, so bulk execution's ChargeGate jumps, range
+// effects (the squatter) and replay-kernel stretches bounded by the next
+// charged window or the phase budget (the drawing strategies) are
+// exercised against live execution's sleep pattern.
 TEST(CompiledAdversaryScenario, MultiWaveChargedWindows) {
+  // (n, k): one wave; ceil(13/6) = 3 waves; then 2 and 3 waves at n = 8,
+  // where both algorithms tolerate f > 0, so Byzantine robots of the
+  // early waves really sleep through the later waves' charged windows.
+  const std::pair<std::uint32_t, std::uint32_t> sizes[] = {
+      {6, 6}, {6, 13}, {8, 13}, {8, 19}};
   std::vector<GridCase> cases;
   for (const Algorithm a :
-       {Algorithm::kTournamentGathered, Algorithm::kThreeGroupGathered})
-    for (const std::uint32_t k : {6u, 13u})  // one wave, ceil(13/6) = 3
-      cases.push_back({a, "er", 6, k, {}, ByzStrategy::kSquatter});
+       {Algorithm::kTournamentGathered, Algorithm::kThreeGroupGathered}) {
+    EXPECT_GT(max_tolerated_f_k(a, 8, 13), 0u);
+    EXPECT_GT(max_tolerated_f_k(a, 8, 19), 0u);
+    for (const auto& [n, k] : sizes)
+      for (const ByzStrategy s :
+           {ByzStrategy::kSquatter, ByzStrategy::kMapLiar,
+            ByzStrategy::kFakeSettler, ByzStrategy::kRandomWalker,
+            ByzStrategy::kIntentSpammer})
+        cases.push_back({a, "er", n, k, {}, s});
+  }
   EXPECT_GT(expect_live_matches_bulk(cases), 0u);
 }
 

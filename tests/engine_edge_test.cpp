@@ -1,5 +1,6 @@
 // Engine edge semantics: sub-round budget exhaustion, message drops at
-// round boundaries, livelock guards, and multi-call run() behavior.
+// round boundaries, livelock guards, multi-call run() behavior, and the
+// batched ambient replay kernel against its per-round definition.
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -245,6 +246,134 @@ TEST(EngineEdge, ObserverKeepsAmbientRobotLiveEveryRound) {
   for (std::size_t r = 0; r < log.rounds.size(); ++r) {
     EXPECT_EQ(log.rounds[r], Round(r));
     EXPECT_EQ(live_acted[r], Round(r));
+  }
+}
+
+/// One fast-forwarded stretch to replay (see Ctx::ambient_walk).
+struct WalkCase {
+  std::uint64_t steps = 0;
+  std::vector<std::uint64_t> draws;
+  WalkMove move = WalkMove::kStay;
+  std::uint64_t emitted = 0;
+};
+
+/// Replays `wc` at its first resume, then records its arrival port and
+/// finishes. kernel = one ambient_walk call; otherwise the per-round loop
+/// that call batches: the draws, the move, one ambient_round per step.
+Proc walker(Ctx ctx, const WalkCase* wc, bool kernel, Rng* rng,
+            Port* arrival) {
+  if (kernel) {
+    ctx.ambient_walk(wc->steps, wc->draws, wc->move, wc->emitted, *rng);
+  } else {
+    for (std::uint64_t s = 0; s < wc->steps; ++s) {
+      for (const std::uint64_t bound : wc->draws) (void)rng->below(bound);
+      bool hop = wc->move == WalkMove::kRandomPort;
+      if (wc->move == WalkMove::kChancePort) hop = rng->chance(1, 2);
+      std::optional<Port> port;
+      if (hop && ctx.degree() != 0)
+        port = static_cast<Port>(rng->below(ctx.degree()));
+      ctx.ambient_round(port, wc->emitted);
+    }
+  }
+  *arrival = ctx.arrival_port();
+  co_return;
+}
+
+struct WalkEnd {
+  RunStats stats;
+  bool threw = false;
+  NodeId pos = kNoNode;
+  Port arrival = kNoPort;
+  std::uint64_t next_draw = 0;  ///< the generator's next value afterwards
+};
+
+WalkEnd run_walker(const Graph& g, const WalkCase& wc, bool kernel,
+                   std::uint64_t max_resumes) {
+  EngineConfig cfg;
+  cfg.max_resumes = max_resumes;
+  Engine eng(g, cfg);
+  Rng rng(4242);
+  WalkEnd end;
+  eng.add_robot(1, Faultiness::kHonest, 0, [&](Ctx c) {
+    return walker(c, &wc, kernel, &rng, &end.arrival);
+  });
+  try {
+    end.stats = eng.run(10);
+  } catch (const std::runtime_error&) {
+    end.threw = true;
+  }
+  end.pos = eng.robot_position(0);
+  end.next_draw = rng.next();
+  return end;
+}
+
+void expect_kernel_matches_loop(const Graph& g, const WalkCase& wc,
+                                std::uint64_t max_resumes = 1'000'000) {
+  const WalkEnd loop = run_walker(g, wc, /*kernel=*/false, max_resumes);
+  const WalkEnd kernel = run_walker(g, wc, /*kernel=*/true, max_resumes);
+  EXPECT_EQ(kernel.threw, loop.threw);
+  EXPECT_EQ(kernel.pos, loop.pos);
+  EXPECT_EQ(kernel.arrival, loop.arrival);
+  EXPECT_EQ(kernel.next_draw, loop.next_draw);
+  EXPECT_EQ(kernel.stats.moves, loop.stats.moves);
+  EXPECT_EQ(kernel.stats.messages, loop.stats.messages);
+  EXPECT_EQ(kernel.stats.resumes, loop.stats.resumes);
+  EXPECT_EQ(kernel.stats.rounds, loop.stats.rounds);
+}
+
+TEST(EngineEdge, AmbientWalkMatchesPerRoundReplay) {
+  Rng grng(5);
+  const Graph g = make_connected_er(12, 0.3, grng);
+  // Victim-style bound 7 (not a power of two: Lemire's rejection branch is
+  // live) and payload-style bound 4, under every move rule.
+  const std::vector<std::uint64_t> spoofer_draws = {7, 4, 7, 4, 7, 7};
+  for (const WalkMove move :
+       {WalkMove::kStay, WalkMove::kRandomPort, WalkMove::kChancePort}) {
+    SCOPED_TRACE(static_cast<int>(move));
+    expect_kernel_matches_loop(g, {1000, spoofer_draws, move, 17});
+    expect_kernel_matches_loop(g, {1000, {4}, move, 4});
+    expect_kernel_matches_loop(g, {1000, {}, move, 1});
+    expect_kernel_matches_loop(g, {1, {7}, move, 0});
+  }
+  // The walk really moved, and counted one resume per step.
+  const WalkEnd moved = run_walker(g, {1000, {}, WalkMove::kRandomPort, 3},
+                                   /*kernel=*/true, 1'000'000);
+  EXPECT_EQ(moved.stats.moves, 1000u);
+  EXPECT_EQ(moved.stats.messages, 3000u);
+  EXPECT_EQ(moved.stats.resumes, 1001u);  // + the program's own resume
+  EXPECT_NE(moved.arrival, kNoPort);
+}
+
+TEST(EngineEdge, AmbientWalkOnOneNodeGraphDrawsNoPort) {
+  // Degree 0: a random move stays put without a port draw; the chance
+  // move still draws its coin.
+  const Graph g(1);
+  for (const WalkMove move : {WalkMove::kRandomPort, WalkMove::kChancePort}) {
+    SCOPED_TRACE(static_cast<int>(move));
+    expect_kernel_matches_loop(g, {500, {7, 4}, move, 2});
+    const WalkEnd end =
+        run_walker(g, {500, {}, move, 0}, /*kernel=*/true, 1'000'000);
+    EXPECT_EQ(end.stats.moves, 0u);
+    EXPECT_EQ(end.arrival, kNoPort);
+  }
+}
+
+TEST(EngineEdge, AmbientWalkThrowsAtTheSameStepAsThePerRoundLoop) {
+  // The program's first resume is 1 of the budget, so the resume budget
+  // runs out at replay step 37 of 1000: both paths throw there, after the
+  // same draws and moves.
+  Rng grng(9);
+  const Graph g = make_connected_er(10, 0.4, grng);
+  for (const WalkMove move :
+       {WalkMove::kStay, WalkMove::kRandomPort, WalkMove::kChancePort}) {
+    SCOPED_TRACE(static_cast<int>(move));
+    const WalkCase wc{1000, {7, 4}, move, 5};
+    expect_kernel_matches_loop(g, wc, /*max_resumes=*/38);
+    EXPECT_TRUE(run_walker(g, wc, /*kernel=*/true, 38).threw);
+    // A budget that covers the stretch exactly does not throw.
+    const WalkEnd exact = run_walker(g, wc, /*kernel=*/true, 1001);
+    EXPECT_FALSE(exact.threw);
+    EXPECT_EQ(exact.stats.resumes, 1001u);
   }
 }
 
