@@ -9,6 +9,8 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "util/json_mini.h"
 
@@ -22,17 +24,6 @@ std::string exact_double(double v) {
   std::snprintf(buf, sizeof buf, "%.*g",
                 std::numeric_limits<double>::max_digits10, v);
   return buf;
-}
-
-/// Round counts are exact decimal magnitudes up to 2^128-1; a malformed or
-/// overflowing token fails the whole line (foreign data must re-run).
-bool find_round(const std::string& line, const char* key, core::Round& out) {
-  std::string raw;
-  if (!json::find_raw(line, key, raw)) return false;
-  const auto parsed = core::Round::from_string(raw);
-  if (!parsed) return false;
-  out = *parsed;
-  return true;
 }
 
 /// Quote a field when it contains CSV metacharacters (the ring-baseline
@@ -55,7 +46,8 @@ enum class ColumnKind : std::uint8_t { kText, kNumber, kFlag };
 using enum ColumnKind;
 
 /// Where a column value is written, and in which format. The value's type
-/// picks its spelling; a row's kind names the same one.
+/// picks its spelling; a row's kind names the same one. Algorithms,
+/// strategies and mixes are text under their report names.
 struct Out {
   std::ostream& os;
   bool json;
@@ -64,6 +56,11 @@ struct Out {
       os << '"' << json::escape(text) << '"';
     else
       os << csv_field(text);
+  }
+  void operator()(core::Algorithm a) const { (*this)(core::to_string(a)); }
+  void operator()(core::ByzStrategy s) const { (*this)(core::to_string(s)); }
+  void operator()(const std::vector<core::ByzStrategy>& mix) const {
+    (*this)(mix_to_string(mix));
   }
   void operator()(bool flag) const {
     os << (json ? (flag ? "true" : "false") : (flag ? "1" : "0"));
@@ -74,11 +71,14 @@ struct Out {
   }
 };
 
+/// A column: its name, kind and value printer, plus (checkpoint rows only)
+/// the strict parser that reads the value at its key back into a record.
 template <typename Record>
 struct Column {
   const char* name;
   ColumnKind kind;
   void (*print)(Out, const Record&);
+  bool (*read)(const std::string& line, const char* key, Record&) = nullptr;
 };
 
 template <typename Record>
@@ -90,6 +90,22 @@ void field(Out out, const Record& r) {
   out((r .* ... .* path));
 }
 
+/// find_string through a from-string parser (a round count, algorithm,
+/// strategy or mix): an unparseable value fails the whole line.
+template <auto from_string>
+bool find_named(const std::string& line, const char* key,
+                std::remove_cvref_t<decltype(*from_string({}))>& out) {
+  std::string text;
+  if (!json::find_string(line, key, text)) return false;
+  const auto value = from_string(text);
+  if (value) out = *value;
+  return value.has_value();
+}
+
+using json::find_bool, json::find_double, json::find_string, json::find_u32,
+    json::find_u64;
+constexpr auto find_round = find_named<core::Round::from_string>;
+
 using P = PointResult;
 using S = SweepPoint;
 using R = sim::RunStats;
@@ -99,17 +115,15 @@ using C = CellAggregate;
 /// the outcome, which skipped points do not have. k is reported resolved:
 /// a hand-built point may spell k = n as 0.
 constexpr Column<P> kPointColumns[] = {
-    {"algorithm", kText,
-     [](Out o, const P& p) { o(core::to_string(p.point.algorithm)); }},
+    {"algorithm", kText, field<&P::point, &S::algorithm>},
     {"family", kText, field<&P::point, &S::family>},
     {"n", kNumber, field<&P::point, &S::n>},
     {"k", kNumber,
      [](Out o, const P& p) { o(p.point.k == 0 ? p.point.n : p.point.k); }},
     {"f", kNumber, field<&P::point, &S::f>},
     {"seed", kNumber, field<&P::point, &S::seed>},
-    {"strategy", kText,
-     [](Out o, const P& p) { o(core::to_string(p.point.strategy)); }},
-    {"mix", kText, [](Out o, const P& p) { o(mix_to_string(p.point.mix)); }},
+    {"strategy", kText, field<&P::point, &S::strategy>},
+    {"mix", kText, field<&P::point, &S::mix>},
     {"derived_seed", kNumber, field<&P::derived_seed>},
     {"ok", kFlag, field<&P::ok>},
     {"rounds", kNumber, field<&P::stats, &R::rounds>},
@@ -124,13 +138,12 @@ constexpr std::size_t kPointCoordinates = 9;
 /// Cell columns: the cell coordinates, then the aggregates over its seeds
 /// and the worst seed's rounds over the row's claimed bound.
 constexpr Column<C> kCellColumns[] = {
-    {"algorithm", kText,
-     [](Out o, const C& c) { o(core::to_string(c.algorithm)); }},
+    {"algorithm", kText, field<&C::algorithm>},
     {"family", kText, field<&C::family>},
     {"n", kNumber, field<&C::n>},
     {"k", kNumber, [](Out o, const C& c) { o(c.k == 0 ? c.n : c.k); }},
     {"f", kNumber, field<&C::f>},
-    {"mix", kText, [](Out o, const C& c) { o(mix_to_string(c.mix)); }},
+    {"mix", kText, field<&C::mix>},
     {"runs", kNumber, field<&C::runs>},
     {"dispersed", kNumber, field<&C::dispersed>},
     {"min_rounds", kNumber, field<&C::min_rounds>},
@@ -142,6 +155,53 @@ constexpr Column<C> kCellColumns[] = {
     {"mean_seconds", kNumber, field<&C::mean_seconds>},
     {"max_bound_ratio", kNumber,
      [](Out o, const C& c) { o(max_bound_ratio(c)); }},
+};
+
+/// A checkpoint row: the member at a path, printed by its type (unless
+/// `print` says otherwise) and read back by `find`, that type's strict
+/// parser.
+template <auto find, auto... path>
+constexpr Column<P> stored(const char* name, ColumnKind kind,
+                           void (*print)(Out, const P&) = field<path...>) {
+  return {name, kind, print,
+          [](const std::string& line, const char* key, P& p) {
+            return find(line, key, (p .* ... .* path));
+          }};
+}
+
+/// Checkpoint body columns (v2), after the `"v"`/`"spec"` head. Separate
+/// from the point table on purpose: k is stored raw, skipped points keep
+/// every outcome field, resumes/all_honest_done are recorded, and seconds
+/// print at max_digits10 so they round-trip bit-exactly.
+constexpr Column<P> kCheckpointColumns[] = {
+    stored<find_named<core::algorithm_from_string>, &P::point,
+           &S::algorithm>("algorithm", kText),
+    stored<find_string, &P::point, &S::family>("family", kText),
+    stored<find_u32, &P::point, &S::n>("n", kNumber),
+    stored<find_u32, &P::point, &S::k>("k", kNumber),
+    stored<find_u32, &P::point, &S::f>("f", kNumber),
+    stored<find_u64, &P::point, &S::seed>("seed", kNumber),
+    stored<find_named<core::strategy_from_string>, &P::point,
+           &S::strategy>("strategy", kText),
+    stored<find_named<mix_from_string>, &P::point, &S::mix>("mix", kText),
+    stored<find_u64, &P::derived_seed>("derived_seed", kNumber),
+    stored<find_bool, &P::skipped>("skipped", kFlag),
+    stored<find_string, &P::skip_reason>("skip_reason", kText),
+    stored<find_bool, &P::saturated>("saturated", kFlag),
+    stored<find_bool, &P::ok>("ok", kFlag),
+    stored<find_string, &P::detail>("detail", kText),
+    stored<find_round, &P::stats, &R::rounds>("rounds", kNumber),
+    stored<find_u64, &P::stats, &R::simulated_rounds>("simulated_rounds",
+                                                      kNumber),
+    stored<find_u64, &P::stats, &R::resumes>("resumes", kNumber),
+    stored<find_u64, &P::stats, &R::moves>("moves", kNumber),
+    stored<find_u64, &P::stats, &R::messages>("messages", kNumber),
+    stored<find_bool, &P::stats, &R::all_honest_done>("all_honest_done",
+                                                      kFlag),
+    stored<find_round, &P::planned_rounds>("planned_rounds", kNumber),
+    stored<find_double, &P::seconds>(
+        "seconds", kNumber,
+        [](Out o, const P& p) { o.os << exact_double(p.seconds); }),
 };
 
 template <typename Record>
@@ -295,26 +355,9 @@ void write_checkpoint_line(std::ostream& os, const PointResult& p,
   // `saturated` flag is recorded. v1 lines (64-bit rounds) parse to
   // nullopt on load, so checkpoints written before the Round widening
   // re-run instead of silently importing possibly-capped counts.
-  os << "{\"v\": 2, \"spec\": " << spec_fingerprint << ", \"algorithm\": \""
-     << json::escape(core::to_string(p.point.algorithm)) << "\", \"family\": \""
-     << json::escape(p.point.family) << "\", \"n\": " << p.point.n
-     << ", \"k\": " << p.point.k << ", \"f\": " << p.point.f
-     << ", \"seed\": " << p.point.seed << ", \"strategy\": \""
-     << json::escape(core::to_string(p.point.strategy)) << "\", \"mix\": \""
-     << json::escape(mix_to_string(p.point.mix))
-     << "\", \"derived_seed\": " << p.derived_seed
-     << ", \"skipped\": " << (p.skipped ? "true" : "false")
-     << ", \"skip_reason\": \"" << json::escape(p.skip_reason)
-     << "\", \"saturated\": " << (p.saturated ? "true" : "false")
-     << ", \"ok\": " << (p.ok ? "true" : "false") << ", \"detail\": \""
-     << json::escape(p.detail) << "\", \"rounds\": " << p.stats.rounds
-     << ", \"simulated_rounds\": " << p.stats.simulated_rounds
-     << ", \"resumes\": " << p.stats.resumes
-     << ", \"moves\": " << p.stats.moves
-     << ", \"messages\": " << p.stats.messages << ", \"all_honest_done\": "
-     << (p.stats.all_honest_done ? "true" : "false")
-     << ", \"planned_rounds\": " << p.planned_rounds << ", \"seconds\": "
-     << exact_double(p.seconds) << "}\n";
+  os << "{\"v\": 2, \"spec\": " << spec_fingerprint;
+  write_fields<P>({os, true}, kCheckpointColumns, p, ", ");
+  os << "}\n";
 }
 
 void append_checkpoint_line(std::ostream& os, const std::string& path,
@@ -329,53 +372,26 @@ void append_checkpoint_line(std::ostream& os, const std::string& path,
 }
 
 std::optional<CheckpointEntry> parse_checkpoint_line(const std::string& line) {
-  // A complete record is one whole object: it must both open with '{' and
-  // end with '}' (modulo trailing whitespace). A torn tail from a crash
-  // mid-write fails here even when the truncated prefix happens to contain
-  // every key and a '}' inside an escaped string — prefix parses must never
-  // resurface as results.
-  std::size_t end = line.size();
-  while (end > 0 && (line[end - 1] == ' ' || line[end - 1] == '\r')) --end;
-  if (end == 0 || line.front() != '{' || line[end - 1] != '}')
-    return std::nullopt;
-  std::uint64_t version = 0;
-  if (!json::find_u64(line, "v", version) || version != 2) return std::nullopt;
-
   CheckpointEntry entry;
-  PointResult& p = entry.result;
-  std::string algorithm, strategy, mix_text;
-  if (!json::find_u64(line, "spec", entry.spec) ||
-      !json::find_string(line, "algorithm", algorithm) ||
-      !json::find_string(line, "family", p.point.family) ||
-      !json::find_u32(line, "n", p.point.n) ||
-      !json::find_u32(line, "k", p.point.k) ||
-      !json::find_u32(line, "f", p.point.f) ||
-      !json::find_u64(line, "seed", p.point.seed) ||
-      !json::find_string(line, "strategy", strategy) ||
-      !json::find_string(line, "mix", mix_text) ||
-      !json::find_u64(line, "derived_seed", p.derived_seed) ||
-      !json::find_bool(line, "skipped", p.skipped) ||
-      !json::find_string(line, "skip_reason", p.skip_reason) ||
-      !json::find_bool(line, "saturated", p.saturated) ||
-      !json::find_bool(line, "ok", p.ok) ||
-      !json::find_string(line, "detail", p.detail) ||
-      !find_round(line, "rounds", p.stats.rounds) ||
-      !json::find_u64(line, "simulated_rounds", p.stats.simulated_rounds) ||
-      !json::find_u64(line, "resumes", p.stats.resumes) ||
-      !json::find_u64(line, "moves", p.stats.moves) ||
-      !json::find_u64(line, "messages", p.stats.messages) ||
-      !json::find_bool(line, "all_honest_done", p.stats.all_honest_done) ||
-      !find_round(line, "planned_rounds", p.planned_rounds) ||
-      !json::find_double(line, "seconds", p.seconds))
+  std::uint64_t version = 0;
+  if (!json::find_u64(line, "v", version) || version != 2 ||
+      !json::find_u64(line, "spec", entry.spec))
     return std::nullopt;
+  for (const Column<P>& c : kCheckpointColumns)
+    if (!c.read(line, c.name, entry.result)) return std::nullopt;
 
-  const auto a = core::algorithm_from_string(algorithm);
-  const auto s = core::strategy_from_string(strategy);
-  const auto mix = mix_from_string(mix_text);
-  if (!a || !s || !mix) return std::nullopt;
-  p.point.algorithm = *a;
-  p.point.strategy = *s;
-  p.point.mix = *mix;
+  // Canonical rule: the line must be exactly what the writer emits for the
+  // parsed entry (trailing spaces and '\r' aside). A torn tail, two
+  // records spliced into one line, reordered, duplicated or extra keys and
+  // altered spacing all fail here, so a parse never mixes two points.
+  std::string_view body = line;
+  while (!body.empty() && (body.back() == ' ' || body.back() == '\r'))
+    body.remove_suffix(1);
+  std::ostringstream canonical;
+  write_checkpoint_line(canonical, entry.result, entry.spec);
+  std::string_view expected = canonical.view();
+  expected.remove_suffix(1);  // the writer's '\n'
+  if (body != expected) return std::nullopt;
   return entry;
 }
 

@@ -65,9 +65,13 @@ void write_json(std::ostream& os, const SweepResult& result);
 
 // ---------------------------------------------------------------------------
 // Resumable-sweep checkpoints (JSON lines, one self-contained object per
-// completed point). The writer and parser are a matched pair: the parser
-// accepts exactly what the writer emits (plus whitespace tolerance), so no
-// external JSON dependency is needed, and every field of PointResult —
+// completed point). The record's keys are declared once, as an ordered
+// table in report.cpp (kCheckpointColumns: key, printer and parser per
+// row) that both the writer and the parser walk. The parser accepts a line
+// only if re-emitting what it parsed reproduces the line byte for byte
+// (trailing spaces and '\r' aside), so it accepts exactly what the writer
+// emits: a torn tail, two records spliced into one line, or reordered,
+// duplicated or extra keys are malformed. Every field of PointResult —
 // including RunStats and wall seconds — round-trips bit-exactly.
 // ---------------------------------------------------------------------------
 
@@ -85,7 +89,8 @@ void write_checkpoint_line(std::ostream& os, const PointResult& p,
                            std::uint64_t spec_fingerprint);
 
 /// Parse one checkpoint line; nullopt on malformed/foreign lines (a
-/// truncated tail line from a crashed run is ignored, not fatal).
+/// truncated tail line from a crashed run is ignored, not fatal) and on
+/// any line the writer would not have emitted byte for byte.
 [[nodiscard]] std::optional<CheckpointEntry> parse_checkpoint_line(
     const std::string& line);
 

@@ -102,6 +102,15 @@ bool common_graphs_need_trivial_quotient(const SweepSpec& spec) {
                      });
 }
 
+/// True when the file is non-empty and its last byte is not a newline: a
+/// record torn by a crash mid-append.
+bool ends_mid_line(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in || in.tellg() <= 0) return false;
+  in.seekg(-1, std::ios::end);
+  return in.get() != '\n';
+}
+
 }  // namespace
 
 const std::vector<std::string>& known_families() {
@@ -465,10 +474,14 @@ SweepExecutor::SweepExecutor(const SweepSpec& spec)
     if (have_[i]) agg_.add(i, result_.points[i]);
 
   if (!spec_.checkpoint_path.empty() && !todo_.empty()) {
+    // Terminate a torn tail first, so the next record starts its own line
+    // instead of splicing onto the fragment (which then fails to parse).
+    const bool torn_tail = ends_mid_line(spec_.checkpoint_path);
     checkpoint_.open(spec_.checkpoint_path, std::ios::app);
     if (!checkpoint_)
       throw std::runtime_error("cannot open checkpoint " +
                                spec_.checkpoint_path);
+    if (torn_tail) checkpoint_ << '\n';
   }
 }
 

@@ -2,9 +2,10 @@
 // truncated at EVERY byte offset of its final record (what a crash or full
 // disk mid-append leaves behind) must load all preceding records, skip the
 // torn tail loudly (counted, surfaced in the report), and never fabricate
-// a result from a prefix. Plus the append-side guarantee: a failed write
-// (full disk, closed descriptor) throws an error naming the path instead
-// of silently losing the point.
+// a result from a prefix — nor from a torn record spliced onto the next
+// one. Plus the append-side guarantees: a resume terminates a torn tail
+// before appending, and a failed write (full disk, closed descriptor)
+// throws an error naming the path instead of silently losing the point.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -131,6 +132,73 @@ TEST(CheckpointTorn, ResumeFromTornTailReRunsAndSurfacesCount) {
   EXPECT_NE(json.str().find("\"torn_checkpoint_lines\": 1"),
             std::string::npos)
       << "the loss must be loud in the report";
+  std::remove(spec.checkpoint_path.c_str());
+}
+
+// Resuming from a torn tail appends the re-run point on a line of its own:
+// the torn fragment is terminated first, so a reload sees the two intact
+// records, the fragment (malformed) and the re-run record. A clean
+// checkpoint gains no bytes.
+TEST(CheckpointTorn, ResumeFromTornTailAppendsOnItsOwnLine) {
+  SweepSpec spec = small_spec();
+  spec.checkpoint_path = temp_path("torn_append.jsonl");
+  std::remove(spec.checkpoint_path.c_str());
+  (void)run_sweep(spec);
+  const std::uint64_t fp = spec_fingerprint(spec);
+  const std::string content = slurp(spec.checkpoint_path);
+  const std::size_t last_start = content.rfind('\n', content.size() - 2) + 1;
+  const auto rewrite = [&](const std::string& text) {
+    std::ofstream os(spec.checkpoint_path,
+                     std::ios::binary | std::ios::trunc);
+    os << text;
+  };
+
+  rewrite(content.substr(0, last_start + (content.size() - last_start) / 2));
+  EXPECT_EQ(run_sweep(spec).torn_checkpoint_lines, 1u);
+  std::istringstream reloaded(slurp(spec.checkpoint_path));
+  CheckpointLoadStats stats;
+  (void)load_checkpoint(reloaded, fp, &stats);
+  EXPECT_EQ(stats.loaded, 3u);
+  EXPECT_EQ(stats.malformed, 1u);
+
+  // A clean cut between records: the re-run point is the only new bytes.
+  rewrite(content.substr(0, last_start));
+  EXPECT_EQ(run_sweep(spec).torn_checkpoint_lines, 0u);
+  EXPECT_EQ(slurp(spec.checkpoint_path), content);
+  std::remove(spec.checkpoint_path.c_str());
+}
+
+// Splice tier: a torn record X with the next record Y appended onto it
+// (shard files concatenated after a crash, or an append after a torn
+// tail) is one line X[:cut] + Y. For every cut it must never load an entry
+// with X's derived seed, and for every cut > 0 it is malformed — never a
+// clean entry mixing the two points' fields.
+TEST(CheckpointTorn, SplicedRecordsNeverLoadAsOne) {
+  SweepSpec spec = small_spec();
+  spec.checkpoint_path = temp_path("torn_splice.jsonl");
+  std::remove(spec.checkpoint_path.c_str());
+  (void)run_sweep(spec);
+  const std::uint64_t fp = spec_fingerprint(spec);
+  std::istringstream records(slurp(spec.checkpoint_path));
+  std::string x, y;
+  ASSERT_TRUE(std::getline(records, x));
+  ASSERT_TRUE(std::getline(records, y));
+  const auto x_entry = parse_checkpoint_line(x);
+  const auto y_entry = parse_checkpoint_line(y);
+  ASSERT_TRUE(x_entry && y_entry);
+  const std::uint64_t x_seed = x_entry->result.derived_seed;
+  ASSERT_NE(x_seed, y_entry->result.derived_seed);
+
+  for (std::size_t cut = 0; cut <= x.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    std::istringstream spliced(x.substr(0, cut) + y + "\n");
+    CheckpointLoadStats stats;
+    const auto loaded = load_checkpoint(spliced, fp, &stats);
+    EXPECT_FALSE(loaded.contains(x_seed));
+    EXPECT_EQ(stats.foreign, 0u);
+    EXPECT_EQ(stats.malformed, cut > 0 ? 1u : 0u);
+    EXPECT_EQ(stats.loaded, cut > 0 ? 0u : 1u);
+  }
   std::remove(spec.checkpoint_path.c_str());
 }
 

@@ -61,25 +61,37 @@ SweepSpec conformance_spec(unsigned threads) {
   return spec;
 }
 
+/// Every PointResult field, compared one by one.
+void expect_same_result(const PointResult& a, const PointResult& b) {
+  EXPECT_EQ(a.point.algorithm, b.point.algorithm);
+  EXPECT_EQ(a.point.family, b.point.family);
+  EXPECT_EQ(a.point.n, b.point.n);
+  EXPECT_EQ(a.point.k, b.point.k);
+  EXPECT_EQ(a.point.f, b.point.f);
+  EXPECT_EQ(a.point.seed, b.point.seed);
+  EXPECT_EQ(a.point.strategy, b.point.strategy);
+  EXPECT_EQ(a.point.mix, b.point.mix);
+  EXPECT_EQ(a.derived_seed, b.derived_seed);
+  EXPECT_EQ(a.skipped, b.skipped);
+  EXPECT_EQ(a.skip_reason, b.skip_reason);
+  EXPECT_EQ(a.saturated, b.saturated);
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.detail, b.detail);
+  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
+  EXPECT_EQ(a.stats.simulated_rounds, b.stats.simulated_rounds);
+  EXPECT_EQ(a.stats.resumes, b.stats.resumes);
+  EXPECT_EQ(a.stats.moves, b.stats.moves);
+  EXPECT_EQ(a.stats.messages, b.stats.messages);
+  EXPECT_EQ(a.stats.all_honest_done, b.stats.all_honest_done);
+  EXPECT_EQ(a.planned_rounds, b.planned_rounds);
+  EXPECT_EQ(a.seconds, b.seconds);  // bit-exact double
+}
+
 void expect_identical_results(const SweepResult& a, const SweepResult& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     SCOPED_TRACE("point " + std::to_string(i));
-    const PointResult& pa = a.points[i];
-    const PointResult& pb = b.points[i];
-    EXPECT_TRUE(same_point(pa.point, pb.point));
-    EXPECT_EQ(pa.derived_seed, pb.derived_seed);
-    EXPECT_EQ(pa.skipped, pb.skipped);
-    EXPECT_EQ(pa.skip_reason, pb.skip_reason);
-    EXPECT_EQ(pa.ok, pb.ok);
-    EXPECT_EQ(pa.detail, pb.detail);
-    EXPECT_EQ(pa.stats.rounds, pb.stats.rounds);
-    EXPECT_EQ(pa.stats.simulated_rounds, pb.stats.simulated_rounds);
-    EXPECT_EQ(pa.stats.resumes, pb.stats.resumes);
-    EXPECT_EQ(pa.stats.moves, pb.stats.moves);
-    EXPECT_EQ(pa.stats.messages, pb.stats.messages);
-    EXPECT_EQ(pa.planned_rounds, pb.planned_rounds);
-    EXPECT_EQ(pa.seconds, pb.seconds);
+    expect_same_result(a.points[i], b.points[i]);
   }
   EXPECT_EQ(all_reports(a), all_reports(b));
 }
@@ -221,55 +233,94 @@ TEST(SweepResume, CheckpointOrderIndependence) {
 }
 
 // Checkpoint lines round-trip every PointResult field bit-exactly,
-// including doubles, escaped strings and the mix.
+// including doubles, escaped strings and the mix. Every number and string
+// is distinct and non-default, and across the three points no two flags
+// agree throughout, so a table row reading into the wrong member fails.
 TEST(SweepResume, CheckpointLinesRoundTrip) {
-  PointResult p;
-  p.point = {Algorithm::kRingBaseline, "ring", 8, 12, 3, 7,
-             ByzStrategy::kMapLiar,
-             {ByzStrategy::kCrash, ByzStrategy::kMapLiar}};
-  p.derived_seed = 0xDEADBEEFCAFEF00DULL;
-  p.skipped = false;
-  p.ok = false;
-  p.detail = "node 3 holds 2 honest robots; \"quoted\"\n\ttabbed";
-  p.stats.rounds = 123456789012345ULL;
-  p.stats.simulated_rounds = 42;
-  p.stats.resumes = 99;
-  p.stats.moves = 7;
-  p.stats.messages = 8;
-  p.stats.all_honest_done = true;
-  p.planned_rounds = 77;
-  p.seconds = 0.12345678901234567;
+  PointResult ran;
+  ran.point = {Algorithm::kRingBaseline, "ring", 8, 12, 3, 7,
+               ByzStrategy::kMapLiar,
+               {ByzStrategy::kCrash, ByzStrategy::kMapLiar}};
+  ran.derived_seed = 0xDEADBEEFCAFEF00DULL;
+  ran.skip_reason = "recorded, though the point ran";
+  ran.ok = true;
+  ran.detail = "node 3 holds 2 honest robots; \"quoted\"\n\ttabbed";
+  ran.stats.rounds = 123456789012345ULL;
+  ran.stats.simulated_rounds = 42;
+  ran.stats.resumes = 99;
+  ran.stats.moves = 1001;
+  ran.stats.messages = 2002;
+  ran.stats.all_honest_done = true;
+  ran.planned_rounds = 777777;
+  ran.seconds = 0.12345678901234567;
+  PointResult saturated = ran;
+  saturated.skipped = true;
+  saturated.saturated = true;
+  saturated.ok = false;
+  saturated.stats.all_honest_done = false;
+  saturated.skip_reason = "round bound saturated 128-bit accounting";
+  saturated.planned_rounds = core::Round::saturated();
+  PointResult skipped = ran;
+  skipped.skipped = true;
+  skipped.ok = false;
+  skipped.skip_reason = "k=7, f=1 infeasible";
 
   const std::uint64_t fp = 0x5EEDFACE5EEDFACEULL;
+  for (const PointResult& p : {ran, saturated, skipped}) {
+    SCOPED_TRACE(p.skip_reason);
+    std::ostringstream os;
+    write_checkpoint_line(os, p, fp);
+    std::string line = os.str();
+    ASSERT_EQ(line.back(), '\n');
+    line.pop_back();
+    const auto entry = parse_checkpoint_line(line);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->spec, fp);
+    expect_same_result(p, entry->result);
+  }
+
+  // The v2 bytes are pinned: any drift in the checkpoint table fails here.
+  const std::string pinned =
+      "{\"v\": 2, \"spec\": 6840399173308512974, \"algorithm\": "
+      "\"ring-baseline[34,36]\", \"family\": \"ring\", \"n\": 8, \"k\": 12, "
+      "\"f\": 3, \"seed\": 7, \"strategy\": \"map_liar\", \"mix\": "
+      "\"crash+map_liar\", \"derived_seed\": 16045690984503111693, "
+      "\"skipped\": false, \"skip_reason\": \"recorded, though the point "
+      "ran\", \"saturated\": false, \"ok\": true, \"detail\": \"node 3 "
+      "holds 2 honest robots; \\\"quoted\\\"\\n\\ttabbed\", \"rounds\": "
+      "123456789012345, \"simulated_rounds\": 42, \"resumes\": 99, "
+      "\"moves\": 1001, \"messages\": 2002, \"all_honest_done\": true, "
+      "\"planned_rounds\": 777777, \"seconds\": 0.12345678901234566}";
   std::ostringstream os;
-  write_checkpoint_line(os, p, fp);
-  std::string line = os.str();
-  ASSERT_FALSE(line.empty());
-  ASSERT_EQ(line.back(), '\n');
-  line.pop_back();
-  const auto entry = parse_checkpoint_line(line);
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->spec, fp);
-  const PointResult& q = entry->result;
-  EXPECT_TRUE(same_point(p.point, q.point));
-  EXPECT_EQ(p.derived_seed, q.derived_seed);
-  EXPECT_EQ(p.skipped, q.skipped);
-  EXPECT_EQ(p.ok, q.ok);
-  EXPECT_EQ(p.detail, q.detail);
-  EXPECT_EQ(p.stats.rounds, q.stats.rounds);
-  EXPECT_EQ(p.stats.resumes, q.stats.resumes);
-  EXPECT_EQ(p.stats.all_honest_done, q.stats.all_honest_done);
-  EXPECT_EQ(p.planned_rounds, q.planned_rounds);
-  EXPECT_EQ(p.seconds, q.seconds);  // bit-exact double round-trip
+  write_checkpoint_line(os, ran, fp);
+  EXPECT_EQ(os.str(), pinned + "\n");
+  ASSERT_TRUE(parse_checkpoint_line(pinned).has_value());
+  // Deleting any one key (with its value) makes the line malformed.
+  std::vector<std::size_t> starts = {1};  // each key's opening quote
+  for (std::size_t at = pinned.find(", \""); at != std::string::npos;
+       at = pinned.find(", \"", at + 1))
+    starts.push_back(at + 2);
+  ASSERT_EQ(starts.size(), 24u);  // v, spec and the 22 body keys
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    // The key, its value and one ", " separator (the one before it for
+    // the last key, so the closing brace stays).
+    const bool last = i + 1 == starts.size();
+    const std::size_t from = last ? starts[i] - 2 : starts[i];
+    const std::size_t to = last ? pinned.size() - 1 : starts[i + 1];
+    std::string without = pinned;
+    without.erase(from, to - from);
+    SCOPED_TRACE(without);
+    EXPECT_FALSE(parse_checkpoint_line(without).has_value());
+  }
 
   // A truncated tail (crashed writer) parses as nothing, not garbage.
-  EXPECT_FALSE(parse_checkpoint_line(line.substr(0, line.size() / 2))
+  EXPECT_FALSE(parse_checkpoint_line(pinned.substr(0, pinned.size() / 2))
                    .has_value());
   EXPECT_FALSE(parse_checkpoint_line("").has_value());
   std::istringstream stream(os.str() + "half a line {\"v\": 1");
   const auto loaded = load_checkpoint(stream, fp);
   ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_TRUE(loaded.contains(p.derived_seed));
+  EXPECT_TRUE(loaded.contains(ran.derived_seed));
   // Entries from a sweep with different spec knobs are filtered out.
   std::istringstream other(os.str());
   EXPECT_TRUE(load_checkpoint(other, fp + 1).empty());
