@@ -7,7 +7,9 @@
 //    passes (path/ring: the single port "defect" propagates one hop per
 //    pass) and random graphs that shatter into singletons quickly;
 //  * engine sub-round scheduling (sim/engine.cpp) via mid-size scenario
-//    points, where per-round work — not the protocol — dominates;
+//    points, where per-round work — not the protocol — dominates, plus
+//    two smallest-ID three-group points (crash, squatter) whose honest
+//    tokens mostly sleep in sim::Ctx::await_delivery;
 //  * tournament pairing windows (core/tournament_dispersion.cpp), batched
 //    and unbatched, so the map-cache/early-close speedup is timed in
 //    isolation and its active-round collapse is gated exactly — plus the
@@ -249,7 +251,30 @@ run::SweepResult engine_points() {
   spec.strategy_overrides[core::Algorithm::kThreeGroupGathered] =
       core::ByzStrategy::kMapLiar;
   spec.sizes = {48, 64};
-  return run::run_sweep(spec);
+  run::SweepResult result = run::run_sweep(spec);
+  // Token-listen rows: with the smallest IDs Byzantine, most three-group
+  // agents are Byzantine, so honest tokens mostly sleep in the engine
+  // (sim::Ctx::await_delivery) instead of listening to silence. The
+  // squatter point uses seed 2: the strategy is not part of the derived
+  // seed, and perfbench looks up the n = 48 map-liar row by that seed.
+  struct Listen {
+    core::ByzStrategy strategy;
+    std::uint32_t n, f;
+    std::uint64_t seed;
+  };
+  for (const Listen& l : {Listen{core::ByzStrategy::kCrash, 64, 20, 1},
+                          Listen{core::ByzStrategy::kSquatter, 48, 15, 2}}) {
+    run::SweepSpec listen = bench::sweep_base();
+    listen.algorithms = {core::Algorithm::kThreeGroupGathered};
+    listen.strategy = l.strategy;
+    listen.sizes = {l.n};
+    listen.byzantine_counts = {l.f};
+    listen.seeds = {l.seed};
+    run::SweepResult r = run::run_sweep(listen);
+    result.points.insert(result.points.end(), r.points.begin(),
+                         r.points.end());
+  }
+  return result;
 }
 
 bool write_to(const char* path, const std::function<void(std::ostream&)>& fn) {

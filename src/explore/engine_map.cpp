@@ -306,7 +306,22 @@ Task<MapFindOutcome> run_map_token(Ctx ctx, MapFindConfig cfg) {
     if (finished || cfg.round_budget - used <=
                         core::Round(home.size() + core::kTokenStepReserve))
       break;
-    co_await ctx.next_subround();  // sub 1: read instructions from sub 0
+    // Sub 1: read instructions from sub 0. Rounds without any instruction
+    // at this node are silent rounds the loop would only count, so sleep
+    // through them in the engine up to the last one that cannot end the
+    // window: the budget's, or while parked early-close, the probing
+    // bound's. An unparked early-close token listens one round, as its
+    // first silent round closes the window.
+    core::Round max_silent =
+        cfg.round_budget - used -
+        core::Round(home.size() + core::kTokenStepReserve) - 1;
+    if (cfg.early_close)
+      max_silent = parked ? std::min(max_silent, parked_silence_bound -
+                                                     parked_silence)
+                          : core::Round(0);
+    co_await ctx.await_delivery(kMsgInstr, max_silent);
+    used += ctx.listened_rounds();
+    parked_silence += ctx.listened_rounds();
     const auto instr =
         believed_payload(ctx.inbox(), kMsgInstr, cfg.agents, cfg.agent_quorum);
     if (!instr.has_value() && cfg.early_close) {

@@ -75,9 +75,8 @@ void Engine::start_programs() {
 
 void Engine::resume_robot(Robot& r) {
   if (r.done) return;
-  ++stats_.resumes;
-  if (stats_.resumes > cfg_.max_resumes)
-    throw std::runtime_error("Engine: resume budget exceeded (livelock?)");
+  account_resumes(1);
+  ++stats_.coroutine_resumes;
   r.leaf.resume();
   if (r.proc.done()) {
     r.done = true;
@@ -85,6 +84,37 @@ void Engine::resume_robot(Robot& r) {
     if (observer_ != nullptr) observer_->on_done(r.id, round_);
     r.proc.rethrow_if_failed();
   }
+}
+
+void Engine::account_resumes(std::uint64_t count) {
+  stats_.resumes += count;
+  if (stats_.resumes > cfg_.max_resumes)
+    throw std::runtime_error("Engine: resume budget exceeded (livelock?)");
+}
+
+void Engine::wake_listeners() {
+  std::size_t kept = 0;
+  for (const std::uint32_t idx : listeners_) {
+    Robot& r = robots_[idx];
+    const Inbox& box = delivered_[r.pos];
+    const bool heard =
+        std::any_of(box.begin(), box.end(),
+                    [&](const Msg& m) { return m.kind == r.listen_kind; });
+    if (!heard && round_ < r.listen_deadline) {
+      listeners_[kept++] = idx;
+      continue;
+    }
+    // Parked at sub-round 0 of round S, woken at sub-round 1 of round W:
+    // the per-round loop would have resumed it at S's sub-round 1, at both
+    // sub-rounds of S+1 .. W-1 and at W's sub-round 0.
+    r.listened = (round_ - r.listen_start).low_u64();
+    account_resumes(2 * r.listened - r.listen_accounted);
+    runnable_.push_back(idx);
+  }
+  listeners_.resize(kept);
+  // Woken robots run among this sub-round's others in ID order.
+  if (!std::is_sorted(runnable_.begin(), runnable_.end()))
+    std::sort(runnable_.begin(), runnable_.end());
 }
 
 void Engine::release_inbox(Inbox& box) {
@@ -108,13 +138,17 @@ void Engine::run_subrounds() {
     delivered_dirty_.swap(pending_dirty_);
 
     const bool had_messages = !delivered_dirty_.empty();
+    if (subround_ == 1 && !listeners_.empty()) wake_listeners();
     const bool anyone = !runnable_.empty();
     for (const std::uint32_t idx : runnable_) resume_robot(robots_[idx]);
     runnable_.swap(next_runnable_);
     next_runnable_.clear();
     // Nothing scheduled for later sub-rounds and no information in flight:
-    // the rest of the round is empty.
-    if (!anyone && !had_messages && pending_dirty_.empty()) break;
+    // the rest of the round is empty. Listeners are checked at sub-round 1
+    // of every round, so sub-round 0 never ends a round they sleep in.
+    if (!anyone && !had_messages && pending_dirty_.empty() &&
+        (subround_ != 0 || listeners_.empty()))
+      break;
   }
   // Broadcasts from the final sub-round have no next sub-round to land in;
   // they are dropped (protocols know the sub-round budget).
@@ -161,10 +195,12 @@ RunStats Engine::run(Round max_rounds) {
   stats_ = RunStats{};
   while (round_ < max_rounds) {
     if (honest_all_done()) break;
-    if (next_round_.empty() && wake_queue_.empty()) break;
+    // Listeners hold every round, as their per-round loop would.
+    const bool nobody_next = next_round_.empty() && listeners_.empty();
+    if (nobody_next && wake_queue_.empty()) break;
     // Fast-forward stretches where nobody is scheduled (bucket empty =>
     // everybody sleeps until at least the heap's earliest wake).
-    if (next_round_.empty()) {
+    if (nobody_next) {
       const Round wake = wake_queue_.top().first;
       if (wake > round_) {
         round_ = std::min(wake, max_rounds);
@@ -196,6 +232,16 @@ RunStats Engine::run(Round max_rounds) {
     run_subrounds();
     apply_moves();
     round_ += 1;
+  }
+  // Listeners still asleep owe the resumes of the rounds run since they
+  // parked: their per-round loop would have run S's sub-round 1 and both
+  // sub-rounds of S+1 .. round_-1. Accounted before the ambient drain,
+  // whose resumes come after the loop's on the per-round path too.
+  for (const std::uint32_t idx : listeners_) {
+    Robot& r = robots_[idx];
+    const std::uint64_t owed = 2 * (round_ - r.listen_start).low_u64() - 1;
+    account_resumes(owed - r.listen_accounted);
+    r.listen_accounted = owed;
   }
   // Drain parked ambient robots: one final resume each (with draining_
   // set) replays any rounds fast-forwarded past after their last live

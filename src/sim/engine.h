@@ -178,6 +178,23 @@ class Ctx {
   /// the robot runs live in every round, so the observer sees all of its
   /// messages and moves, and it never has a gap to replay or a drain.
   [[nodiscard]] auto end_round_ambient(std::optional<Port> port);
+  /// Called at sub-round 0: behaves like next_subround(), but the robot
+  /// sleeps, staying put, through every round in which no message of
+  /// `kind` reaches its node in sub-round 0. It resumes at sub-round 1 of
+  /// the first round whose sub-round 1 inbox at its node holds a `kind`
+  /// message, and at the latest at sub-round 1 of round
+  /// ctx.round() + max_silent. listened_rounds() then says how many whole
+  /// rounds it slept through. Those rounds count toward RunStats::resumes
+  /// exactly as the per-round loop (next_subround, inbox scan, end_round)
+  /// would have counted them, two per round, also when the run ends
+  /// mid-wait. While any robot sleeps here the engine neither fast-forwards
+  /// nor ends the run for lack of scheduled robots. With an observer
+  /// attached, with max_silent == 0, anywhere but sub-round 0, or with
+  /// fewer than two sub-rounds it is a plain next_subround().
+  [[nodiscard]] auto await_delivery(std::uint32_t kind, Round max_silent);
+  /// Whole rounds the last await_delivery slept through (0 after a plain
+  /// next_subround()).
+  [[nodiscard]] std::uint64_t listened_rounds() const;
 
   // --- ambient replay accounting ---------------------------------------
   /// Account one fast-forwarded round on behalf of a parked ambient
@@ -250,7 +267,14 @@ struct EngineConfig {
 struct RunStats {
   Round rounds = 0;                    ///< rounds elapsed (incl. fast-forwarded)
   std::uint64_t simulated_rounds = 0;  ///< rounds actually iterated
-  std::uint64_t resumes = 0;           ///< robot coroutine resumptions
+  /// Robot activations of the per-round schedule: coroutine resumptions
+  /// plus the rounds accounted on a robot's behalf instead (ambient
+  /// replay, await_delivery sleeps), so it does not depend on how the
+  /// engine skipped them. Counts toward EngineConfig::max_resumes.
+  std::uint64_t resumes = 0;
+  /// Coroutine resumptions actually performed (resume_robot calls); the
+  /// part of `resumes` that cost a context switch.
+  std::uint64_t coroutine_resumes = 0;
   std::uint64_t moves = 0;             ///< edge traversals performed
   std::uint64_t messages = 0;          ///< broadcasts delivered
   bool all_honest_done = false;
@@ -294,7 +318,13 @@ class Engine {
   friend class Ctx;
   friend struct detail::WakeAwaiter;
 
-  enum class WakeKind : std::uint8_t { kSubround, kEndRound, kSleep, kAmbient };
+  enum class WakeKind : std::uint8_t {
+    kSubround,
+    kEndRound,
+    kSleep,
+    kAmbient,
+    kListen,
+  };
 
   /// Engine-side per-robot state. The program coroutine is resumed only via
   /// resume_robot(); between resumptions `wake` describes when it runs next.
@@ -320,9 +350,18 @@ class Engine {
     // Innermost suspended coroutine; the engine resumes this, not the
     // root, so protocols can nest phases as Task<T> children.
     std::coroutine_handle<> leaf;
+    // kListen: the watched message kind, the round the robot parked in,
+    // the last round it may sleep through, and the resumes accounted for
+    // it so far (run end accounts the rounds already passed).
+    std::uint32_t listen_kind = 0;
+    Round listen_start = 0;
+    Round listen_deadline = 0;
+    std::uint64_t listen_accounted = 0;
+    std::uint64_t listened = 0;  ///< Ctx::listened_rounds()
   };
   void set_command(std::uint32_t idx, WakeKind kind, std::optional<Port> port,
-                   Round rounds, std::coroutine_handle<> leaf);
+                   Round rounds, std::uint32_t listen_kind,
+                   std::coroutine_handle<> leaf);
 
   /// Per-node inbox. Co-location counts are tiny on dispersive paths, so a
   /// few inline slots cover the common case; gathered-phase rally nodes
@@ -335,6 +374,12 @@ class Engine {
   void apply_moves();
   [[nodiscard]] bool honest_all_done() const { return honest_live_ == 0; }
   void resume_robot(Robot& r);
+  /// Add `count` resumes accounted on a robot's behalf, throwing like
+  /// resume_robot when they exhaust the budget.
+  void account_resumes(std::uint64_t count);
+  /// Sub-round 1: move every listener that hears its kind, or reached its
+  /// deadline, into runnable_ (ID order) with its slept rounds accounted.
+  void wake_listeners();
   /// Clear an inbox, recycling unique payload blocks into the pool.
   void release_inbox(Inbox& box);
   void push_msg(std::uint32_t idx, RobotId claimed, std::uint32_t kind,
@@ -376,6 +421,10 @@ class Engine {
   /// the honest robots finishing.
   std::vector<std::uint32_t> ambient_;
   bool draining_ = false;
+  /// Robots sleeping in await_delivery, checked at every sub-round 1.
+  /// Nonempty, they keep every round simulated, as the per-round loop's
+  /// next_round_ entries would.
+  std::vector<std::uint32_t> listeners_;
   /// Robots participating in the current / next sub-round, in ID order.
   std::vector<std::uint32_t> runnable_, next_runnable_;
   /// Robots that chose a port this round (sorted before applying).
@@ -398,18 +447,19 @@ class Engine {
 };
 
 namespace detail {
-/// Shared awaiter for all three suspension kinds; records the robot's wish
-/// in the engine and yields control back to the scheduler.
+/// Shared awaiter for every suspension kind; records the robot's wish in
+/// the engine and yields control back to the scheduler.
 struct WakeAwaiter {
   Engine* engine;
   std::uint32_t idx;
   Engine::WakeKind kind;
   std::optional<Port> port;
   Round rounds;
+  std::uint32_t listen_kind = 0;
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
-    engine->set_command(idx, kind, port, rounds, h);
+    engine->set_command(idx, kind, port, rounds, listen_kind, h);
   }
   void await_resume() const noexcept {}
 };
@@ -417,11 +467,19 @@ struct WakeAwaiter {
 
 inline void Engine::set_command(std::uint32_t idx, WakeKind kind,
                                 std::optional<Port> port, Round rounds,
+                                std::uint32_t listen_kind,
                                 std::coroutine_handle<> leaf) {
   // Observed runs keep ambient robots live (see Ctx::end_round_ambient).
   if (kind == WakeKind::kAmbient && observer_ != nullptr)
     kind = WakeKind::kEndRound;
   Robot& r = robots_[idx];
+  if (kind == WakeKind::kListen) {
+    r.listened = 0;
+    // Ctx::await_delivery's plain-next_subround cases.
+    if (observer_ != nullptr || rounds == 0 || subround_ != 0 ||
+        subround_count() < 2)
+      kind = WakeKind::kSubround;
+  }
   r.wake = kind;
   r.leaf = leaf;
   r.move = std::nullopt;
@@ -450,6 +508,15 @@ inline void Engine::set_command(std::uint32_t idx, WakeKind kind,
       r.wake_round = round_ + 1;
       ambient_.push_back(idx);
       if (port.has_value()) movers_.push_back(idx);
+      break;
+    case WakeKind::kListen:
+      // Park outside every wake queue until wake_listeners() finds a
+      // delivery of `listen_kind` at the robot's node or the deadline.
+      r.listen_kind = listen_kind;
+      r.listen_start = round_;
+      r.listen_deadline = round_ + rounds;
+      r.listen_accounted = 0;
+      listeners_.push_back(idx);
       break;
   }
 }
@@ -494,6 +561,15 @@ inline auto Ctx::sleep_rounds(Round rounds) {
 inline auto Ctx::end_round_ambient(std::optional<Port> port) {
   return detail::WakeAwaiter{engine_, idx_, Engine::WakeKind::kAmbient, port,
                              0};
+}
+
+inline auto Ctx::await_delivery(std::uint32_t kind, Round max_silent) {
+  return detail::WakeAwaiter{engine_,      idx_,      Engine::WakeKind::kListen,
+                             std::nullopt, max_silent, kind};
+}
+
+inline std::uint64_t Ctx::listened_rounds() const {
+  return engine_->robots_[idx_].listened;
 }
 
 }  // namespace bdg::sim

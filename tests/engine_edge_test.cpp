@@ -1,10 +1,16 @@
 // Engine edge semantics: sub-round budget exhaustion, message drops at
-// round boundaries, livelock guards, multi-call run() behavior, and the
-// batched ambient replay kernel against its per-round definition.
+// round boundaries, livelock guards, multi-call run() behavior, the
+// batched ambient replay kernel against its per-round definition, and
+// await_delivery against the per-round listen loop it replaces.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <stdexcept>
 
 #include "graph/generators.h"
 #include "sim/engine.h"
+#include "sim/task.h"
 
 namespace bdg::sim {
 namespace {
@@ -374,6 +380,264 @@ TEST(EngineEdge, AmbientWalkThrowsAtTheSameStepAsThePerRoundLoop) {
     const WalkEnd exact = run_walker(g, wc, /*kernel=*/true, 1001);
     EXPECT_FALSE(exact.threw);
     EXPECT_EQ(exact.stats.resumes, 1001u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ctx::await_delivery against its definition: twin engines, one listener
+// sleeping in the engine, the other polling every round (next_subround,
+// inbox scan, end_round). Every RunStats count, every position and every
+// wake must match, and a resume budget must throw in exactly the same runs.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kWatched = 40;
+constexpr std::uint32_t kOther = 41;
+
+bool holds_kind(std::span<const Msg> inbox, std::uint32_t kind) {
+  return std::any_of(inbox.begin(), inbox.end(),
+                     [&](const Msg& m) { return m.kind == kind; });
+}
+
+/// Called at sub-round 0: returns at sub-round 1 of the first round whose
+/// inbox holds a kWatched message, or of the round `max_silent` rounds on,
+/// with the silent rounds before it counted. engine_wait sleeps in
+/// await_delivery (looping, as its callers must, when an observer turns it
+/// into a plain next_subround); otherwise the per-round loop polls.
+Task<std::uint64_t> listen(Ctx ctx, bool engine_wait, std::uint64_t max_silent) {
+  std::uint64_t silent = 0;
+  for (;;) {
+    if (engine_wait) {
+      co_await ctx.await_delivery(kWatched, max_silent - silent);
+      silent += ctx.listened_rounds();
+    } else {
+      co_await ctx.next_subround();
+    }
+    if (silent == max_silent || holds_kind(ctx.inbox(), kWatched))
+      co_return silent;
+    co_await ctx.end_round(std::nullopt);
+    ++silent;
+  }
+}
+
+/// What the listener saw at one wake: the round, the silent rounds before
+/// it, the kinds at sub-round 1 and the sources at sub-round 2 (after its
+/// own sub-round 1 reply, so the order pins who ran first at sub-round 1).
+struct Wake {
+  Round round = 0;
+  std::uint64_t silent = 0;
+  std::vector<std::uint32_t> kinds;
+  std::vector<std::uint32_t> sources;
+  bool operator==(const Wake&) const = default;
+};
+
+Proc listener(Ctx ctx, bool engine_wait, std::vector<std::uint64_t> waits,
+              std::vector<Wake>* log) {
+  for (const std::uint64_t max_silent : waits) {
+    Wake w;
+    w.silent = co_await listen(ctx, engine_wait, max_silent);
+    w.round = ctx.round();
+    for (const Msg& m : ctx.inbox()) w.kinds.push_back(m.kind);
+    ctx.broadcast(kOther);
+    co_await ctx.next_subround();
+    for (const Msg& m : ctx.inbox()) w.sources.push_back(m.source);
+    log->push_back(std::move(w));
+    co_await ctx.end_round(std::nullopt);
+  }
+}
+
+/// One broadcast of a talker: at `round`, sub-round `sub`, then the round
+/// ends with `move`.
+struct Say {
+  Round round = 0;
+  std::uint32_t sub = 0;
+  std::uint32_t kind = kWatched;
+  std::optional<Port> move;
+};
+
+Proc talker(Ctx ctx, std::vector<Say> script) {
+  for (const Say& s : script) {
+    if (ctx.round() < s.round) co_await ctx.sleep_rounds(s.round - ctx.round());
+    while (ctx.subround() < s.sub) co_await ctx.next_subround();
+    ctx.broadcast(s.kind);
+    co_await ctx.end_round(s.move);
+  }
+}
+
+/// Robots on make_path(3): talker 1 and talker 3 share node 0 with the
+/// listener (ID 2), talker 4 starts at node 2.
+struct ListenCase {
+  std::vector<std::uint64_t> waits;
+  std::vector<Say> t1, t3, t4;
+  std::vector<Round> run_to = {400};  ///< one run() per entry
+  std::uint64_t max_resumes = 1'000'000;
+};
+
+struct ListenEnd {
+  std::vector<RunStats> stats;  ///< one per completed run()
+  bool threw = false;
+  std::vector<NodeId> pos;
+  std::vector<Wake> log;
+};
+
+ListenEnd run_listen(const ListenCase& c, bool engine_wait,
+                     Observer* observer = nullptr) {
+  const Graph g = make_path(3);
+  EngineConfig cfg;
+  cfg.max_resumes = c.max_resumes;
+  Engine eng(g, cfg);
+  eng.set_observer(observer);
+  ListenEnd end;
+  eng.add_robot(2, Faultiness::kHonest, 0, [&](Ctx x) {
+    return listener(x, engine_wait, c.waits, &end.log);
+  });
+  eng.add_robot(1, Faultiness::kHonest, 0, [&](Ctx x) { return talker(x, c.t1); });
+  eng.add_robot(3, Faultiness::kHonest, 0, [&](Ctx x) { return talker(x, c.t3); });
+  eng.add_robot(4, Faultiness::kHonest, 2, [&](Ctx x) { return talker(x, c.t4); });
+  try {
+    for (const Round r : c.run_to) end.stats.push_back(eng.run(r));
+  } catch (const std::runtime_error&) {
+    end.threw = true;
+  }
+  for (std::size_t i = 0; i < eng.num_robots(); ++i)
+    end.pos.push_back(eng.robot_position(i));
+  return end;
+}
+
+void expect_same_run(const ListenEnd& wait, const ListenEnd& poll) {
+  EXPECT_EQ(wait.threw, poll.threw);
+  EXPECT_EQ(wait.pos, poll.pos);
+  EXPECT_EQ(wait.log, poll.log);
+  ASSERT_EQ(wait.stats.size(), poll.stats.size());
+  for (std::size_t i = 0; i < poll.stats.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    const RunStats& a = wait.stats[i];
+    const RunStats& b = poll.stats[i];
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.simulated_rounds, b.simulated_rounds);
+    EXPECT_EQ(a.resumes, b.resumes);
+    EXPECT_EQ(a.moves, b.moves);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.all_honest_done, b.all_honest_done);
+    EXPECT_LE(a.coroutine_resumes, b.coroutine_resumes);
+    EXPECT_EQ(b.coroutine_resumes, b.resumes);
+  }
+}
+
+/// The twin comparison, plus: an observed await_delivery is the polling
+/// loop itself (every resume real), and a resume budget one short of the
+/// polling run's total throws in both engines while the exact total does
+/// not. Returns the unobserved await_delivery run.
+ListenEnd expect_await_matches_poll(const ListenCase& c) {
+  const ListenEnd poll = run_listen(c, /*engine_wait=*/false);
+  const ListenEnd wait = run_listen(c, /*engine_wait=*/true);
+  expect_same_run(wait, poll);
+  Observer noop;
+  const ListenEnd live = run_listen(c, /*engine_wait=*/true, &noop);
+  expect_same_run(live, poll);
+  if (!live.stats.empty()) {
+    EXPECT_EQ(live.stats.back().coroutine_resumes,
+              poll.stats.back().coroutine_resumes);
+  }
+  if (poll.threw || poll.stats.size() != 1) return wait;
+  for (const std::uint64_t budget :
+       {poll.stats[0].resumes - 1, poll.stats[0].resumes}) {
+    SCOPED_TRACE("max_resumes " + std::to_string(budget));
+    ListenCase tight = c;
+    tight.max_resumes = budget;
+    const ListenEnd tight_poll = run_listen(tight, /*engine_wait=*/false);
+    EXPECT_EQ(tight_poll.threw, budget < poll.stats[0].resumes);
+    expect_same_run(run_listen(tight, /*engine_wait=*/true), tight_poll);
+  }
+  return wait;
+}
+
+TEST(AwaitDelivery, SilentStretchRunsToTheDeadline) {
+  // Nobody talks: the listener wakes at each deadline. Talker 4 sleeps
+  // until round 30, so with the listener asleep in the engine no robot is
+  // scheduled for rounds 1..29, and the engine must not fast-forward them.
+  ListenCase c;
+  c.waits = {5, 0, 12};
+  c.t4 = {{30, 0, kOther, std::nullopt}};
+  const ListenEnd wait = expect_await_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 3u);
+  EXPECT_EQ(wait.log[0].round, Round(5));
+  EXPECT_EQ(wait.log[0].silent, 5u);
+  EXPECT_EQ(wait.log[1].round, Round(6));
+  EXPECT_EQ(wait.log[2].round, Round(19));
+  // Rounds 0..20 run (the listener finishes at 20), 21..29 fast-forward,
+  // talker 4 speaks at 30 and finishes at 31.
+  EXPECT_EQ(wait.stats[0].rounds, Round(32));
+  EXPECT_EQ(wait.stats[0].simulated_rounds, 23u);
+  // 5 + 12 slept rounds, two resumes each, were accounted, not run.
+  EXPECT_EQ(wait.stats[0].resumes - wait.stats[0].coroutine_resumes, 34u);
+}
+
+TEST(AwaitDelivery, WakesWhenTheWatchedKindArrives) {
+  // Talker 1 (a lower ID) sleeps to round 7 and speaks at sub-round 0;
+  // talker 3 (a higher ID) replies at sub-round 1 of the same round, so
+  // the woken listener must run between them.
+  ListenCase c;
+  c.waits = {50, 50};
+  c.t1 = {{7, 0, kWatched, std::nullopt}, {9, 0, kWatched, std::nullopt}};
+  c.t3 = {{7, 1, kOther, std::nullopt}};
+  const ListenEnd wait = expect_await_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 2u);
+  EXPECT_EQ(wait.log[0].round, Round(7));
+  EXPECT_EQ(wait.log[0].silent, 7u);
+  EXPECT_EQ(wait.log[0].kinds, std::vector<std::uint32_t>{kWatched});
+  EXPECT_EQ(wait.log[0].sources, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(wait.log[1].round, Round(9));
+  EXPECT_EQ(wait.log[1].silent, 1u);
+}
+
+TEST(AwaitDelivery, IgnoresOtherKindsLateBroadcastsAndOtherNodes) {
+  // Round 3: another kind at the node. Round 4: the watched kind, but at
+  // sub-round 1 (delivered at sub-round 2). Round 5: the watched kind at
+  // node 2. Talker 4 then walks to node 1 and speaks there in round 8;
+  // talker 1 finally speaks at the listener's node in round 12.
+  ListenCase c;
+  c.waits = {40};
+  c.t1 = {{3, 0, kOther, std::nullopt},
+          {4, 1, kWatched, std::nullopt},
+          {12, 0, kWatched, std::nullopt}};
+  c.t4 = {{5, 0, kWatched, Port{0}}, {8, 0, kWatched, std::nullopt}};
+  const ListenEnd wait = expect_await_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 1u);
+  EXPECT_EQ(wait.log[0].round, Round(12));
+  EXPECT_EQ(wait.log[0].silent, 12u);
+  EXPECT_EQ(wait.pos[3], NodeId{1});
+}
+
+TEST(AwaitDelivery, MaxRoundsCutMidWaitAndSecondRun) {
+  // The first run() ends while the listener sleeps: its rounds are
+  // accounted at run end. The second run() continues the same wait, which
+  // a watched message ends in round 45, and accounts only its own rounds.
+  ListenCase c;
+  c.waits = {100, 3};
+  c.t1 = {{45, 0, kWatched, std::nullopt}};
+  c.run_to = {30, 60, 80};
+  const ListenEnd wait = expect_await_matches_poll(c);
+  ASSERT_EQ(wait.stats.size(), 3u);
+  EXPECT_EQ(wait.stats[0].rounds, Round(30));
+  EXPECT_FALSE(wait.stats[0].all_honest_done);
+  ASSERT_EQ(wait.log.size(), 2u);
+  EXPECT_EQ(wait.log[0].round, Round(45));
+  EXPECT_EQ(wait.log[1].round, Round(49));
+  EXPECT_TRUE(wait.stats[2].all_honest_done);
+}
+
+TEST(AwaitDelivery, ResumeBudgetRunsOutMidWait) {
+  // 100 silent rounds need ~200 resumes: a budget of 60 runs out while
+  // the listener sleeps. Both engines throw, cut by max_rounds or not
+  // (the cut run throws from the run-end accounting).
+  for (const Round cut : {Round(400), Round(50)}) {
+    ListenCase c;
+    c.waits = {100};
+    c.run_to = {cut};
+    c.max_resumes = 60;
+    const ListenEnd poll = run_listen(c, /*engine_wait=*/false);
+    EXPECT_TRUE(poll.threw);
+    expect_same_run(run_listen(c, /*engine_wait=*/true), poll);
   }
 }
 

@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/byzantine.h"
+#include "core/protocol_slack.h"
+#include "core/scenario.h"
 #include "explore/engine_map.h"
 #include "graph/canonical.h"
 #include "graph/generators.h"
+#include "run/sweep.h"
 
 namespace bdg::explore {
 namespace {
@@ -177,6 +181,169 @@ TEST(EngineMapEdge, ActiveRoundsReportedBelowBudget) {
   EXPECT_GT(res.active_rounds, 0u);
   EXPECT_LT(core::Round(res.active_rounds) * 2,
             default_map_window(static_cast<std::uint32_t>(g.n())));
+}
+
+// ---------------------------------------------------------------------------
+// The token's listen step sleeps in the engine (Ctx::await_delivery) through
+// rounds without instructions. A no-op observer turns it back into the
+// per-round listen loop, so observed runs are the oracle.
+// ---------------------------------------------------------------------------
+
+/// A pair-setting agent that speaks only its script: one instruction at
+/// sub-round 0 of each listed round, silent otherwise.
+sim::Proc scripted_agent(sim::Ctx c,
+                         std::vector<std::pair<std::uint64_t, MapOp>> script) {
+  for (const auto& [round, op] : script) {
+    if (c.round() < round) co_await c.sleep_rounds(round - c.round());
+    c.broadcast(kMsgInstr, {static_cast<std::int64_t>(op), 0});
+    std::optional<Port> move;
+    if (op == MapOp::kTMove) move = 0;
+    co_await c.end_round(move);
+  }
+}
+
+struct PairEnd {
+  sim::RunStats stats;
+  MapFindOutcome token;
+  NodeId token_pos = kNoNode;
+};
+
+PairEnd run_scripted_pair(
+    const std::vector<std::pair<std::uint64_t, MapOp>>& script,
+    bool early_close, sim::Observer* observer) {
+  const Graph g = make_ring(6);
+  MapFindConfig cfg;
+  cfg.agents = {1};
+  cfg.tokens = {2};
+  cfg.n = 6;
+  cfg.round_budget = default_map_window(cfg.n);
+  cfg.early_close = early_close;
+  sim::Engine eng(g);
+  eng.set_observer(observer);
+  auto tout = std::make_shared<MapFindOutcome>();
+  eng.add_robot(1, sim::Faultiness::kHonest, 0,
+                [&](sim::Ctx c) { return scripted_agent(c, script); });
+  eng.add_robot(2, sim::Faultiness::kHonest, 0,
+                [=](sim::Ctx c) { return token_wrap(c, cfg, tout); });
+  PairEnd end;
+  end.stats = eng.run(cfg.round_budget + 8);
+  end.token = *tout;
+  end.token_pos = eng.position_of(2);
+  return end;
+}
+
+/// Runs `script` with and without an observer; every count must agree.
+PairEnd expect_observed_pair_matches(
+    const std::vector<std::pair<std::uint64_t, MapOp>>& script,
+    bool early_close) {
+  const PairEnd wait = run_scripted_pair(script, early_close, nullptr);
+  sim::Observer noop;
+  const PairEnd live = run_scripted_pair(script, early_close, &noop);
+  EXPECT_EQ(wait.stats.rounds, live.stats.rounds);
+  EXPECT_EQ(wait.stats.simulated_rounds, live.stats.simulated_rounds);
+  EXPECT_EQ(wait.stats.resumes, live.stats.resumes);
+  EXPECT_EQ(wait.stats.moves, live.stats.moves);
+  EXPECT_EQ(wait.stats.messages, live.stats.messages);
+  EXPECT_EQ(wait.stats.all_honest_done, live.stats.all_honest_done);
+  EXPECT_EQ(wait.token.active_rounds, live.token.active_rounds);
+  EXPECT_EQ(wait.token.aborted, live.token.aborted);
+  EXPECT_EQ(wait.token_pos, live.token_pos);
+  EXPECT_EQ(live.stats.coroutine_resumes, live.stats.resumes);
+  EXPECT_LT(wait.stats.coroutine_resumes, live.stats.coroutine_resumes);
+  return wait;
+}
+
+TEST(TokenListen, ParkedEarlyCloseTokenClosesAtTheSilenceBound) {
+  // The agent parks the token and falls silent: the token sleeps through
+  // exactly the probing bound, closes on the next silent round and goes
+  // home. Sleeping to the budget instead would miss the close.
+  const std::uint64_t bound = 6 * 6 + 2 * 6 + core::kAgentOpReserve;
+  const PairEnd silent =
+      expect_observed_pair_matches({{0, MapOp::kPark}}, /*early_close=*/true);
+  EXPECT_EQ(silent.token.active_rounds, bound + 2);
+  // An instruction after bound - 1 silent rounds restarts the count.
+  const PairEnd noop = expect_observed_pair_matches(
+      {{0, MapOp::kPark}, {bound, MapOp::kNoop}}, /*early_close=*/true);
+  EXPECT_EQ(noop.token.active_rounds, 2 * bound + 2);
+  // Exactly `bound` silent rounds are in-protocol: an attach right after
+  // still reaches the token, whose next silent round then closes it, one
+  // move away from the rally node.
+  const PairEnd attach = expect_observed_pair_matches(
+      {{0, MapOp::kTMove}, {1, MapOp::kPark}, {bound + 2, MapOp::kAttach}},
+      /*early_close=*/true);
+  EXPECT_EQ(attach.token.active_rounds, bound + 4);
+  EXPECT_EQ(attach.token_pos, 0u);
+}
+
+TEST(TokenListen, GroupTokenListensToTheBudget) {
+  // Without early close a silent agent leaves the token listening until
+  // only its walk-home reserve is left.
+  const PairEnd end = expect_observed_pair_matches(
+      {{0, MapOp::kTMove}, {1, MapOp::kPark}}, /*early_close=*/false);
+  EXPECT_EQ(core::Round(end.token.active_rounds + 1 + core::kTokenStepReserve),
+            default_map_window(6));
+  EXPECT_EQ(end.token_pos, 0u);
+}
+
+/// A scenario point and the unobserved simulated_rounds and resumes the
+/// per-round token loop produced on it (recorded before the token slept
+/// in the engine).
+struct ListenPoint {
+  core::Algorithm algorithm;
+  std::uint32_t n;
+  std::uint32_t f;
+  ByzStrategy strategy;
+  std::uint64_t simulated_rounds;
+  std::uint64_t resumes;
+};
+
+TEST(TokenListen, ScenariosKeepThePerRoundCounts) {
+  // Smallest-ID Byzantines make most agents Byzantine, so honest tokens
+  // mostly listen to silence. Crash robots never run again, so there the
+  // observed run matches in every count. The squatter and the map-liar
+  // park ambient, and an observer unparks them too, which adds live
+  // adversary rounds and resumes; there the unobserved counts are pinned.
+  using core::Algorithm;
+  const ListenPoint points[] = {
+      {Algorithm::kThreeGroupGathered, 16, 4, ByzStrategy::kCrash, 35345,
+       776163},
+      {Algorithm::kThreeGroupGathered, 16, 4, ByzStrategy::kSquatter, 35345,
+       917657},
+      {Algorithm::kThreeGroupGathered, 16, 4, ByzStrategy::kMapLiar, 35345,
+       1324640},
+      {Algorithm::kTournamentGathered, 12, 5, ByzStrategy::kMapLiar, 9747,
+       1741517},
+  };
+  for (const ListenPoint& p : points) {
+    SCOPED_TRACE(core::to_string(p.algorithm) + " " +
+                 core::to_string(p.strategy));
+    const auto g = run::build_family_graph("er", p.n, 1,
+                                           /*need_trivial_quotient=*/true,
+                                           /*er_edge_probability=*/0.0);
+    ASSERT_TRUE(g.has_value());
+    core::ScenarioConfig cfg;
+    cfg.algorithm = p.algorithm;
+    cfg.num_byzantine = p.f;
+    cfg.strategy = p.strategy;
+    const core::ScenarioResult wait = core::run_scenario(*g, cfg);
+    sim::Observer noop;
+    cfg.observer = &noop;
+    const core::ScenarioResult live = core::run_scenario(*g, cfg);
+    EXPECT_TRUE(wait.verify.ok()) << wait.verify.detail;
+    EXPECT_EQ(wait.verify.ok(), live.verify.ok());
+    EXPECT_EQ(wait.stats.rounds, live.stats.rounds);
+    EXPECT_EQ(wait.stats.moves, live.stats.moves);
+    EXPECT_EQ(wait.stats.messages, live.stats.messages);
+    EXPECT_EQ(wait.stats.all_honest_done, live.stats.all_honest_done);
+    EXPECT_EQ(wait.stats.simulated_rounds, p.simulated_rounds);
+    EXPECT_EQ(wait.stats.resumes, p.resumes);
+    if (p.strategy == ByzStrategy::kCrash) {
+      EXPECT_EQ(wait.stats.simulated_rounds, live.stats.simulated_rounds);
+      EXPECT_EQ(wait.stats.resumes, live.stats.resumes);
+    }
+    // Most activations of the listening tokens were accounted, not run.
+    EXPECT_LT(2 * wait.stats.coroutine_resumes, wait.stats.resumes);
+  }
 }
 
 }  // namespace

@@ -34,7 +34,10 @@ void usage(std::FILE* to) {
       "  --jitter-seed=S        backoff jitter stream (default 1)\n"
       "  --fault=SPEC           deterministic fault shim on worker sends\n"
       "                         (seed=S,drop=P,delay=P,delay_ms=N,\n"
-      "                         close_after=N,kill_after=N[,hard])\n",
+      "                         close_after=N,kill_after=N[,hard])\n"
+      "A worker runs its leased points one at a time: --threads is\n"
+      "accepted so a worker can share the coordinator's flags, and ignored.\n"
+      "Run more workers to use more cores.\n",
       to);
   run::print_grid_name_lists(to);
 }
@@ -51,6 +54,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   run::SweepSpec& spec = grid.spec;
+  for (int i = 1; i < argc; ++i) {
+    if (run::flag_value(argv[i], "--threads")) {
+      std::fputs(
+          "sweep_worker: --threads is ignored; leased points run one at a "
+          "time (run more workers to use more cores)\n",
+          stderr);
+      break;
+    }
+  }
   try {
     for (const std::string& arg : grid.leftover) {
       if (arg == "--help" || arg == "-h") {
