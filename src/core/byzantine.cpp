@@ -105,12 +105,16 @@ std::optional<Port> draw_move(CompiledStrategy::MoveRule rule, Ctx& ctx,
 
 /// The one interpreter behind every adversary. Live rounds walk the op
 /// list; replayed (fast-forwarded) rounds run its per-phase digest, which
-/// draws and counts exactly what one walk does. So bulk execution (parked
-/// via end_round_ambient, replaying the rounds the engine skipped) and live
-/// execution (an observer is attached, so the engine resumes the robot in
-/// every round) agree bit-for-bit on RNG draw order, message contents and
-/// order, move timing and charged-window sleeps; only simulated_rounds,
-/// resumes and wall clock differ.
+/// draws and counts exactly what one walk does, and so do the rounds the
+/// engine steps under the plan each live round arms (rounds in which no
+/// robot at the adversary's node can hear it; the interpreter never reads
+/// its inbox). So bulk execution (parked via end_round_ambient, replaying
+/// the rounds the engine skipped, stepped by the engine where unheard) and
+/// live execution (an observer is attached, so the engine resumes the
+/// robot in every round) agree bit-for-bit on RNG draw order, message
+/// contents and order, move timing and charged-window sleeps; only
+/// simulated_rounds, resumes and wall clock differ (and an engine-stepped
+/// round counts the resumes of the live round it stands for).
 Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
                   std::vector<sim::RobotId> peers, Rng rng) {
   using LenRule = CompiledStrategy::LenRule;
@@ -143,10 +147,13 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
   // bounds it draws, in order, plus the broadcasts it emits. A victim draw
   // is below(|peers|) and needs a peer; a spoof fires (drawing its payload
   // and counting) only once a victim was drawn this round. Fast-forwarded
-  // rounds replay from this list through Ctx::ambient_walk.
+  // rounds replay from this list through Ctx::ambient_walk, and the engine
+  // steps deferred rounds from it (activations: the resumes of one live
+  // round, one per sub-round it runs in).
   struct ReplayDigest {
     std::vector<std::uint64_t> draws;
     std::uint64_t emitted = 0;
+    std::uint32_t activations = 1;
   };
   std::vector<ReplayDigest> replay_digest(cs.phases.size());
   {
@@ -158,6 +165,7 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
       bool have_victim = false;
       for (std::size_t oi = 0; oi < ops.size(); ++oi) {
         const CompiledStrategy::Op& op = ops[oi];
+        if (op.kind == OpKind::kNextSubround) ++rd.activations;
         if (op.kind == OpKind::kDrawVictim && !peers.empty()) {
           rd.draws.push_back(peers.size());
           have_victim = true;
@@ -315,9 +323,23 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
             break;
         }
       }
+      // Let the engine step the following rounds while nobody can hear
+      // this robot, up to the phase's end and the next charged window
+      // (at least one round away: gate.pending(now) was 0).
+      const ReplayDigest& rd = replay_digest[phase];
+      const Round c = gate.until_next(now) - Round(1);
+      std::uint64_t horizon = c.fits_u64()
+                                  ? c.low_u64()
+                                  : std::numeric_limits<std::uint64_t>::max();
+      if (p.len != LenRule::kForever) horizon = std::min(horizon, left - 1);
+      ctx.arm_ambient_plan(
+          {rd.draws, p.move, rd.emitted, rd.activations, &rng, horizon});
       co_await ctx.end_round_ambient(draw_move(p.move, ctx, rng));
-      now += 1;
-      if (p.len != LenRule::kForever && --left == 0)
+      // This round plus the ones stepped for it; a phase that ran out is
+      // entered here, before any later draw, as in per-round execution.
+      const std::uint64_t rounds = 1 + ctx.deferred_rounds();
+      now += Round(rounds);
+      if (p.len != LenRule::kForever && (left -= rounds) == 0)
         enter_phase(/*advance=*/true);
     }
   }

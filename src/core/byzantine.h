@@ -89,18 +89,29 @@ struct ChargeGate {
 // chosen by the engine rather than by any option:
 //  * bulk (no observer): the interpreter parks via Ctx::end_round_ambient
 //    between rounds, so an always-broadcasting adversary never blocks the
-//    engine's O(1) fast-forward over honest sleep windows, and replays
-//    every skipped stretch from a per-phase digest of the op list: one
-//    range effect for a draw-free stationary phase, otherwise one
-//    Ctx::ambient_walk call that makes the op list's draws, counts its
-//    broadcasts (suppressed) and applies its moves immediately;
+//    engine's O(1) fast-forward over honest sleep windows. A round it does
+//    not walk live is one of two kinds, both run from a per-phase digest
+//    of the op list (its draws, broadcast count and resumes per round):
+//     - fast-forwarded: the engine skipped the round, and the interpreter
+//       replays the stretch on its next resume, as one range effect for a
+//       draw-free stationary phase, otherwise one Ctx::ambient_walk call
+//       that makes the draws, counts the broadcasts (suppressed) and
+//       applies the moves immediately;
+//     - engine-stepped: the engine simulates the round, but no robot at
+//       the adversary's node can hear it (the interpreter never reads its
+//       inbox), so the engine steps the round through the same kernel
+//       under the plan each live round arms (Ctx::arm_ambient_plan), up
+//       to the phase's end and the next charged window, instead of
+//       resuming the coroutine;
 //  * live (an observer is attached): the engine turns the ambient park
 //    into a plain end_round, so the robot walks the op list in every
 //    round and the observer sees each of its messages and moves.
 // The digest draws and counts exactly what the op walk does, so verdicts,
 // rounds, moves, messages, message contents and order, RNG draw order and
-// move timing are bit-identical; only simulated_rounds, resumes and wall
-// clock differ.
+// move timing are bit-identical; only simulated_rounds, resumes (a
+// replayed round counts one, a live one one per sub-round it runs in),
+// coroutine_resumes and wall clock differ. An engine-stepped round counts
+// exactly the resumes of the live round it stands for.
 struct CompiledStrategy {
   /// Payload element: a literal, or one rng.below(4) draw at emission
   /// time (draw order = element order within the op list).

@@ -57,9 +57,11 @@ void Engine::start_programs() {
   std::sort(robots_.begin(), robots_.end(),
             [](const Robot& a, const Robot& b) { return a.id < b.id; });
   honest_live_ = 0;
+  readers_.assign(graph_.n(), 0);
   for (std::uint32_t i = 0; i < robots_.size(); ++i) {
     Robot& r = robots_[i];
     index_of_[r.id] = i;
+    ++readers_[r.pos];
     r.proc = r.factory(Ctx(this, i));
     r.leaf = r.proc.handle();
     r.wake = WakeKind::kSubround;  // run at start_round, sub-round 0
@@ -77,9 +79,11 @@ void Engine::resume_robot(Robot& r) {
   if (r.done) return;
   account_resumes(1);
   ++stats_.coroutine_resumes;
+  r.plan.horizon = 0;  // a plan covers only the park ending this resume
   r.leaf.resume();
   if (r.proc.done()) {
     r.done = true;
+    if (!r.armed) --readers_[r.pos];
     if (r.faultiness == Faultiness::kHonest) --honest_live_;
     if (observer_ != nullptr) observer_->on_done(r.id, round_);
     r.proc.rethrow_if_failed();
@@ -90,6 +94,79 @@ void Engine::account_resumes(std::uint64_t count) {
   stats_.resumes += count;
   if (stats_.resumes > cfg_.max_resumes)
     throw std::runtime_error("Engine: resume budget exceeded (livelock?)");
+}
+
+void Engine::relocate(Robot& r, NodeId to) {
+  if (!r.armed) {
+    --readers_[r.pos];
+    ++readers_[to];
+  }
+  r.pos = to;
+}
+
+void Engine::walk(Robot& r, std::uint64_t steps,
+                  std::span<const std::uint64_t> draws, WalkMove move,
+                  std::uint64_t emitted, std::uint32_t activations, Rng& rng) {
+  // Step `last` (0-based) is the one whose resumes would exceed the
+  // budget; a running robot always has stats_.resumes <= max_resumes.
+  const std::uint64_t last = (cfg_.max_resumes - stats_.resumes) / activations;
+  const std::uint32_t* begin = csr_begin_.data();
+  const HalfEdge* edges = csr_edges_.data();
+  Rng local_rng = rng;
+  NodeId pos = r.pos;
+  Port arrival = r.arrival;
+  std::uint64_t moved = 0;
+  std::uint64_t done = 0;
+  for (; done < steps; ++done) {
+    for (const std::uint64_t bound : draws)
+      (void)Rng::below_inline(local_rng, bound);
+    bool hop = move == WalkMove::kRandomPort;
+    if (move == WalkMove::kChancePort)
+      hop = Rng::below_inline(local_rng, 2) < 1;  // chance(1, 2)
+    const std::uint32_t first = begin[pos];
+    const std::uint32_t degree = begin[pos + 1] - first;
+    Port port = kNoPort;
+    if (hop && degree != 0)
+      port = static_cast<Port>(Rng::below_inline(local_rng, degree));
+    if (done == last) break;
+    if (port != kNoPort) {
+      const HalfEdge he = edges[first + port];
+      pos = he.to;
+      arrival = he.reverse;
+      ++moved;
+    }
+  }
+  rng = local_rng;
+  relocate(r, pos);
+  r.arrival = arrival;
+  stats_.moves += moved;
+  stats_.messages += done * emitted;
+  account_resumes(done * activations);  // within budget by `last`
+  if (done < steps) account_resumes(activations);  // throws
+}
+
+void Engine::wake_ambient() {
+  // A live round that outlasts the round's sub-rounds spills into the
+  // next round: one engine step cannot stand for it.
+  const std::uint32_t subs = subround_count();
+  std::size_t kept = 0;
+  for (const std::uint32_t idx : ambient_) {
+    Robot& r = robots_[idx];
+    // Within its horizon, unheard, caught up (it acted in the previous
+    // round): step the round it would have run live.
+    if (r.deferred < r.plan.horizon && readers_[r.pos] == 0 &&
+        r.wake_round == round_ && r.plan.activations <= subs &&
+        observer_ == nullptr) {
+      walk(r, 1, r.plan.draws, r.plan.move, r.plan.emitted,
+           r.plan.activations, *r.plan.rng);
+      ++r.deferred;
+      r.wake_round = round_ + 1;
+      ambient_[kept++] = idx;
+    } else {
+      runnable_.push_back(idx);
+    }
+  }
+  ambient_.resize(kept);
 }
 
 void Engine::wake_listeners() {
@@ -182,7 +259,7 @@ void Engine::apply_moves() {
       throw std::logic_error("Engine: robot moved through invalid port");
     const HalfEdge he = graph_.hop(r.pos, p);
     if (observer_ != nullptr) observer_->on_move(r.id, r.pos, he.to, p);
-    r.pos = he.to;
+    relocate(r, he.to);
     r.arrival = he.reverse;
     r.move = std::nullopt;
     ++stats_.moves;
@@ -217,11 +294,9 @@ RunStats Engine::run(Round max_rounds) {
     // Parked ambient robots run in every simulated round: merged here (and
     // ID-sorted below with everyone else) their live broadcasts land in
     // exactly the rounds — and the inbox order — the per-round path would
-    // produce, while skipped rounds are theirs to replay.
-    if (!ambient_.empty()) {
-      runnable_.insert(runnable_.end(), ambient_.begin(), ambient_.end());
-      ambient_.clear();
-    }
+    // produce, while skipped rounds are theirs to replay. Those nobody can
+    // hear are stepped under their plan instead and stay parked.
+    if (!ambient_.empty()) wake_ambient();
     // The bucket is usually filled in ID order already (robots suspend in
     // the sorted order they ran); is_sorted is O(k) vs the sort's k log k.
     if (!std::is_sorted(runnable_.begin(), runnable_.end()))
@@ -319,16 +394,14 @@ void Ctx::ambient_round(std::optional<Port> port, std::uint64_t messages) {
   Engine& e = *engine_;
   // Replay is adversary work like any resume: budget it so a runaway
   // catch-up loop fails the same way a livelocked coroutine does.
-  ++e.stats_.resumes;
-  if (e.stats_.resumes > e.cfg_.max_resumes)
-    throw std::runtime_error("Engine: resume budget exceeded (livelock?)");
+  e.account_resumes(1);
   e.stats_.messages += messages;
   if (!port.has_value()) return;
   auto& r = e.robots_[idx_];
   if (*port >= e.graph_.degree(r.pos))
     throw std::logic_error("Engine: robot moved through invalid port");
   const HalfEdge he = e.graph_.hop(r.pos, *port);
-  r.pos = he.to;
+  e.relocate(r, he.to);
   r.arrival = he.reverse;
   ++e.stats_.moves;
 }
@@ -336,48 +409,10 @@ void Ctx::ambient_round(std::optional<Port> port, std::uint64_t messages) {
 void Ctx::ambient_walk(std::uint64_t steps,
                        std::span<const std::uint64_t> draws, WalkMove move,
                        std::uint64_t emitted, Rng& rng) {
-  Engine& e = *engine_;
-  Engine::Robot& r = e.robots_[idx_];
-  // Step `last` (0-based) is the one whose resume would exceed the budget;
-  // a resumed robot always has stats_.resumes <= max_resumes.
-  const std::uint64_t last = e.cfg_.max_resumes - e.stats_.resumes;
-  const std::uint32_t* begin = e.csr_begin_.data();
-  const HalfEdge* edges = e.csr_edges_.data();
-  Rng local_rng = rng;
-  NodeId pos = r.pos;
-  Port arrival = r.arrival;
-  std::uint64_t moved = 0;
-  std::uint64_t done = 0;
-  for (; done < steps; ++done) {
-    for (const std::uint64_t bound : draws)
-      (void)Rng::below_inline(local_rng, bound);
-    bool hop = move == WalkMove::kRandomPort;
-    if (move == WalkMove::kChancePort)
-      hop = Rng::below_inline(local_rng, 2) < 1;  // chance(1, 2)
-    const std::uint32_t first = begin[pos];
-    const std::uint32_t degree = begin[pos + 1] - first;
-    Port port = kNoPort;
-    if (hop && degree != 0)
-      port = static_cast<Port>(Rng::below_inline(local_rng, degree));
-    if (done == last) break;
-    if (port != kNoPort) {
-      const HalfEdge he = edges[first + port];
-      pos = he.to;
-      arrival = he.reverse;
-      ++moved;
-    }
-  }
-  rng = local_rng;
-  r.pos = pos;
-  r.arrival = arrival;
-  e.stats_.moves += moved;
-  e.stats_.messages += done * emitted;
-  e.stats_.resumes += done;
-  if (done < steps) {
-    ++e.stats_.resumes;
-    throw std::runtime_error("Engine: resume budget exceeded (livelock?)");
-  }
+  engine_->walk(engine_->robots_[idx_], steps, draws, move, emitted,
+                /*activations=*/1, rng);
 }
+
 
 bool Ctx::draining() const { return engine_->draining_; }
 

@@ -26,6 +26,15 @@
 // allocator traffic. This lets benchmarks charge the paper's imported round
 // bounds (gathering, Find-Map) without paying per-round simulation cost,
 // while round accounting stays exact.
+//
+// Robots that never read their inbox can go further. A parked ambient robot
+// that arms an AmbientPlan (Ctx::arm_ambient_plan) declares what one of its
+// live rounds does; in every simulated round where no robot at its node can
+// hear it, the engine steps that round itself through the replay kernel
+// instead of resuming the coroutine. Per-node reader counts (robots not done
+// and without a plan) decide, so the step is invisible to every robot that
+// reads, and all counts stay those of the per-round execution.
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -97,6 +106,22 @@ enum class WalkMove : std::uint8_t {
   kChancePort,  ///< chance(1,2), then kRandomPort on success
 };
 
+/// One live round of a parked ambient robot, declared so the engine can
+/// step the round itself while no robot at the robot's node can hear it
+/// (Ctx::arm_ambient_plan). A stepped round makes the draws, move and
+/// message count of one ambient_walk step and adds `activations` resumes.
+struct AmbientPlan {
+  std::span<const std::uint64_t> draws;  ///< below() bounds, in draw order
+  WalkMove move = WalkMove::kStay;
+  std::uint64_t emitted = 0;  ///< broadcasts per live round
+  /// Resumes one live round costs: 1 plus its next_subround() calls.
+  std::uint32_t activations = 1;
+  Rng* rng = nullptr;  ///< the generator the live round draws from
+  /// Most rounds the engine may step before the robot must run again (its
+  /// phase's remaining budget, the start of a charged window).
+  std::uint64_t horizon = 0;
+};
+
 /// Capability handle passed to a robot program. Valid only while its
 /// coroutine is being resumed by the engine.
 class Ctx {
@@ -117,6 +142,8 @@ class Ctx {
   [[nodiscard]] std::uint32_t subround() const;
   /// Messages broadcast at this node in the previous sub-round. The view
   /// is valid for the current sub-round only (delivery recycles buffers).
+  /// A robot that armed an AmbientPlan must never call it: the engine
+  /// stopped counting it as a reader.
   [[nodiscard]] std::span<const Msg> inbox() const;
 
   // --- actions ------------------------------------------------------------
@@ -177,6 +204,9 @@ class Ctx {
   /// While an observer is attached the park is a plain end_round(port):
   /// the robot runs live in every round, so the observer sees all of its
   /// messages and moves, and it never has a gap to replay or a drain.
+  /// With a plan armed just before the park (arm_ambient_plan), simulated
+  /// rounds in which no robot at its node can hear it are stepped by the
+  /// engine instead; deferred_rounds() says how many on the next resume.
   [[nodiscard]] auto end_round_ambient(std::optional<Port> port);
   /// Called at sub-round 0: behaves like next_subround(), but the robot
   /// sleeps, staying put, through every round in which no message of
@@ -197,6 +227,23 @@ class Ctx {
   [[nodiscard]] std::uint64_t listened_rounds() const;
 
   // --- ambient replay accounting ---------------------------------------
+  /// Arm a deferral plan for the park that ends the current resume; it
+  /// applies only if that park is end_round_ambient. From then on the
+  /// robot is not a reader: it must never call inbox() again. While
+  /// it stays parked and caught up (no fast-forward gap pending), each
+  /// simulated round in which no robot at its node is a reader — one
+  /// that is not done and has armed no plan — is stepped by the engine:
+  /// the plan's draws and move are made from `*plan.rng` at once, its
+  /// `emitted` broadcasts are counted and its `activations` resumes
+  /// accounted (budgeted), at most `plan.horizon` rounds in a row. The
+  /// plan is ignored with an observer attached and when a live round
+  /// needs more sub-rounds than a round has. `plan.draws` and
+  /// `plan.rng` must outlive the park.
+  void arm_ambient_plan(const AmbientPlan& plan);
+  /// Rounds the engine stepped under the most recently armed plan. The
+  /// program advances its own round cursor and phase budget by them.
+  [[nodiscard]] std::uint64_t deferred_rounds() const;
+
   /// Account one fast-forwarded round on behalf of a parked ambient
   /// robot: apply an immediate hop through `port` (nullopt = stay,
   /// invalid port throws exactly like a live move) and add `messages`
@@ -216,7 +263,8 @@ class Ctx {
   /// and generator state stay in locals over a flat copy of the graph,
   /// and the counters are committed once per call. If the resume budget
   /// runs out mid-stretch it throws at the same step the per-round loop
-  /// would, after that step's draws.
+  /// would, after that step's draws. The engine steps deferred rounds
+  /// (arm_ambient_plan) through the same kernel.
   void ambient_walk(std::uint64_t steps, std::span<const std::uint64_t> draws,
                     WalkMove move, std::uint64_t emitted, Rng& rng);
   /// True while the engine is draining parked ambient robots after the
@@ -238,9 +286,10 @@ struct WakeAwaiter;
 /// Optional engine instrumentation: register with Engine::set_observer to
 /// receive model-level events (used by the trace recorder, the CLI and
 /// debugging sessions; zero cost when unset). Attaching one keeps
-/// end_round_ambient robots live in every round, so their events are
-/// reported like everyone else's; for the compiled adversary only
-/// simulated_rounds and resumes change.
+/// end_round_ambient robots live in every round (no fast-forward replay,
+/// no deferred rounds), so their events are reported like everyone
+/// else's; for the compiled adversary only simulated_rounds, resumes and
+/// coroutine_resumes change.
 class Observer {
  public:
   virtual ~Observer() = default;
@@ -269,8 +318,9 @@ struct RunStats {
   std::uint64_t simulated_rounds = 0;  ///< rounds actually iterated
   /// Robot activations of the per-round schedule: coroutine resumptions
   /// plus the rounds accounted on a robot's behalf instead (ambient
-  /// replay, await_delivery sleeps), so it does not depend on how the
-  /// engine skipped them. Counts toward EngineConfig::max_resumes.
+  /// replay, deferred ambient rounds, await_delivery sleeps), so it does
+  /// not depend on how the engine skipped them. Counts toward
+  /// EngineConfig::max_resumes.
   std::uint64_t resumes = 0;
   /// Coroutine resumptions actually performed (resume_robot calls); the
   /// part of `resumes` that cost a context switch.
@@ -358,6 +408,13 @@ class Engine {
     Round listen_deadline = 0;
     std::uint64_t listen_accounted = 0;
     std::uint64_t listened = 0;  ///< Ctx::listened_rounds()
+    // Ambient deferral: the plan armed in the latest resume (resume_robot
+    // zeroes its horizon first, so a park without a fresh plan is never
+    // stepped), the rounds stepped under it, and whether the robot ever
+    // armed one (it then no longer counts toward readers_).
+    AmbientPlan plan;
+    std::uint64_t deferred = 0;  ///< Ctx::deferred_rounds()
+    bool armed = false;
   };
   void set_command(std::uint32_t idx, WakeKind kind, std::optional<Port> port,
                    Round rounds, std::uint32_t listen_kind,
@@ -377,6 +434,18 @@ class Engine {
   /// Add `count` resumes accounted on a robot's behalf, throwing like
   /// resume_robot when they exhaust the budget.
   void account_resumes(std::uint64_t count);
+  /// The replay kernel behind Ctx::ambient_walk and deferred rounds: walk
+  /// `r` through `steps` rounds of `draws` + `move`, counting `emitted`
+  /// messages and `activations` resumes per round.
+  void walk(Robot& r, std::uint64_t steps,
+            std::span<const std::uint64_t> draws, WalkMove move,
+            std::uint64_t emitted, std::uint32_t activations, Rng& rng);
+  /// Move `r` to `to` outside apply_moves, keeping readers_ right.
+  void relocate(Robot& r, NodeId to);
+  /// Start of a simulated round: step every parked ambient robot whose
+  /// armed plan allows it and whom no robot at its node can hear, and
+  /// move the rest into runnable_.
+  void wake_ambient();
   /// Sub-round 1: move every listener that hears its kind, or reached its
   /// deadline, into runnable_ (ID order) with its slept rounds accounted.
   void wake_listeners();
@@ -421,6 +490,14 @@ class Engine {
   /// the honest robots finishing.
   std::vector<std::uint32_t> ambient_;
   bool draining_ = false;
+  /// Per node: robots there that are not done and armed no AmbientPlan,
+  /// i.e. every robot that might read the node's inbox. Exact at the
+  /// start of each simulated round as long as planless robots replay
+  /// moves (ambient_round, ambient_walk) only for rounds fast-forwarded
+  /// while they were parked ambient: every robot parked beside them then
+  /// owes the same gap, and a robot owing a gap is resumed, never
+  /// stepped.
+  std::vector<std::uint32_t> readers_;
   /// Robots sleeping in await_delivery, checked at every sub-round 1.
   /// Nonempty, they keep every round simulated, as the per-round loop's
   /// next_round_ entries would.
@@ -539,6 +616,7 @@ inline Round Ctx::round() const { return engine_->round_; }
 inline std::uint32_t Ctx::subround() const { return engine_->subround_; }
 
 inline std::span<const Msg> Ctx::inbox() const {
+  assert(!engine_->robots_[idx_].armed && "a robot with a plan never reads");
   const Engine::Inbox& box = engine_->delivered_[engine_->robots_[idx_].pos];
   return {box.data(), box.size()};
 }
@@ -570,6 +648,21 @@ inline auto Ctx::await_delivery(std::uint32_t kind, Round max_silent) {
 
 inline std::uint64_t Ctx::listened_rounds() const {
   return engine_->robots_[idx_].listened;
+}
+
+inline void Ctx::arm_ambient_plan(const AmbientPlan& plan) {
+  assert(plan.activations >= 1 && "a live round is at least one resume");
+  Engine::Robot& r = engine_->robots_[idx_];
+  if (!r.armed) {
+    r.armed = true;
+    --engine_->readers_[r.pos];
+  }
+  r.plan = plan;
+  r.deferred = 0;
+}
+
+inline std::uint64_t Ctx::deferred_rounds() const {
+  return engine_->robots_[idx_].deferred;
 }
 
 }  // namespace bdg::sim

@@ -210,13 +210,14 @@ sim::Proc listen_after(sim::Ctx ctx, std::uint64_t sleep_first,
 
 Heard observe_program(ByzStrategy strategy, sim::Faultiness fault, bool live,
                       std::uint64_t sleep_first, std::uint64_t rounds,
-                      const ByzSchedule& sched) {
+                      const ByzSchedule& sched, NodeId byz_start = 0) {
   const Graph g = make_complete(4);
   sim::Engine eng(g);
   sim::Observer noop;
   if (live) eng.set_observer(&noop);
   Heard h;
-  eng.add_robot(5, fault, 0, make_byzantine_program(strategy, {5, 9}, 42, sched));
+  eng.add_robot(5, fault, byz_start,
+                make_byzantine_program(strategy, {5, 9}, 42, sched));
   eng.add_robot(9, sim::Faultiness::kHonest, 0, [&](sim::Ctx c) {
     return listen_after(c, sleep_first, rounds, &h.msgs);
   });
@@ -284,6 +285,24 @@ TEST(CompiledStrategy, LiveMatchesBulkWithChargedWindows) {
     const Heard live = observe_program(s, fault, true, 7, 12, sched);
     const Heard bulk = observe_program(s, fault, false, 7, 12, sched);
     expect_identical_observation(live, bulk, to_string(s) + " charged");
+  }
+}
+
+TEST(CompiledStrategy, DeferredRoundsStopAtChargedWindows) {
+  // The adversary starts away from the listener, which keeps every round
+  // simulated, so bulk execution has the engine step its unheard rounds.
+  // The plan's horizon ends each stepped stretch before a charged window:
+  // the robot must be resumed to sleep through it, not be stepped into it.
+  ByzSchedule sched{2};
+  sched.charged = {{10, 14}, {20, 23}};
+  for (const auto& [s, fault] : conformance_cases()) {
+    const Heard live = observe_program(s, fault, true, 0, 30, sched, 2);
+    const Heard bulk = observe_program(s, fault, false, 0, 30, sched, 2);
+    expect_identical_observation(live, bulk, to_string(s) + " deferred");
+    if (s != ByzStrategy::kCrash) {  // finished at round 0: nothing to step
+      EXPECT_LT(bulk.stats.coroutine_resumes, live.stats.coroutine_resumes)
+          << to_string(s);
+    }
   }
 }
 

@@ -103,6 +103,24 @@ TEST(CompiledAdversaryScenario, WeakStrategiesSingleWave) {
   EXPECT_EQ(expect_live_matches_bulk(cases), cases.size() * 2);
 }
 
+// The same at n = 12 and 16, where the adversaries spread out over more
+// nodes than the honest robots cover: most of their bulk rounds are then
+// stepped by the engine (no robot at their node can hear them) rather
+// than resumed, and live execution must still agree. The tournament's
+// live runs simulate every one of its ~n^5 rounds, so it joins at n = 12.
+TEST(CompiledAdversaryScenario, WeakStrategiesSpreadOut) {
+  std::vector<GridCase> cases;
+  for (const ByzStrategy s : weak_strategies()) {
+    for (const std::uint32_t n : {12u, 16u})
+      cases.push_back({Algorithm::kThreeGroupGathered, "er", n, 0, {}, s});
+    cases.push_back({Algorithm::kTournamentGathered, "ring", 12, 0, {}, s});
+  }
+  for (const std::uint32_t n : {12u, 16u})
+    cases.push_back({Algorithm::kStrongGathered, "ring", n, 0, {},
+                     ByzStrategy::kSpoofer});
+  EXPECT_EQ(expect_live_matches_bulk(cases), cases.size() * 2);
+}
+
 // The strong spoofer against both strong algorithms (its victim draws and
 // victim-gated spoof payloads replay through the kernel), and crash faults
 // against the REAL (fully simulated) gathering extension — the two

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -638,6 +639,503 @@ TEST(AwaitDelivery, ResumeBudgetRunsOutMidWait) {
     const ListenEnd poll = run_listen(c, /*engine_wait=*/false);
     EXPECT_TRUE(poll.threw);
     expect_same_run(run_listen(c, /*engine_wait=*/true), poll);
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Deferred ambient rounds (Ctx::arm_ambient_plan) against their definition:
+// twin engines run the same oblivious script, one arming a plan before each
+// live park, the other not, so it is resumed in every simulated round.
+// Every count but coroutine_resumes, every position and arrival port, the
+// script's generator state afterwards and every inbox the other robots read
+// must match, and a resume budget must throw in exactly the same runs.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kScripted = 60;
+
+/// A compiled-adversary-shaped program. It runs in phases of
+/// phase_base + below(phase_bound) rounds, drawn at each phase entry
+/// (phase_base 0: one endless phase). A live round draws `draws`,
+/// broadcasts the values at sub-round 0 and again at each of `extra_subs`
+/// later sub-rounds, then moves by `move`. It sleeps through the charged
+/// window [charged_begin, charged_end) and replays fast-forwarded rounds
+/// through ambient_walk, or with `replay_per_round` through one
+/// ambient_round per round.
+struct Script {
+  std::vector<std::uint64_t> draws = {4, 7};
+  WalkMove move = WalkMove::kChancePort;
+  std::uint32_t extra_subs = 1;
+  std::uint64_t phase_base = 0;
+  std::uint64_t phase_bound = 0;
+  Round charged_begin = 0;
+  Round charged_end = 0;
+  bool replay_per_round = false;
+};
+
+/// One replayed round the way ambient_walk makes it, through ambient_round.
+void replay_one_round(Ctx& ctx, const Script& s, std::uint64_t emitted,
+                      Rng& rng) {
+  for (const std::uint64_t bound : s.draws) (void)rng.below(bound);
+  bool hop = s.move == WalkMove::kRandomPort;
+  if (s.move == WalkMove::kChancePort) hop = rng.chance(1, 2);
+  std::optional<Port> port;
+  if (hop && ctx.degree() != 0)
+    port = static_cast<Port>(rng.below(ctx.degree()));
+  ctx.ambient_round(port, emitted);
+}
+
+/// What a robot read: one entry per message in an inbox it looked at.
+struct Heard {
+  Round round = 0;
+  std::uint32_t sub = 0;
+  RobotId claimed = 0;
+  std::uint32_t kind = 0;
+  std::vector<std::int64_t> data;
+  bool operator==(const Heard&) const = default;
+};
+
+void log_inbox(const Ctx& ctx, std::vector<Heard>* log) {
+  for (const Msg& m : ctx.inbox())
+    log->push_back({ctx.round(), ctx.subround(), m.claimed, m.kind,
+                    {m.data.begin(), m.data.end()}});
+}
+
+/// Runs `s`. With `arm` it arms a plan before each live park (its horizon:
+/// the phase's remaining rounds and the rounds before the charged window);
+/// with `heard` (planless only) it reads its inbox at every sub-round it
+/// runs live. Records its arrival port at every drain.
+Proc scripted(Ctx ctx, const Script* s, bool arm, Rng* rng,
+              std::vector<Heard>* heard, std::vector<Port>* drained) {
+  const auto phase_len = [&]() -> std::uint64_t {
+    std::uint64_t jitter = 0;
+    if (s->phase_bound != 0) jitter = rng->below(s->phase_bound);
+    return s->phase_base + jitter;
+  };
+  const auto in_window = [&](Round r) {
+    return r >= s->charged_begin && r < s->charged_end;
+  };
+  const std::uint64_t emitted = 1 + s->extra_subs;
+  std::uint64_t left = phase_len();  // 0: endless
+  Round now = ctx.round();
+  for (;;) {
+    if (now < ctx.round()) {
+      if (in_window(now)) {
+        now = std::min(ctx.round(), s->charged_end);
+        continue;
+      }
+      Round span = ctx.round() - now;
+      if (now < s->charged_begin) span = std::min(span, s->charged_begin - now);
+      if (left != 0) span = std::min(span, Round(left));
+      const std::uint64_t steps = span.low_u64();
+      if (s->replay_per_round) {
+        for (std::uint64_t i = 0; i < steps; ++i)
+          replay_one_round(ctx, *s, emitted, *rng);
+      } else {
+        ctx.ambient_walk(steps, s->draws, s->move, emitted, *rng);
+      }
+      now += Round(steps);
+      if (left != 0 && (left -= steps) == 0) left = phase_len();
+      continue;
+    }
+    if (ctx.draining()) {
+      drained->push_back(ctx.arrival_port());
+      co_await ctx.end_round_ambient(std::nullopt);
+      now = ctx.round();
+      continue;
+    }
+    if (in_window(now)) {
+      co_await ctx.sleep_rounds(s->charged_end - now);
+      now = ctx.round();
+      continue;
+    }
+    std::vector<std::int64_t> words;
+    for (const std::uint64_t bound : s->draws)
+      words.push_back(static_cast<std::int64_t>(rng->below(bound)));
+    if (heard != nullptr) log_inbox(ctx, heard);
+    ctx.broadcast(kScripted, words);
+    for (std::uint32_t i = 0; i < s->extra_subs; ++i) {
+      co_await ctx.next_subround();
+      if (heard != nullptr) log_inbox(ctx, heard);
+      ctx.broadcast(kScripted + 1 + i, words);
+    }
+    if (arm) {
+      std::uint64_t horizon =
+          left != 0 ? left - 1 : std::numeric_limits<std::uint64_t>::max();
+      if (now < s->charged_begin)
+        horizon = std::min(horizon, (s->charged_begin - now).low_u64() - 1);
+      ctx.arm_ambient_plan({s->draws, s->move, emitted, 1 + s->extra_subs,
+                            rng, horizon});
+    }
+    bool hop = s->move == WalkMove::kRandomPort;
+    if (s->move == WalkMove::kChancePort) hop = rng->chance(1, 2);
+    std::optional<Port> port;
+    if (hop && ctx.degree() != 0)
+      port = static_cast<Port>(rng->below(ctx.degree()));
+    co_await ctx.end_round_ambient(port);
+    const std::uint64_t rounds = 1 + ctx.deferred_rounds();
+    now += Round(rounds);
+    if (left != 0 && (left -= rounds) == 0) left = phase_len();
+  }
+}
+
+/// One round of a walker: move through `move` (nullopt: stay) reading its
+/// inbox at every sub-round, or sleep `sleep` rounds without reading.
+struct Step {
+  std::optional<Port> move;
+  Round sleep = 0;
+};
+
+Proc walker_reader(Ctx ctx, std::vector<Step> steps, std::uint32_t subs,
+                   std::vector<Heard>* heard) {
+  for (const Step& st : steps) {
+    if (st.sleep != Round(0)) {
+      co_await ctx.sleep_rounds(st.sleep);
+      continue;
+    }
+    log_inbox(ctx, heard);
+    for (std::uint32_t sub = 1; sub < subs; ++sub) {
+      co_await ctx.next_subround();
+      log_inbox(ctx, heard);
+    }
+    co_await ctx.end_round(st.move);
+  }
+}
+
+std::vector<Step> stay(std::size_t rounds) { return std::vector<Step>(rounds); }
+
+std::vector<Step> operator+(std::vector<Step> a, const std::vector<Step>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// Robot 1 runs the script from `adv_start`; robot 2 walks `walk` from
+/// `walk_start` reading every inbox; with `replayer` set, robot 3 runs that
+/// script planless from `replayer_start`, reading its inbox as it goes;
+/// with `clock_rounds` set, honest robot 4 idles that long at node 3 (the
+/// run needs an honest robot when the walker is Byzantine).
+struct DeferCase {
+  Graph g = make_oriented_ring(6);
+  std::uint32_t subrounds = 3;
+  Script adv;
+  NodeId adv_start = 0;
+  std::vector<Step> walk;
+  NodeId walk_start = 3;
+  Faultiness walk_faultiness = Faultiness::kHonest;
+  std::optional<Script> replayer;
+  NodeId replayer_start = 3;
+  std::size_t clock_rounds = 0;
+  std::vector<Round> run_to = {400};  ///< one run() per entry
+  std::uint64_t max_resumes = 1'000'000;
+};
+
+struct DeferEnd {
+  std::vector<RunStats> stats;  ///< one per completed run()
+  bool threw = false;
+  std::vector<NodeId> pos;
+  std::vector<Port> adv_drained;  ///< robot 1's arrival port at each drain
+  std::uint64_t adv_next_draw = 0;
+  std::vector<Heard> walker_heard, replayer_heard, clock_heard;
+};
+
+DeferEnd run_defer(const DeferCase& c, bool arm, Observer* observer = nullptr) {
+  EngineConfig cfg;
+  cfg.subrounds = c.subrounds;
+  cfg.max_resumes = c.max_resumes;
+  Engine eng(c.g, cfg);
+  eng.set_observer(observer);
+  DeferEnd end;
+  std::vector<Port> replayer_drained;
+  Rng adv_rng(77);
+  Rng replayer_rng(78);
+  eng.add_robot(1, Faultiness::kWeakByzantine, c.adv_start, [&](Ctx x) {
+    return scripted(x, &c.adv, arm, &adv_rng, nullptr, &end.adv_drained);
+  });
+  eng.add_robot(2, c.walk_faultiness, c.walk_start, [&](Ctx x) {
+    return walker_reader(x, c.walk, c.subrounds, &end.walker_heard);
+  });
+  if (c.replayer) {
+    eng.add_robot(3, Faultiness::kWeakByzantine, c.replayer_start, [&](Ctx x) {
+      return scripted(x, &*c.replayer, /*arm=*/false, &replayer_rng,
+                      &end.replayer_heard, &replayer_drained);
+    });
+  }
+  if (c.clock_rounds != 0) {
+    eng.add_robot(4, Faultiness::kHonest, 3, [&](Ctx x) {
+      return walker_reader(x, stay(c.clock_rounds), c.subrounds,
+                           &end.clock_heard);
+    });
+  }
+  try {
+    for (const Round r : c.run_to) end.stats.push_back(eng.run(r));
+  } catch (const std::runtime_error&) {
+    end.threw = true;
+  }
+  for (std::size_t i = 0; i < eng.num_robots(); ++i)
+    end.pos.push_back(eng.robot_position(i));
+  end.adv_next_draw = adv_rng.next();
+  return end;
+}
+
+void expect_same_defer_run(const DeferEnd& a, const DeferEnd& b) {
+  EXPECT_EQ(a.threw, b.threw);
+  EXPECT_EQ(a.pos, b.pos);
+  EXPECT_EQ(a.adv_drained, b.adv_drained);
+  EXPECT_EQ(a.adv_next_draw, b.adv_next_draw);
+  EXPECT_EQ(a.walker_heard, b.walker_heard);
+  EXPECT_EQ(a.replayer_heard, b.replayer_heard);
+  EXPECT_EQ(a.clock_heard, b.clock_heard);
+  ASSERT_EQ(a.stats.size(), b.stats.size());
+  for (std::size_t i = 0; i < b.stats.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    EXPECT_EQ(a.stats[i].rounds, b.stats[i].rounds);
+    EXPECT_EQ(a.stats[i].simulated_rounds, b.stats[i].simulated_rounds);
+    EXPECT_EQ(a.stats[i].resumes, b.stats[i].resumes);
+    EXPECT_EQ(a.stats[i].moves, b.stats[i].moves);
+    EXPECT_EQ(a.stats[i].messages, b.stats[i].messages);
+    EXPECT_EQ(a.stats[i].all_honest_done, b.stats[i].all_honest_done);
+  }
+}
+
+std::uint64_t total_coroutine_resumes(const DeferEnd& e) {
+  std::uint64_t sum = 0;
+  for (const RunStats& st : e.stats) sum += st.coroutine_resumes;
+  return sum;
+}
+
+/// The twin comparison plus resume budgets one short of the planless
+/// run's total and exactly it. Returns {armed run, planless run}.
+std::pair<DeferEnd, DeferEnd> expect_defer_matches_live(const DeferCase& c) {
+  const DeferEnd live = run_defer(c, /*arm=*/false);
+  const DeferEnd armed = run_defer(c, /*arm=*/true);
+  expect_same_defer_run(armed, live);
+  EXPECT_LE(total_coroutine_resumes(armed), total_coroutine_resumes(live));
+  if (!live.threw && live.stats.size() == 1) {
+    for (const std::uint64_t budget :
+         {live.stats[0].resumes - 1, live.stats[0].resumes}) {
+      SCOPED_TRACE("max_resumes " + std::to_string(budget));
+      DeferCase tight = c;
+      tight.max_resumes = budget;
+      const DeferEnd tight_live = run_defer(tight, /*arm=*/false);
+      EXPECT_EQ(tight_live.threw, budget < live.stats[0].resumes);
+      const DeferEnd tight_armed = run_defer(tight, /*arm=*/true);
+      EXPECT_EQ(tight_armed.threw, tight_live.threw);
+      if (!tight_live.threw) expect_same_defer_run(tight_armed, tight_live);
+    }
+  }
+  return {armed, live};
+}
+
+/// Rounds 0..9 away from the adversary, 10..19 beside it, 20..29 away.
+std::vector<Step> visit_node0() {
+  const std::vector<Step> ccw(3, Step{Port{1}, 0});
+  const std::vector<Step> cw(3, Step{Port{0}, 0});
+  return stay(7) + ccw + stay(7) + cw + stay(10);
+}
+
+TEST(AmbientDefer, AloneThenColocatedThenAlone) {
+  // A stationary adversary at node 0 and a walker that comes over from
+  // node 3, stays, and leaves: deferred while alone, live while the
+  // walker can hear it, deferred again after.
+  DeferCase c;
+  c.adv.move = WalkMove::kStay;
+  c.walk = visit_node0();
+  const auto [armed, live] = expect_defer_matches_live(c);
+  EXPECT_FALSE(armed.walker_heard.empty());
+  // Live, each of the adversary's 31 rounds costs two coroutine switches;
+  // armed, only the ones beside the walker (and its first) do.
+  EXPECT_LT(total_coroutine_resumes(armed) + 30,
+            total_coroutine_resumes(live));
+}
+
+TEST(AmbientDefer, WanderingAdversaryMeetsTheWalker) {
+  // A random walk on the ring meets the walker now and then, under every
+  // move rule, with and without extra sub-rounds.
+  for (const WalkMove move :
+       {WalkMove::kStay, WalkMove::kRandomPort, WalkMove::kChancePort}) {
+    for (const std::uint32_t extra : {0u, 1u, 2u}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(move)) + " extra " +
+                   std::to_string(extra));
+      DeferCase c;
+      c.subrounds = 4;
+      c.adv.move = move;
+      c.adv.extra_subs = extra;
+      c.walk = visit_node0() + visit_node0() + visit_node0();
+      expect_defer_matches_live(c);
+    }
+  }
+}
+
+TEST(AmbientDefer, PhaseEndDrawsTheNextLength) {
+  // Phases of 2 + below(5) rounds, each drawn at entry: the plan's
+  // horizon ends at the phase end, and the entry draw lands after the
+  // stepped rounds' draws exactly as in the live loop.
+  DeferCase c;
+  c.adv.phase_base = 2;
+  c.adv.phase_bound = 5;
+  c.walk = visit_node0() + visit_node0();
+  const auto [armed, live] = expect_defer_matches_live(c);
+  EXPECT_LT(total_coroutine_resumes(armed), total_coroutine_resumes(live));
+}
+
+TEST(AmbientDefer, ChargedWindowStartsAfterDeferredRounds) {
+  // The script sleeps through [21, 33): the horizon stops deferral at 20,
+  // so the robot runs live at 21 to start its sleep.
+  DeferCase c;
+  c.adv.charged_begin = 21;
+  c.adv.charged_end = 33;
+  c.adv.move = WalkMove::kRandomPort;
+  c.walk = visit_node0() + visit_node0();
+  const auto [armed, live] = expect_defer_matches_live(c);
+  EXPECT_LT(total_coroutine_resumes(armed), total_coroutine_resumes(live));
+}
+
+TEST(AmbientDefer, FastForwardGapRightAfterDeferredRounds) {
+  // The walker sleeps 40 rounds at node 3 after 8 active ones: the engine
+  // fast-forwards, and the adversary, stepped up to then, replays the gap
+  // itself on its next resume.
+  DeferCase c;
+  c.adv.phase_base = 3;
+  c.adv.phase_bound = 4;
+  c.walk = stay(8) + std::vector<Step>{Step{std::nullopt, 40}} + visit_node0();
+  const auto [armed, live] = expect_defer_matches_live(c);
+  EXPECT_LT(armed.stats[0].simulated_rounds, 50u);
+  EXPECT_LT(total_coroutine_resumes(armed), total_coroutine_resumes(live));
+}
+
+TEST(AmbientDefer, DrainInTheMiddleOfADeferredStretch) {
+  // The walker finishes in round 12 while the adversary is being stepped
+  // in a long phase: the drain's resume accounts the stepped rounds.
+  DeferCase c;
+  c.adv.phase_base = 50;
+  c.walk = stay(12);
+  const auto [armed, live] = expect_defer_matches_live(c);
+  ASSERT_EQ(armed.adv_drained.size(), 1u);
+  EXPECT_EQ(armed.stats[0].rounds, Round(13));
+  EXPECT_LT(total_coroutine_resumes(armed), total_coroutine_resumes(live));
+}
+
+TEST(AmbientDefer, MaxRoundsCutThenTwoMoreRuns) {
+  // Cut mid-stretch twice; each later run() continues the same phases.
+  DeferCase c;
+  c.adv.phase_base = 4;
+  c.adv.phase_bound = 9;
+  c.walk = visit_node0() + visit_node0() + visit_node0();
+  c.run_to = {13, 41, 200};
+  const auto [armed, live] = expect_defer_matches_live(c);
+  ASSERT_EQ(armed.stats.size(), 3u);
+  EXPECT_EQ(armed.adv_drained.size(), 3u);
+  EXPECT_TRUE(armed.stats[2].all_honest_done);
+}
+
+TEST(AmbientDefer, TooFewSubroundsIgnoresThePlan) {
+  // Three sub-rounds of broadcasts in a two-sub-round engine: a live round
+  // spills into the next round, so the engine must never step it.
+  DeferCase c;
+  c.subrounds = 2;
+  c.adv.extra_subs = 2;
+  c.walk = visit_node0();
+  const auto [armed, live] = expect_defer_matches_live(c);
+  EXPECT_EQ(total_coroutine_resumes(armed), total_coroutine_resumes(live));
+}
+
+TEST(AmbientDefer, DoneRobotsAreNotReaders) {
+  // The walker finishes beside the adversary after 5 rounds; the honest
+  // clock robot keeps the run going, and the adversary is stepped again.
+  DeferCase c;
+  c.adv.move = WalkMove::kStay;
+  c.walk_start = 0;
+  c.walk = stay(5);
+  c.clock_rounds = 30;
+  const auto [armed, live] = expect_defer_matches_live(c);
+  EXPECT_FALSE(armed.walker_heard.empty());
+  EXPECT_LT(total_coroutine_resumes(armed) + 40,
+            total_coroutine_resumes(live));
+}
+
+TEST(AmbientDefer, ObserverNeverDefers) {
+  // Observed, the park is a plain end_round: every activation is a real
+  // resume, armed or not.
+  DeferCase c;
+  c.walk = visit_node0();
+  Observer noop;
+  const DeferEnd live = run_defer(c, /*arm=*/false, &noop);
+  const DeferEnd armed = run_defer(c, /*arm=*/true, &noop);
+  expect_same_defer_run(armed, live);
+  EXPECT_EQ(armed.stats[0].coroutine_resumes, armed.stats[0].resumes);
+  EXPECT_TRUE(armed.adv_drained.empty());  // live every round: no drain
+}
+
+TEST(AmbientDefer, ColocatedReadingByzantineHearsEverything) {
+  // A Byzantine robot that reads (like the mirrored robots of
+  // core/impossibility.cpp) is a reader too: sitting beside the
+  // adversary for the whole run it keeps every round live.
+  DeferCase c;
+  c.adv.move = WalkMove::kStay;
+  c.walk_start = 0;
+  c.walk_faultiness = Faultiness::kWeakByzantine;
+  c.walk = stay(25);
+  c.clock_rounds = 25;
+  const auto [armed, live] = expect_defer_matches_live(c);
+  EXPECT_EQ(total_coroutine_resumes(armed), total_coroutine_resumes(live));
+  EXPECT_EQ(armed.walker_heard.size(), 25u * 2);  // two messages a round
+}
+
+/// Arms one plan at round 0, then parks ambient every round without
+/// arming again, logging each round it is resumed in.
+Proc arm_once(Ctx ctx, Rng* rng, std::vector<Round>* resumed) {
+  const std::uint64_t draws[] = {4};
+  ctx.arm_ambient_plan({draws, WalkMove::kStay, 1, 1, rng,
+                        std::numeric_limits<std::uint64_t>::max()});
+  co_await ctx.end_round_ambient(std::nullopt);
+  for (;;) {
+    resumed->push_back(ctx.round());
+    co_await ctx.end_round_ambient(std::nullopt);
+  }
+}
+
+TEST(AmbientDefer, APlanCoversOnlyTheParkThatFollowsIt) {
+  // Stepped while alone, resumed once the walker arrives; from then on it
+  // parks without a plan, so it must be resumed in every round, also
+  // after the walker has left.
+  Engine eng(make_oriented_ring(6), EngineConfig{.subrounds = 3});
+  Rng rng(5);
+  std::vector<Round> resumed;
+  std::vector<Heard> heard;
+  eng.add_robot(1, Faultiness::kWeakByzantine, 0,
+                [&](Ctx x) { return arm_once(x, &rng, &resumed); });
+  eng.add_robot(2, Faultiness::kHonest, 3, [&](Ctx x) {
+    return walker_reader(x, visit_node0(), 3, &heard);
+  });
+  const RunStats st = eng.run(400);
+  ASSERT_FALSE(resumed.empty());
+  EXPECT_GT(resumed.front(), Round(1));  // rounds 1.. were stepped
+  for (std::size_t i = 1; i < resumed.size(); ++i)
+    EXPECT_EQ(resumed[i], resumed[i - 1] + Round(1));
+  EXPECT_EQ(resumed.back(), st.rounds);  // the drain
+}
+
+TEST(AmbientDefer, PlanlessReplayerKeepsTheReaderCountsRight) {
+  // A planless ambient robot that reads and moves through ambient_walk
+  // (or ambient_round) replays: the walker's 30-round sleeps fast-forward,
+  // so it owes gaps, and ends them wherever its replay took it. Its reader
+  // count must follow it there, or the adversary would be stepped beside
+  // it.
+  for (const auto& [lead, per_round] :
+       {std::pair{5u, false}, std::pair{9u, false}, std::pair{5u, true},
+        std::pair{9u, true}}) {
+    SCOPED_TRACE(std::to_string(lead) + (per_round ? " per round" : ""));
+    DeferCase c;
+    c.adv.move = WalkMove::kRandomPort;
+    c.replayer = Script{};
+    c.replayer->move = WalkMove::kRandomPort;
+    c.replayer->extra_subs = 1;
+    c.replayer->replay_per_round = per_round;
+    c.walk = stay(lead) +
+             std::vector<Step>{Step{std::nullopt, 30}} + visit_node0() +
+             std::vector<Step>{Step{std::nullopt, 30}} + visit_node0();
+    const auto [armed, live] = expect_defer_matches_live(c);
+    EXPECT_FALSE(armed.replayer_heard.empty());
   }
 }
 

@@ -1,0 +1,120 @@
+// Pinned counts: small sweep grids whose checkpoint lines (every RunStats
+// count a point reports, simulated_rounds and resumes included) are hashed
+// and compared with digests recorded before the engine learned to defer
+// unheard adversary rounds. Every strategy, the spoofer and a mix run at
+// n = 12 and 16 against the three gathered algorithms, smallest-ID
+// Byzantines on sparse graphs, where the adversaries spread out and the
+// engine steps most of their rounds itself. A change that moves any count
+// of any point fails here, in tier 1, not only in perfbench's digests.
+//
+// When a change moves counts on purpose, re-record: the failure message
+// prints the new digest and line count.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/byzantine.h"
+#include "run/report.h"
+#include "run/sweep.h"
+
+namespace bdg::run {
+namespace {
+
+using core::Algorithm;
+using core::ByzStrategy;
+
+/// FNV-1a (64-bit) over the grid's checkpoint lines, sorted so the digest
+/// does not depend on the order threads finish points in.
+std::uint64_t checkpoint_digest(const SweepSpec& spec, std::size_t* lines) {
+  const SweepResult result = run_sweep(spec);
+  const std::uint64_t fingerprint = spec_fingerprint(spec);
+  std::vector<std::string> sorted;
+  for (const PointResult& p : result.points) {
+    std::ostringstream os;
+    write_checkpoint_line(os, p, fingerprint);
+    sorted.push_back(os.str());
+  }
+  std::sort(sorted.begin(), sorted.end());
+  *lines = sorted.size();
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::string& line : sorted) {
+    for (const char ch : line) {
+      h ^= static_cast<unsigned char>(ch);
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+SweepSpec gathered_grid() {
+  SweepSpec spec;
+  spec.algorithms = {Algorithm::kThreeGroupGathered,
+                     Algorithm::kTournamentGathered,
+                     Algorithm::kStrongGathered};
+  spec.families = {"er", "ring"};
+  spec.sizes = {12, 16};
+  spec.seeds = {1, 2};
+  spec.er_edge_probability = 0.0;  // connectivity threshold: sparse
+  spec.strategy_follows_algorithm = false;
+  spec.measure_seconds = false;  // --no-timing: lines are pure functions
+  spec.threads = 4;
+  return spec;
+}
+
+struct Pinned {
+  const char* name;
+  std::uint64_t digest;
+  std::size_t lines;
+};
+
+void expect_pinned(const SweepSpec& spec, const Pinned& pin) {
+  SCOPED_TRACE(pin.name);
+  std::size_t lines = 0;
+  const std::uint64_t digest = checkpoint_digest(spec, &lines);
+  EXPECT_EQ(lines, pin.lines);
+  EXPECT_EQ(digest, pin.digest)
+      << pin.name << ": digest 0x" << std::hex << digest << std::dec
+      << " over " << lines << " lines";
+}
+
+TEST(PinnedCounts, EveryWeakStrategy) {
+  const Pinned pins[] = {
+      {"crash", 0xf0cd8bffec897820ULL, 24},
+      {"random_walker", 0x4f8b65be0b442c49ULL, 24},
+      {"squatter", 0xe951560f173ef0c2ULL, 24},
+      {"fake_settler", 0x0afb95d57683ea80ULL, 24},
+      {"silent_settler", 0x758aa7f56996adedULL, 24},
+      {"intent_spammer", 0xdfd9d73658617d9aULL, 24},
+      {"map_liar", 0xd808f4b64eab3289ULL, 24},
+  };
+  ASSERT_EQ(std::size(pins), core::weak_strategies().size());
+  for (std::size_t i = 0; i < std::size(pins); ++i) {
+    SweepSpec spec = gathered_grid();
+    spec.strategy = core::weak_strategies()[i];
+    ASSERT_EQ(core::to_string(spec.strategy), pins[i].name);
+    expect_pinned(spec, pins[i]);
+  }
+}
+
+TEST(PinnedCounts, SpooferAgainstStrongGathered) {
+  SweepSpec spec = gathered_grid();
+  spec.algorithms = {Algorithm::kStrongGathered};
+  spec.strategy = ByzStrategy::kSpoofer;
+  expect_pinned(spec, {"spoofer", 0x6fc7adc9b29a1f90ULL, 8});
+}
+
+TEST(PinnedCounts, Mix) {
+  SweepSpec spec = gathered_grid();
+  spec.strategy_mixes = {{ByzStrategy::kFakeSettler, ByzStrategy::kMapLiar,
+                          ByzStrategy::kSquatter,
+                          ByzStrategy::kRandomWalker}};
+  expect_pinned(spec, {"fake_settler+map_liar+squatter+random_walker",
+                       0xfe5c147802902e80ULL, 24});
+}
+
+}  // namespace
+}  // namespace bdg::run
