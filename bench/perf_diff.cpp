@@ -14,8 +14,14 @@
 //    contain exactly the same key set, so a silently changed grid cannot
 //    masquerade as a pass — re-record baselines when a bench changes.
 //
+// Several current CSVs (repeated runs of one bench) may follow the
+// baseline. Each must pass the key and exact-column checks on its own; the
+// wall-clock gate applies to each row's median seconds across them, so one
+// sample slowed by machine load does not fail a point near --min-seconds.
+//
 // Usage:
-//   perf_diff <baseline.csv> <current.csv> [--tolerance R] [--min-seconds S]
+//   perf_diff <baseline.csv> <current.csv> [<current.csv> ...]
+//             [--tolerance R] [--min-seconds S]
 // Exit code: 0 = pass, 1 = regression/drift, 2 = usage/parse error.
 #include <algorithm>
 #include <cmath>
@@ -121,7 +127,7 @@ bool load(const char* path, Table& out) {
 
 int main(int argc, char** argv) {
   const char* baseline_path = nullptr;
-  const char* current_path = nullptr;
+  std::vector<const char*> current_paths;
   double tolerance = 2.0;
   double min_seconds = 0.01;
   // Accepts both "--flag value" and "--flag=value"; a malformed or missing
@@ -170,71 +176,88 @@ int main(int argc, char** argv) {
       return 2;
     } else if (baseline_path == nullptr) {
       baseline_path = arg;
-    } else if (current_path == nullptr) {
-      current_path = arg;
     } else {
-      std::fprintf(stderr, "perf_diff: unexpected argument %s\n", arg);
-      return 2;
+      current_paths.push_back(arg);
     }
   }
-  if (baseline_path == nullptr || current_path == nullptr) {
+  if (baseline_path == nullptr || current_paths.empty()) {
     std::fprintf(stderr,
                  "usage: perf_diff <baseline.csv> <current.csv>"
-                 " [--tolerance R] [--min-seconds S]\n");
+                 " [<current.csv> ...] [--tolerance R] [--min-seconds S]\n");
     return 2;
   }
 
-  Table base, cur;
-  if (!load(baseline_path, base) || !load(current_path, cur)) return 2;
-  if (base.columns != cur.columns) {
-    std::fprintf(stderr,
-                 "FAIL: column sets differ (bench schema changed?"
-                 " re-record baselines)\n");
-    return 1;
+  Table base;
+  if (!load(baseline_path, base)) return 2;
+  std::vector<Table> runs(current_paths.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (!load(current_paths[i], runs[i])) return 2;
+    if (base.columns != runs[i].columns) {
+      std::fprintf(stderr,
+                   "FAIL: %s: column sets differ (bench schema changed?"
+                   " re-record baselines)\n", current_paths[i]);
+      return 1;
+    }
   }
+  // Names the run in a message when there are several.
+  const auto run_tag = [&](std::size_t i) {
+    return runs.size() == 1 ? std::string()
+                            : std::string(" in ") + current_paths[i];
+  };
 
   int failures = 0;
   for (const auto& [key, brow] : base.rows) {
-    const auto it = cur.rows.find(key);
-    if (it == cur.rows.end()) {
-      std::printf("FAIL [%s]: missing from current run (grid changed?"
-                  " re-record baselines)\n", key.c_str());
-      ++failures;
-      continue;
-    }
-    const auto& crow = it->second;
+    std::vector<double> seconds;
     bool drift = false;
-    for (const auto& [col, bval] : brow) {
-      if (col == "seconds") continue;
-      const std::string& cval = crow.at(col);
-      if (bval != cval) {
-        std::printf("FAIL [%s]: %s changed %s -> %s (deterministic metric"
-                    " drifted)\n", key.c_str(), col.c_str(), bval.c_str(),
-                    cval.c_str());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const auto it = runs[i].rows.find(key);
+      if (it == runs[i].rows.end()) {
+        std::printf("FAIL [%s]: missing from current run%s (grid changed?"
+                    " re-record baselines)\n", key.c_str(), run_tag(i).c_str());
         drift = true;
+        continue;
       }
+      const auto& crow = it->second;
+      for (const auto& [col, bval] : brow) {
+        if (col == "seconds") continue;
+        const std::string& cval = crow.at(col);
+        if (bval != cval) {
+          std::printf("FAIL [%s]: %s changed %s -> %s%s (deterministic"
+                      " metric drifted)\n", key.c_str(), col.c_str(),
+                      bval.c_str(), cval.c_str(), run_tag(i).c_str());
+          drift = true;
+        }
+      }
+      if (const auto sec = crow.find("seconds"); sec != crow.end())
+        seconds.push_back(std::atof(sec->second.c_str()));
     }
     if (drift) ++failures;
     const auto bsec_it = brow.find("seconds");
-    if (bsec_it == brow.end()) continue;
+    if (bsec_it == brow.end() || seconds.empty()) continue;
     const double bsec = std::atof(bsec_it->second.c_str());
-    const double csec = std::atof(crow.at("seconds").c_str());
+    // Median of the runs (the upper middle one for an even count).
+    std::nth_element(seconds.begin(), seconds.begin() + seconds.size() / 2,
+                     seconds.end());
+    const double csec = seconds[seconds.size() / 2];
     const double ratio = bsec > 0 ? csec / bsec : 0.0;
     const bool gated = bsec >= min_seconds;
     const bool slow = gated && ratio > tolerance;
-    std::printf("%s [%s]: %.6fs -> %.6fs (%.2fx %s)%s\n",
+    std::printf("%s [%s]: %.6fs -> %.6fs%s (%.2fx %s)%s\n",
                 slow ? "FAIL" : "  ok", key.c_str(), bsec, csec,
+                runs.size() == 1 ? "" : " median",
                 ratio > 0 && ratio < 1 ? 1.0 / ratio : ratio,
                 ratio <= 1 ? "speedup" : "slowdown",
                 gated ? "" : " [untimed: below --min-seconds]");
     if (slow) ++failures;
   }
-  for (const auto& [key, crow] : cur.rows) {
-    (void)crow;
-    if (base.rows.find(key) == base.rows.end()) {
-      std::printf("FAIL [%s]: not in baseline (grid changed?"
-                  " re-record baselines)\n", key.c_str());
-      ++failures;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (const auto& [key, crow] : runs[i].rows) {
+      (void)crow;
+      if (base.rows.find(key) == base.rows.end()) {
+        std::printf("FAIL [%s]: not in baseline%s (grid changed?"
+                    " re-record baselines)\n", key.c_str(), run_tag(i).c_str());
+        ++failures;
+      }
     }
   }
 

@@ -311,7 +311,11 @@ Task<MapFindOutcome> run_map_token(Ctx ctx, MapFindConfig cfg) {
     // through them in the engine up to the last one that cannot end the
     // window: the budget's, or while parked early-close, the probing
     // bound's. An unparked early-close token listens one round, as its
-    // first silent round closes the window.
+    // first silent round closes the window. Rounds whose instructions come
+    // from fewer than agent_quorum distinct senders are silent too:
+    // believed_payload needs that many sources behind one payload, so it
+    // returns nullopt, and the code below handles a nullopt round exactly
+    // like a silent one.
     core::Round max_silent =
         cfg.round_budget - used -
         core::Round(home.size() + core::kTokenStepReserve) - 1;
@@ -319,7 +323,7 @@ Task<MapFindOutcome> run_map_token(Ctx ctx, MapFindConfig cfg) {
       max_silent = parked ? std::min(max_silent, parked_silence_bound -
                                                      parked_silence)
                           : core::Round(0);
-    co_await ctx.await_delivery(kMsgInstr, max_silent);
+    co_await ctx.await_delivery(kMsgInstr, max_silent, cfg.agent_quorum);
     used += ctx.listened_rounds();
     parked_silence += ctx.listened_rounds();
     const auto instr =

@@ -58,6 +58,8 @@ void Engine::start_programs() {
             [](const Robot& a, const Robot& b) { return a.id < b.id; });
   honest_live_ = 0;
   readers_.assign(graph_.n(), 0);
+  listening_.assign(graph_.n(), 0);
+  seen_sources_.reserve(robots_.size());
   for (std::uint32_t i = 0; i < robots_.size(); ++i) {
     Robot& r = robots_[i];
     index_of_[r.id] = i;
@@ -169,16 +171,37 @@ void Engine::wake_ambient() {
   ambient_.resize(kept);
 }
 
+std::uint32_t Engine::distinct_sources(const Inbox& box, std::uint32_t kind) {
+  seen_sources_.clear();
+  for (const Msg& m : box) {
+    if (m.kind == kind && std::find(seen_sources_.begin(), seen_sources_.end(),
+                                    m.source) == seen_sources_.end())
+      seen_sources_.push_back(m.source);
+  }
+  return static_cast<std::uint32_t>(seen_sources_.size());
+}
+
 void Engine::wake_listeners() {
+  if (round_ < listen_due_ &&
+      std::none_of(delivered_dirty_.begin(), delivered_dirty_.end(),
+                   [&](NodeId v) { return listening_[v] != 0; }))
+    return;
+  // Listeners crowd a few rally nodes: count each (node, kind) once.
+  NodeId counted_at = kNoNode;
+  std::uint32_t counted_kind = 0;
+  std::uint32_t sources = 0;
   std::size_t kept = 0;
+  listen_due_ = Round::saturated();
   for (const std::uint32_t idx : listeners_) {
     Robot& r = robots_[idx];
-    const Inbox& box = delivered_[r.pos];
-    const bool heard =
-        std::any_of(box.begin(), box.end(),
-                    [&](const Msg& m) { return m.kind == r.listen_kind; });
-    if (!heard && round_ < r.listen_deadline) {
+    if (r.pos != counted_at || r.listen_kind != counted_kind) {
+      counted_at = r.pos;
+      counted_kind = r.listen_kind;
+      sources = distinct_sources(delivered_[r.pos], r.listen_kind);
+    }
+    if (sources < r.listen_quorum && round_ < r.listen_deadline) {
       listeners_[kept++] = idx;
+      listen_due_ = std::min(listen_due_, r.listen_deadline);
       continue;
     }
     // Parked at sub-round 0 of round S, woken at sub-round 1 of round W:
@@ -186,6 +209,7 @@ void Engine::wake_listeners() {
     // sub-rounds of S+1 .. W-1 and at W's sub-round 0.
     r.listened = (round_ - r.listen_start).low_u64();
     account_resumes(2 * r.listened - r.listen_accounted);
+    --listening_[r.pos];
     runnable_.push_back(idx);
   }
   listeners_.resize(kept);
@@ -283,6 +307,18 @@ RunStats Engine::run(Round max_rounds) {
         round_ = std::min(wake, max_rounds);
         if (round_ >= max_rounds) break;
       }
+    } else if (next_round_.empty() && ambient_.empty() &&
+               observer_ == nullptr) {
+      // Only listeners hold the round: nobody runs, so nothing is delivered
+      // before the earliest deadline or scheduled wake. Jump there; the
+      // per-round schedule simulates every round in between.
+      Round to = std::min(listen_due_, max_rounds);
+      if (!wake_queue_.empty()) to = std::min(to, wake_queue_.top().first);
+      if (to > round_) {
+        stats_.simulated_rounds += (to - round_).low_u64();
+        round_ = to;
+        if (round_ >= max_rounds) break;
+      }
     }
     // Wake the robots whose time has come: the next-round bucket plus due
     // heap entries, sorted so robots run in ID order.
@@ -304,6 +340,13 @@ RunStats Engine::run(Round max_rounds) {
     for (const std::uint32_t idx : runnable_) robots_[idx].wake = WakeKind::kSubround;
     ++stats_.simulated_rounds;
     if (observer_ != nullptr) observer_->on_round(round_);
+    // Every parked adversary was stepped and only listeners wait: with no
+    // deadline due, no robot can act or hear anything this round.
+    if (runnable_.empty() && round_ < listen_due_ && observer_ == nullptr) {
+      round_ += 1;
+      continue;
+    }
+    ++stats_.iterated_rounds;
     run_subrounds();
     apply_moves();
     round_ += 1;

@@ -27,6 +27,15 @@
 // bounds (gathering, Find-Map) without paying per-round simulation cost,
 // while round accounting stays exact.
 //
+// Robots waiting for a quorum of messages (Ctx::await_delivery) sleep
+// outside the wake queues too. They hold every round as simulated, as their
+// per-round loop would, but such a round costs nothing unless something
+// can reach them: with no robot due and no ambient robot parked the engine
+// jumps to the earliest listener deadline or scheduled wake, a round in
+// which every parked adversary was stepped (below) skips its sub-rounds,
+// and per-node listener counts let a sub-round with no delivery at a
+// listener's node skip the listener scan.
+//
 // Robots that never read their inbox can go further. A parked ambient robot
 // that arms an AmbientPlan (Ctx::arm_ambient_plan) declares what one of its
 // live rounds does; in every simulated round where no robot at its node can
@@ -34,6 +43,7 @@
 // instead of resuming the coroutine. Per-node reader counts (robots not done
 // and without a plan) decide, so the step is invisible to every robot that
 // reads, and all counts stay those of the per-round execution.
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -209,19 +219,24 @@ class Ctx {
   /// engine instead; deferred_rounds() says how many on the next resume.
   [[nodiscard]] auto end_round_ambient(std::optional<Port> port);
   /// Called at sub-round 0: behaves like next_subround(), but the robot
-  /// sleeps, staying put, through every round in which no message of
-  /// `kind` reaches its node in sub-round 0. It resumes at sub-round 1 of
-  /// the first round whose sub-round 1 inbox at its node holds a `kind`
-  /// message, and at the latest at sub-round 1 of round
-  /// ctx.round() + max_silent. listened_rounds() then says how many whole
-  /// rounds it slept through. Those rounds count toward RunStats::resumes
-  /// exactly as the per-round loop (next_subround, inbox scan, end_round)
-  /// would have counted them, two per round, also when the run ends
-  /// mid-wait. While any robot sleeps here the engine neither fast-forwards
-  /// nor ends the run for lack of scheduled robots. With an observer
+  /// sleeps, staying put, through every round in which messages of `kind`
+  /// from at least `min_sources` (0 counts as 1) distinct physical senders
+  /// (Msg::source) do not reach its node in sub-round 0. It resumes at sub-round 1 of the
+  /// first round whose sub-round 1 inbox at its node holds such a quorum,
+  /// and at the latest at sub-round 1 of round ctx.round() + max_silent,
+  /// whatever the inbox holds. A caller that treats a round with fewer
+  /// sources like a silent one (a quorum tally that finds no winner) thus
+  /// sees exactly the rounds its per-round loop would act on.
+  /// listened_rounds() then says how many whole rounds it slept through.
+  /// Those rounds count toward RunStats::resumes exactly as the per-round
+  /// loop (next_subround, inbox scan, end_round) would have counted them,
+  /// two per round, also when the run ends mid-wait. While any robot sleeps
+  /// here the engine does not end the run for lack of scheduled robots, and
+  /// rounds it jumps count as simulated (RunStats). With an observer
   /// attached, with max_silent == 0, anywhere but sub-round 0, or with
   /// fewer than two sub-rounds it is a plain next_subround().
-  [[nodiscard]] auto await_delivery(std::uint32_t kind, Round max_silent);
+  [[nodiscard]] auto await_delivery(std::uint32_t kind, Round max_silent,
+                                    std::uint32_t min_sources = 1);
   /// Whole rounds the last await_delivery slept through (0 after a plain
   /// next_subround()).
   [[nodiscard]] std::uint64_t listened_rounds() const;
@@ -314,8 +329,15 @@ struct EngineConfig {
 };
 
 struct RunStats {
-  Round rounds = 0;                    ///< rounds elapsed (incl. fast-forwarded)
-  std::uint64_t simulated_rounds = 0;  ///< rounds actually iterated
+  Round rounds = 0;  ///< rounds elapsed (incl. fast-forwarded)
+  /// Rounds not fast-forwarded because every robot slept: the rounds the
+  /// per-round schedule iterates, including those a robot sleeping in
+  /// Ctx::await_delivery holds but in which nobody could act.
+  std::uint64_t simulated_rounds = 0;
+  /// The simulated rounds whose sub-rounds actually ran; the others were
+  /// jumped or skipped while only listeners waited. Like coroutine_resumes
+  /// it depends on how the engine skipped work, so no report carries it.
+  std::uint64_t iterated_rounds = 0;
   /// Robot activations of the per-round schedule: coroutine resumptions
   /// plus the rounds accounted on a robot's behalf instead (ambient
   /// replay, deferred ambient rounds, await_delivery sleeps), so it does
@@ -400,10 +422,12 @@ class Engine {
     // Innermost suspended coroutine; the engine resumes this, not the
     // root, so protocols can nest phases as Task<T> children.
     std::coroutine_handle<> leaf;
-    // kListen: the watched message kind, the round the robot parked in,
-    // the last round it may sleep through, and the resumes accounted for
-    // it so far (run end accounts the rounds already passed).
+    // kListen: the watched message kind and the distinct senders that
+    // wake the robot, the round it parked in, the last round it may sleep
+    // through, and the resumes accounted for it so far (run end accounts
+    // the rounds already passed).
     std::uint32_t listen_kind = 0;
+    std::uint32_t listen_quorum = 1;
     Round listen_start = 0;
     Round listen_deadline = 0;
     std::uint64_t listen_accounted = 0;
@@ -418,7 +442,7 @@ class Engine {
   };
   void set_command(std::uint32_t idx, WakeKind kind, std::optional<Port> port,
                    Round rounds, std::uint32_t listen_kind,
-                   std::coroutine_handle<> leaf);
+                   std::uint32_t listen_quorum, std::coroutine_handle<> leaf);
 
   /// Per-node inbox. Co-location counts are tiny on dispersive paths, so a
   /// few inline slots cover the common case; gathered-phase rally nodes
@@ -446,9 +470,14 @@ class Engine {
   /// armed plan allows it and whom no robot at its node can hear, and
   /// move the rest into runnable_.
   void wake_ambient();
-  /// Sub-round 1: move every listener that hears its kind, or reached its
-  /// deadline, into runnable_ (ID order) with its slept rounds accounted.
+  /// Sub-round 1: move every listener that hears its kind from its quorum
+  /// of senders, or reached its deadline, into runnable_ (ID order) with
+  /// its slept rounds accounted. Returns at once when no listener is due
+  /// and no delivery landed on a listener's node.
   void wake_listeners();
+  /// Distinct physical senders of `kind` messages in `box`.
+  [[nodiscard]] std::uint32_t distinct_sources(const Inbox& box,
+                                               std::uint32_t kind);
   /// Clear an inbox, recycling unique payload blocks into the pool.
   void release_inbox(Inbox& box);
   void push_msg(std::uint32_t idx, RobotId claimed, std::uint32_t kind,
@@ -498,10 +527,17 @@ class Engine {
   /// owes the same gap, and a robot owing a gap is resumed, never
   /// stepped.
   std::vector<std::uint32_t> readers_;
-  /// Robots sleeping in await_delivery, checked at every sub-round 1.
-  /// Nonempty, they keep every round simulated, as the per-round loop's
-  /// next_round_ entries would.
+  /// Robots sleeping in await_delivery. Nonempty, they keep every round
+  /// simulated, as the per-round loop's next_round_ entries would; the
+  /// rounds are iterated only when a robot runs or a deadline is due.
   std::vector<std::uint32_t> listeners_;
+  /// Per node: listeners parked there (they never move while parked).
+  std::vector<std::uint32_t> listening_;
+  /// Earliest listen_deadline among listeners_ (saturated when none).
+  Round listen_due_ = Round::saturated();
+  /// wake_listeners scratch: distinct sources seen in one inbox (reserved
+  /// to the robot count, so counting never allocates).
+  std::vector<std::uint32_t> seen_sources_;
   /// Robots participating in the current / next sub-round, in ID order.
   std::vector<std::uint32_t> runnable_, next_runnable_;
   /// Robots that chose a port this round (sorted before applying).
@@ -533,10 +569,12 @@ struct WakeAwaiter {
   std::optional<Port> port;
   Round rounds;
   std::uint32_t listen_kind = 0;
+  std::uint32_t listen_quorum = 1;
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
-    engine->set_command(idx, kind, port, rounds, listen_kind, h);
+    engine->set_command(idx, kind, port, rounds, listen_kind, listen_quorum,
+                        h);
   }
   void await_resume() const noexcept {}
 };
@@ -545,6 +583,7 @@ struct WakeAwaiter {
 inline void Engine::set_command(std::uint32_t idx, WakeKind kind,
                                 std::optional<Port> port, Round rounds,
                                 std::uint32_t listen_kind,
+                                std::uint32_t listen_quorum,
                                 std::coroutine_handle<> leaf) {
   // Observed runs keep ambient robots live (see Ctx::end_round_ambient).
   if (kind == WakeKind::kAmbient && observer_ != nullptr)
@@ -588,12 +627,15 @@ inline void Engine::set_command(std::uint32_t idx, WakeKind kind,
       break;
     case WakeKind::kListen:
       // Park outside every wake queue until wake_listeners() finds a
-      // delivery of `listen_kind` at the robot's node or the deadline.
+      // quorum of `listen_kind` senders at the robot's node or the deadline.
       r.listen_kind = listen_kind;
+      r.listen_quorum = std::max<std::uint32_t>(listen_quorum, 1);
       r.listen_start = round_;
       r.listen_deadline = round_ + rounds;
       r.listen_accounted = 0;
       listeners_.push_back(idx);
+      ++listening_[r.pos];
+      listen_due_ = std::min(listen_due_, r.listen_deadline);
       break;
   }
 }
@@ -641,9 +683,10 @@ inline auto Ctx::end_round_ambient(std::optional<Port> port) {
                              0};
 }
 
-inline auto Ctx::await_delivery(std::uint32_t kind, Round max_silent) {
-  return detail::WakeAwaiter{engine_,      idx_,      Engine::WakeKind::kListen,
-                             std::nullopt, max_silent, kind};
+inline auto Ctx::await_delivery(std::uint32_t kind, Round max_silent,
+                                std::uint32_t min_sources) {
+  return detail::WakeAwaiter{engine_,    idx_, Engine::WakeKind::kListen,
+                             std::nullopt, max_silent, kind, min_sources};
 }
 
 inline std::uint64_t Ctx::listened_rounds() const {

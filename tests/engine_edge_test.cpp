@@ -1,7 +1,8 @@
 // Engine edge semantics: sub-round budget exhaustion, message drops at
 // round boundaries, livelock guards, multi-call run() behavior, the
 // batched ambient replay kernel against its per-round definition, and
-// await_delivery against the per-round listen loop it replaces.
+// await_delivery against the per-round listen loop it replaces, and the
+// rounds only listeners hold against engines that iterate every round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -394,27 +395,36 @@ TEST(EngineEdge, AmbientWalkThrowsAtTheSameStepAsThePerRoundLoop) {
 constexpr std::uint32_t kWatched = 40;
 constexpr std::uint32_t kOther = 41;
 
-bool holds_kind(std::span<const Msg> inbox, std::uint32_t kind) {
-  return std::any_of(inbox.begin(), inbox.end(),
-                     [&](const Msg& m) { return m.kind == kind; });
+/// Distinct physical senders (Msg::source) of `kind` messages in `inbox`.
+std::size_t sources_of(std::span<const Msg> inbox, std::uint32_t kind) {
+  std::vector<std::uint32_t> seen;
+  for (const Msg& m : inbox)
+    if (m.kind == kind) seen.push_back(m.source);
+  std::sort(seen.begin(), seen.end());
+  return static_cast<std::size_t>(
+      std::unique(seen.begin(), seen.end()) - seen.begin());
 }
 
 /// Called at sub-round 0: returns at sub-round 1 of the first round whose
-/// inbox holds a kWatched message, or of the round `max_silent` rounds on,
-/// with the silent rounds before it counted. engine_wait sleeps in
-/// await_delivery (looping, as its callers must, when an observer turns it
-/// into a plain next_subround); otherwise the per-round loop polls.
-Task<std::uint64_t> listen(Ctx ctx, bool engine_wait, std::uint64_t max_silent) {
+/// inbox holds kWatched messages from `quorum` distinct senders, or of the
+/// round `max_silent` rounds on, with the silent rounds before it counted.
+/// engine_wait sleeps in await_delivery (looping, as its callers must, when
+/// an observer turns it into a plain next_subround, and counting those
+/// loops in `early_wakes`); otherwise the per-round loop polls, counting
+/// the senders itself.
+Task<std::uint64_t> listen(Ctx ctx, bool engine_wait, std::uint64_t max_silent,
+                           std::uint32_t quorum, std::uint64_t* early_wakes) {
   std::uint64_t silent = 0;
   for (;;) {
     if (engine_wait) {
-      co_await ctx.await_delivery(kWatched, max_silent - silent);
+      co_await ctx.await_delivery(kWatched, max_silent - silent, quorum);
       silent += ctx.listened_rounds();
     } else {
       co_await ctx.next_subround();
     }
-    if (silent == max_silent || holds_kind(ctx.inbox(), kWatched))
+    if (silent == max_silent || sources_of(ctx.inbox(), kWatched) >= quorum)
       co_return silent;
+    if (engine_wait) ++*early_wakes;
     co_await ctx.end_round(std::nullopt);
     ++silent;
   }
@@ -432,10 +442,12 @@ struct Wake {
 };
 
 Proc listener(Ctx ctx, bool engine_wait, std::vector<std::uint64_t> waits,
-              std::vector<Wake>* log) {
+              std::uint32_t quorum, std::vector<Wake>* log,
+              std::uint64_t* early_wakes) {
   for (const std::uint64_t max_silent : waits) {
     Wake w;
-    w.silent = co_await listen(ctx, engine_wait, max_silent);
+    w.silent =
+        co_await listen(ctx, engine_wait, max_silent, quorum, early_wakes);
     w.round = ctx.round();
     for (const Msg& m : ctx.inbox()) w.kinds.push_back(m.kind);
     ctx.broadcast(kOther);
@@ -455,20 +467,30 @@ struct Say {
   std::optional<Port> move;
 };
 
-Proc talker(Ctx ctx, std::vector<Say> script) {
+/// Speaks each Say `copies` times, or, with `spoof` set, once per forged
+/// claimed ID in it.
+Proc talker(Ctx ctx, std::vector<Say> script, std::uint32_t copies = 1,
+            std::vector<RobotId> spoof = {}) {
   for (const Say& s : script) {
     if (ctx.round() < s.round) co_await ctx.sleep_rounds(s.round - ctx.round());
     while (ctx.subround() < s.sub) co_await ctx.next_subround();
-    ctx.broadcast(s.kind);
+    for (std::uint32_t i = 0; i < copies && spoof.empty(); ++i)
+      ctx.broadcast(s.kind);
+    for (const RobotId claimed : spoof) ctx.spoof_broadcast(claimed, s.kind);
     co_await ctx.end_round(s.move);
   }
 }
 
 /// Robots on make_path(3): talker 1 and talker 3 share node 0 with the
-/// listener (ID 2), talker 4 starts at node 2.
+/// listener (ID 2), talker 4 starts at node 2. The listener wakes on
+/// `quorum` distinct senders; talker 1 speaks `t1_copies` times a round,
+/// talker 3 (strong Byzantine then) forges the IDs in `t3_spoof`.
 struct ListenCase {
   std::vector<std::uint64_t> waits;
+  std::uint32_t quorum = 1;
   std::vector<Say> t1, t3, t4;
+  std::uint32_t t1_copies = 1;
+  std::vector<RobotId> t3_spoof;
   std::vector<Round> run_to = {400};  ///< one run() per entry
   std::uint64_t max_resumes = 1'000'000;
 };
@@ -478,6 +500,9 @@ struct ListenEnd {
   bool threw = false;
   std::vector<NodeId> pos;
   std::vector<Wake> log;
+  /// Unobserved await_delivery returns without a quorum or the deadline:
+  /// the engine woke the listener for nothing.
+  std::uint64_t early_wakes = 0;
 };
 
 ListenEnd run_listen(const ListenCase& c, bool engine_wait,
@@ -489,10 +514,15 @@ ListenEnd run_listen(const ListenCase& c, bool engine_wait,
   eng.set_observer(observer);
   ListenEnd end;
   eng.add_robot(2, Faultiness::kHonest, 0, [&](Ctx x) {
-    return listener(x, engine_wait, c.waits, &end.log);
+    return listener(x, engine_wait, c.waits, c.quorum, &end.log,
+                    &end.early_wakes);
   });
-  eng.add_robot(1, Faultiness::kHonest, 0, [&](Ctx x) { return talker(x, c.t1); });
-  eng.add_robot(3, Faultiness::kHonest, 0, [&](Ctx x) { return talker(x, c.t3); });
+  eng.add_robot(1, Faultiness::kHonest, 0,
+                [&](Ctx x) { return talker(x, c.t1, c.t1_copies); });
+  eng.add_robot(3,
+                c.t3_spoof.empty() ? Faultiness::kHonest
+                                   : Faultiness::kStrongByzantine,
+                0, [&](Ctx x) { return talker(x, c.t3, 1, c.t3_spoof); });
   eng.add_robot(4, Faultiness::kHonest, 2, [&](Ctx x) { return talker(x, c.t4); });
   try {
     for (const Round r : c.run_to) end.stats.push_back(eng.run(r));
@@ -521,6 +551,8 @@ void expect_same_run(const ListenEnd& wait, const ListenEnd& poll) {
     EXPECT_EQ(a.all_honest_done, b.all_honest_done);
     EXPECT_LE(a.coroutine_resumes, b.coroutine_resumes);
     EXPECT_EQ(b.coroutine_resumes, b.resumes);
+    EXPECT_LE(a.iterated_rounds, a.simulated_rounds);
+    EXPECT_EQ(b.iterated_rounds, b.simulated_rounds);
   }
 }
 
@@ -532,6 +564,7 @@ ListenEnd expect_await_matches_poll(const ListenCase& c) {
   const ListenEnd poll = run_listen(c, /*engine_wait=*/false);
   const ListenEnd wait = run_listen(c, /*engine_wait=*/true);
   expect_same_run(wait, poll);
+  EXPECT_EQ(wait.early_wakes, 0u);
   Observer noop;
   const ListenEnd live = run_listen(c, /*engine_wait=*/true, &noop);
   expect_same_run(live, poll);
@@ -555,7 +588,8 @@ ListenEnd expect_await_matches_poll(const ListenCase& c) {
 TEST(AwaitDelivery, SilentStretchRunsToTheDeadline) {
   // Nobody talks: the listener wakes at each deadline. Talker 4 sleeps
   // until round 30, so with the listener asleep in the engine no robot is
-  // scheduled for rounds 1..29, and the engine must not fast-forward them.
+  // scheduled for rounds 1..29; the rounds the listener holds must still
+  // count as simulated.
   ListenCase c;
   c.waits = {5, 0, 12};
   c.t4 = {{30, 0, kOther, std::nullopt}};
@@ -565,8 +599,9 @@ TEST(AwaitDelivery, SilentStretchRunsToTheDeadline) {
   EXPECT_EQ(wait.log[0].silent, 5u);
   EXPECT_EQ(wait.log[1].round, Round(6));
   EXPECT_EQ(wait.log[2].round, Round(19));
-  // Rounds 0..20 run (the listener finishes at 20), 21..29 fast-forward,
-  // talker 4 speaks at 30 and finishes at 31.
+  // Rounds 0..20 are simulated (the listener finishes at 20), though the
+  // await_delivery engine jumps the ones only the listener holds; 21..29
+  // fast-forward, talker 4 speaks at 30 and finishes at 31.
   EXPECT_EQ(wait.stats[0].rounds, Round(32));
   EXPECT_EQ(wait.stats[0].simulated_rounds, 23u);
   // 5 + 12 slept rounds, two resumes each, were accounted, not run.
@@ -642,6 +677,81 @@ TEST(AwaitDelivery, ResumeBudgetRunsOutMidWait) {
   }
 }
 
+TEST(AwaitDelivery, QuorumOneShortThenReached) {
+  // Quorum 2: talker 1 alone in round 4 is one sender short; talkers 1
+  // and 3 together in round 9 make the quorum.
+  ListenCase c;
+  c.waits = {50};
+  c.quorum = 2;
+  c.t1 = {{4, 0, kWatched, std::nullopt}, {9, 0, kWatched, std::nullopt}};
+  c.t3 = {{9, 0, kWatched, std::nullopt}};
+  const ListenEnd wait = expect_await_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 1u);
+  EXPECT_EQ(wait.log[0].round, Round(9));
+  EXPECT_EQ(wait.log[0].silent, 9u);
+  EXPECT_EQ(wait.log[0].kinds,
+            (std::vector<std::uint32_t>{kWatched, kWatched}));
+}
+
+TEST(AwaitDelivery, MinSourcesOneWakesOnTheFirstSender) {
+  // The same traffic with quorum 1 (the default): today's wake on any
+  // message of the kind, in round 4.
+  ListenCase c;
+  c.waits = {50};
+  c.t1 = {{4, 0, kWatched, std::nullopt}, {9, 0, kWatched, std::nullopt}};
+  c.t3 = {{9, 0, kWatched, std::nullopt}};
+  const ListenEnd wait = expect_await_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 1u);
+  EXPECT_EQ(wait.log[0].round, Round(4));
+  EXPECT_EQ(wait.log[0].silent, 4u);
+}
+
+TEST(AwaitDelivery, OneSenderTwiceIsOneSource) {
+  // Talker 1 sends the watched kind twice in round 3: two messages, one
+  // sender. The quorum of 2 is met only when talker 3 joins in round 6.
+  ListenCase c;
+  c.waits = {20};
+  c.quorum = 2;
+  c.t1 = {{3, 0, kWatched, std::nullopt}, {6, 0, kWatched, std::nullopt}};
+  c.t1_copies = 2;
+  c.t3 = {{6, 0, kWatched, std::nullopt}};
+  const ListenEnd wait = expect_await_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 1u);
+  EXPECT_EQ(wait.log[0].round, Round(6));
+}
+
+TEST(AwaitDelivery, SpoofedIdsFromOneSourceDoNotWake) {
+  // A strong Byzantine talker forges four claimed IDs in round 5: four
+  // messages, one physical sender, so a quorum of 2 sleeps on to the
+  // deadline.
+  ListenCase c;
+  c.waits = {12};
+  c.quorum = 2;
+  c.t3 = {{5, 0, kWatched, std::nullopt}};
+  c.t3_spoof = {1, 2, 3, 7};
+  const ListenEnd wait = expect_await_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 1u);
+  EXPECT_EQ(wait.log[0].round, Round(12));
+  EXPECT_EQ(wait.log[0].silent, 12u);
+}
+
+TEST(AwaitDelivery, DeadlineUnderSubQuorumTraffic) {
+  // Talkers 1 and 3 speak together in rounds 2..10: two senders, a quorum
+  // of 3 never met, so the listener wakes at its deadline, round 8, with
+  // the sub-quorum traffic in its inbox.
+  ListenCase c;
+  c.waits = {8};
+  c.quorum = 3;
+  for (std::uint64_t r = 2; r <= 10; ++r) {
+    c.t1.push_back({r, 0, kWatched, std::nullopt});
+    c.t3.push_back({r, 0, kWatched, std::nullopt});
+  }
+  const ListenEnd wait = expect_await_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 1u);
+  EXPECT_EQ(wait.log[0].round, Round(8));
+  EXPECT_EQ(wait.log[0].kinds,
+            (std::vector<std::uint32_t>{kWatched, kWatched}));
+}
 
 // ---------------------------------------------------------------------------
 // Deferred ambient rounds (Ctx::arm_ambient_plan) against their definition:
@@ -1137,6 +1247,262 @@ TEST(AmbientDefer, PlanlessReplayerKeepsTheReaderCountsRight) {
     const auto [armed, live] = expect_defer_matches_live(c);
     EXPECT_FALSE(armed.replayer_heard.empty());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Rounds only listeners hold, against engines that iterate them: the same
+// listener sleeps in await_delivery in one engine and polls every round in
+// the other, beside an armed scripted adversary (robot 1) and a talker
+// (robot 3). Polling keeps every round iterated; the await engine jumps
+// listener-only stretches and skips rounds in which it stepped every
+// adversary. Every count but coroutine_resumes and iterated_rounds, every
+// position, wake, adversary drain and generator state must match.
+// ---------------------------------------------------------------------------
+
+struct FreeCase {
+  std::vector<std::uint64_t> waits;  ///< listener 2, at node 0
+  std::uint32_t quorum = 1;
+  std::optional<Script> adv;  ///< robot 1, armed
+  NodeId adv_start = 3;
+  std::vector<Say> talk;  ///< robot 3
+  NodeId talk_start = 2;
+  std::vector<Round> run_to = {400};  ///< one run() per entry
+  std::size_t observe_from = 0;  ///< first run() the observer watches
+  std::uint64_t max_resumes = 1'000'000;
+};
+
+struct FreeEnd {
+  std::vector<RunStats> stats;  ///< one per completed run()
+  bool threw = false;
+  std::vector<NodeId> pos;
+  std::vector<Wake> log;
+  /// Unobserved await_delivery returns without a quorum or the deadline:
+  /// the engine woke the listener for nothing.
+  std::uint64_t early_wakes = 0;
+  std::vector<Port> adv_drained;
+  std::uint64_t adv_next_draw = 0;
+};
+
+FreeEnd run_free(const FreeCase& c, bool engine_wait,
+                 Observer* observer = nullptr) {
+  EngineConfig cfg;
+  cfg.subrounds = 3;
+  cfg.max_resumes = c.max_resumes;
+  Engine eng(make_oriented_ring(6), cfg);
+  FreeEnd end;
+  Rng adv_rng(91);
+  if (c.adv) {
+    eng.add_robot(1, Faultiness::kWeakByzantine, c.adv_start, [&](Ctx x) {
+      return scripted(x, &*c.adv, /*arm=*/true, &adv_rng, nullptr,
+                      &end.adv_drained);
+    });
+  }
+  eng.add_robot(2, Faultiness::kHonest, 0, [&](Ctx x) {
+    return listener(x, engine_wait, c.waits, c.quorum, &end.log,
+                    &end.early_wakes);
+  });
+  eng.add_robot(3, Faultiness::kHonest, c.talk_start,
+                [&](Ctx x) { return talker(x, c.talk); });
+  try {
+    for (std::size_t i = 0; i < c.run_to.size(); ++i) {
+      if (i == c.observe_from) eng.set_observer(observer);
+      end.stats.push_back(eng.run(c.run_to[i]));
+    }
+  } catch (const std::runtime_error&) {
+    end.threw = true;
+  }
+  for (std::size_t i = 0; i < eng.num_robots(); ++i)
+    end.pos.push_back(eng.robot_position(i));
+  end.adv_next_draw = adv_rng.next();
+  return end;
+}
+
+void expect_same_free_run(const FreeEnd& wait, const FreeEnd& poll) {
+  EXPECT_EQ(wait.threw, poll.threw);
+  EXPECT_EQ(wait.pos, poll.pos);
+  EXPECT_EQ(wait.log, poll.log);
+  EXPECT_EQ(wait.adv_drained, poll.adv_drained);
+  EXPECT_EQ(wait.adv_next_draw, poll.adv_next_draw);
+  ASSERT_EQ(wait.stats.size(), poll.stats.size());
+  for (std::size_t i = 0; i < poll.stats.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    const RunStats& a = wait.stats[i];
+    const RunStats& b = poll.stats[i];
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.simulated_rounds, b.simulated_rounds);
+    EXPECT_EQ(a.resumes, b.resumes);
+    EXPECT_EQ(a.moves, b.moves);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.all_honest_done, b.all_honest_done);
+    EXPECT_LE(a.iterated_rounds, a.simulated_rounds);
+    EXPECT_EQ(b.iterated_rounds, b.simulated_rounds);
+  }
+}
+
+std::uint64_t total_iterated(const FreeEnd& e) {
+  std::uint64_t sum = 0;
+  for (const RunStats& st : e.stats) sum += st.iterated_rounds;
+  return sum;
+}
+
+std::uint64_t total_simulated(const FreeEnd& e) {
+  std::uint64_t sum = 0;
+  for (const RunStats& st : e.stats) sum += st.simulated_rounds;
+  return sum;
+}
+
+/// The twin comparison plus resume budgets one short of the polling run's
+/// total and exactly it. Returns the await_delivery run.
+FreeEnd expect_free_matches_poll(const FreeCase& c) {
+  const FreeEnd poll = run_free(c, /*engine_wait=*/false);
+  const FreeEnd wait = run_free(c, /*engine_wait=*/true);
+  expect_same_free_run(wait, poll);
+  EXPECT_EQ(wait.early_wakes, 0u);
+  if (!poll.threw && poll.stats.size() == 1) {
+    for (const std::uint64_t budget :
+         {poll.stats[0].resumes - 1, poll.stats[0].resumes}) {
+      SCOPED_TRACE("max_resumes " + std::to_string(budget));
+      FreeCase tight = c;
+      tight.max_resumes = budget;
+      const FreeEnd tight_poll = run_free(tight, /*engine_wait=*/false);
+      EXPECT_EQ(tight_poll.threw, budget < poll.stats[0].resumes);
+      const FreeEnd tight_wait = run_free(tight, /*engine_wait=*/true);
+      EXPECT_EQ(tight_wait.threw, tight_poll.threw);
+      if (!tight_poll.threw) expect_same_free_run(tight_wait, tight_poll);
+    }
+  }
+  return wait;
+}
+
+TEST(FreeRounds, ListenerAloneJumpsToItsDeadlines) {
+  // Only the listener and a talker asleep to round 90: the await engine
+  // iterates just the rounds the listener acts in.
+  FreeCase c;
+  c.waits = {20, 30, 5};
+  c.talk = {{90, 0, kOther, std::nullopt}};
+  const FreeEnd wait = expect_free_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 3u);
+  EXPECT_EQ(wait.log[2].round, Round(57));
+  EXPECT_LT(total_iterated(wait) + 50, total_simulated(wait));
+}
+
+TEST(FreeRounds, SleeperWakesMidStretch) {
+  // The talker wakes at round 13, walks from node 2 over node 1 to the
+  // listener's node and speaks there in round 16: the jump must stop at
+  // its wake, not at the listener's deadline.
+  FreeCase c;
+  c.waits = {40, 40};
+  c.talk = {{13, 0, kOther, Port{1}},
+            {14, 0, kOther, Port{1}},
+            {16, 0, kWatched, std::nullopt}};
+  const FreeEnd wait = expect_free_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 2u);
+  EXPECT_EQ(wait.log[0].round, Round(16));
+  EXPECT_EQ(wait.pos[1], NodeId{0});
+}
+
+TEST(FreeRounds, AmbientAdversaryAloneThenColocated) {
+  // A stationary adversary away from the listener is stepped in every
+  // round, so those rounds are skipped; one on the listener's node runs
+  // live and talks into its inbox (another kind: no wake). A wandering
+  // one does both.
+  for (const auto& [start, move] :
+       {std::pair{NodeId{3}, WalkMove::kStay},
+        std::pair{NodeId{0}, WalkMove::kStay},
+        std::pair{NodeId{2}, WalkMove::kRandomPort},
+        std::pair{NodeId{2}, WalkMove::kChancePort}}) {
+    SCOPED_TRACE("start " + std::to_string(start) + " move " +
+                 std::to_string(static_cast<int>(move)));
+    FreeCase c;
+    c.waits = {25, 25, 25};
+    c.adv = Script{};
+    c.adv->move = move;
+    c.adv_start = start;
+    c.talk = {{31, 0, kOther, Port{1}}, {32, 0, kOther, Port{1}},
+              {33, 0, kWatched, std::nullopt}};
+    const FreeEnd wait = expect_free_matches_poll(c);
+    EXPECT_FALSE(wait.log.empty());
+    if (start == NodeId{3}) {
+      EXPECT_LT(total_iterated(wait) + 40, total_simulated(wait));
+    }
+  }
+}
+
+TEST(FreeRounds, MaxRoundsCutInsideAJumpThenTwoMoreRuns) {
+  // The first run() ends at round 30, inside the jump to the listener's
+  // deadline at 70; the second ends at 60, still inside it; the third
+  // reaches the deadline and the talker's round-75 message.
+  FreeCase c;
+  c.waits = {70, 40};
+  c.talk = {{75, 0, kOther, Port{1}},
+            {76, 0, kOther, Port{1}},
+            {77, 0, kWatched, std::nullopt}};
+  c.run_to = {30, 60, 400};
+  const FreeEnd wait = expect_free_matches_poll(c);
+  ASSERT_EQ(wait.stats.size(), 3u);
+  EXPECT_EQ(wait.stats[0].rounds, Round(30));
+  EXPECT_EQ(wait.stats[0].iterated_rounds, 1u);  // round 0 only
+  EXPECT_EQ(wait.stats[1].iterated_rounds, 0u);
+  ASSERT_EQ(wait.log.size(), 2u);
+  EXPECT_EQ(wait.log[0].round, Round(70));
+  EXPECT_EQ(wait.log[1].round, Round(77));
+  EXPECT_TRUE(wait.stats[2].all_honest_done);
+}
+
+TEST(FreeRounds, QuorumListenerBesideAnAdversary) {
+  // A quorum-2 listener next to a co-located adversary and a lone talker:
+  // no round reaches the quorum, so it sleeps to each deadline.
+  FreeCase c;
+  c.waits = {30, 30};
+  c.quorum = 2;
+  c.adv = Script{};
+  c.adv->move = WalkMove::kRandomPort;
+  c.adv_start = 1;
+  c.talk = {{3, 0, kOther, Port{1}}, {4, 0, kOther, Port{1}}};
+  for (std::uint64_t r = 5; r < 50; r += 4)
+    c.talk.push_back({r, 0, kWatched, std::nullopt});
+  const FreeEnd wait = expect_free_matches_poll(c);
+  ASSERT_EQ(wait.log.size(), 2u);
+  EXPECT_EQ(wait.log[0].round, Round(30));
+  EXPECT_EQ(wait.log[1].round, Round(61));
+}
+
+TEST(FreeRounds, ObserverIteratesEveryRound) {
+  // With an observer attached await_delivery is the polling loop and the
+  // adversary runs live: nothing is jumped or skipped.
+  FreeCase c;
+  c.waits = {20, 30};
+  c.adv = Script{};
+  c.adv->move = WalkMove::kRandomPort;
+  c.talk = {{60, 0, kOther, std::nullopt}};
+  RoundLog wait_rounds, poll_rounds;
+  const FreeEnd wait = run_free(c, /*engine_wait=*/true, &wait_rounds);
+  const FreeEnd poll = run_free(c, /*engine_wait=*/false, &poll_rounds);
+  expect_same_free_run(wait, poll);
+  ASSERT_EQ(wait.stats.size(), 1u);
+  EXPECT_EQ(wait.stats[0].iterated_rounds, wait.stats[0].simulated_rounds);
+  EXPECT_EQ(wait.stats[0].coroutine_resumes, poll.stats[0].coroutine_resumes);
+  EXPECT_EQ(wait_rounds.rounds.size(), wait.stats[0].simulated_rounds);
+}
+
+TEST(FreeRounds, ObserverAttachedWhileAListenerSleeps) {
+  // The listener parks unobserved; an observer attached for the second
+  // run() finds it still asleep in the engine. From then on every round is
+  // iterated and reported, though only the listener holds it.
+  FreeCase c;
+  c.waits = {50, 20};
+  c.talk = {{90, 0, kOther, std::nullopt}};
+  c.run_to = {10, 400};
+  c.observe_from = 1;
+  RoundLog wait_rounds, poll_rounds;
+  const FreeEnd wait = run_free(c, /*engine_wait=*/true, &wait_rounds);
+  const FreeEnd poll = run_free(c, /*engine_wait=*/false, &poll_rounds);
+  expect_same_free_run(wait, poll);
+  ASSERT_EQ(wait.stats.size(), 2u);
+  EXPECT_EQ(wait.stats[0].iterated_rounds, 1u);
+  EXPECT_EQ(wait.stats[1].iterated_rounds, wait.stats[1].simulated_rounds);
+  EXPECT_EQ(wait_rounds.rounds, poll_rounds.rounds);
+  EXPECT_EQ(wait_rounds.rounds.size(), wait.stats[1].simulated_rounds);
 }
 
 }  // namespace

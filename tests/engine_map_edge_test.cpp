@@ -208,21 +208,29 @@ struct PairEnd {
   NodeId token_pos = kNoNode;
 };
 
-PairEnd run_scripted_pair(
-    const std::vector<std::pair<std::uint64_t, MapOp>>& script,
-    bool early_close, sim::Observer* observer) {
+using AgentScript = std::vector<std::pair<std::uint64_t, MapOp>>;
+
+/// Agents 1, 3, 5, ... each speak one script at the rally node of a
+/// 6-ring; token 2 believes an instruction from `quorum` of them.
+PairEnd run_scripted_agents(const std::vector<AgentScript>& scripts,
+                            std::uint32_t quorum, bool early_close,
+                            sim::Observer* observer) {
   const Graph g = make_ring(6);
   MapFindConfig cfg;
-  cfg.agents = {1};
+  for (std::size_t i = 0; i < scripts.size(); ++i)
+    cfg.agents.push_back(2 * i + 1);
   cfg.tokens = {2};
+  cfg.agent_quorum = quorum;
   cfg.n = 6;
   cfg.round_budget = default_map_window(cfg.n);
   cfg.early_close = early_close;
   sim::Engine eng(g);
   eng.set_observer(observer);
   auto tout = std::make_shared<MapFindOutcome>();
-  eng.add_robot(1, sim::Faultiness::kHonest, 0,
-                [&](sim::Ctx c) { return scripted_agent(c, script); });
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    eng.add_robot(cfg.agents[i], sim::Faultiness::kHonest, 0,
+                  [&, i](sim::Ctx c) { return scripted_agent(c, scripts[i]); });
+  }
   eng.add_robot(2, sim::Faultiness::kHonest, 0,
                 [=](sim::Ctx c) { return token_wrap(c, cfg, tout); });
   PairEnd end;
@@ -232,13 +240,13 @@ PairEnd run_scripted_pair(
   return end;
 }
 
-/// Runs `script` with and without an observer; every count must agree.
-PairEnd expect_observed_pair_matches(
-    const std::vector<std::pair<std::uint64_t, MapOp>>& script,
-    bool early_close) {
-  const PairEnd wait = run_scripted_pair(script, early_close, nullptr);
+/// Runs the scripts with and without an observer; every count must agree.
+PairEnd expect_observed_matches(const std::vector<AgentScript>& scripts,
+                                std::uint32_t quorum, bool early_close) {
+  const PairEnd wait =
+      run_scripted_agents(scripts, quorum, early_close, nullptr);
   sim::Observer noop;
-  const PairEnd live = run_scripted_pair(script, early_close, &noop);
+  const PairEnd live = run_scripted_agents(scripts, quorum, early_close, &noop);
   EXPECT_EQ(wait.stats.rounds, live.stats.rounds);
   EXPECT_EQ(wait.stats.simulated_rounds, live.stats.simulated_rounds);
   EXPECT_EQ(wait.stats.resumes, live.stats.resumes);
@@ -250,7 +258,14 @@ PairEnd expect_observed_pair_matches(
   EXPECT_EQ(wait.token_pos, live.token_pos);
   EXPECT_EQ(live.stats.coroutine_resumes, live.stats.resumes);
   EXPECT_LT(wait.stats.coroutine_resumes, live.stats.coroutine_resumes);
+  EXPECT_EQ(live.stats.iterated_rounds, live.stats.simulated_rounds);
   return wait;
+}
+
+/// The pair setting: agent 1 alone, quorum 1.
+PairEnd expect_observed_pair_matches(const AgentScript& script,
+                                     bool early_close) {
+  return expect_observed_matches({script}, 1, early_close);
 }
 
 TEST(TokenListen, ParkedEarlyCloseTokenClosesAtTheSilenceBound) {
@@ -283,6 +298,28 @@ TEST(TokenListen, GroupTokenListensToTheBudget) {
   EXPECT_EQ(core::Round(end.token.active_rounds + 1 + core::kTokenStepReserve),
             default_map_window(6));
   EXPECT_EQ(end.token_pos, 0u);
+}
+
+TEST(TokenListen, GroupTokenSleepsThroughALoneLiar) {
+  // Quorum 2 of agents 1, 3 and 5. Agent 1 lies alone in rounds 0..29,
+  // asking for TOKEN_HERE; agents 3 and 5 agree on a no-op in round 10, a
+  // token move in round 20 and a query at the new node in round 21, then
+  // fall silent. Only those three rounds reach the quorum, so the token
+  // sleeps through the liar's rounds and answers just the one query.
+  AgentScript liar;
+  for (std::uint64_t r = 0; r < 30; ++r) liar.push_back({r, MapOp::kQuery});
+  const AgentScript honest = {
+      {10, MapOp::kNoop}, {20, MapOp::kTMove}, {21, MapOp::kQuery}};
+  const PairEnd end =
+      expect_observed_matches({liar, honest, honest}, 2, /*early_close=*/false);
+  EXPECT_EQ(core::Round(end.token.active_rounds + 1 + core::kTokenStepReserve),
+            default_map_window(6));
+  EXPECT_EQ(end.token_pos, 0u);
+  // 30 liar broadcasts, 6 honest ones, one TOKEN_HERE.
+  EXPECT_EQ(end.stats.messages, 37u);
+  // The run takes 54 real switches. Woken by the liar too, the token would
+  // add two for each of the 18 liar-only rounds it spent beside it.
+  EXPECT_LE(end.stats.coroutine_resumes, 60u);
 }
 
 /// A scenario point and the unobserved simulated_rounds and resumes the

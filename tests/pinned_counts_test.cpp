@@ -4,8 +4,11 @@
 // unheard adversary rounds. Every strategy, the spoofer and a mix run at
 // n = 12 and 16 against the three gathered algorithms, smallest-ID
 // Byzantines on sparse graphs, where the adversaries spread out and the
-// engine steps most of their rounds itself. A change that moves any count
-// of any point fails here, in tier 1, not only in perfbench's digests.
+// engine steps most of their rounds itself. The arbitrary-start grids
+// (sqrt-arbitrary, strong-arbitrary) were recorded before token listeners
+// woke only on a quorum of senders: their token groups believe an
+// instruction from more than one agent. A change that moves any count of
+// any point fails here, in tier 1, not only in perfbench's digests.
 //
 // When a change moves counts on purpose, re-record: the failure message
 // prints the new digest and line count.
@@ -13,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -81,6 +85,19 @@ void expect_pinned(const SweepSpec& spec, const Pinned& pin) {
       << " over " << lines << " lines";
 }
 
+/// One pin per weak strategy, in core::weak_strategies() order, each over
+/// `grid` with that strategy.
+void expect_weak_strategies_pinned(const SweepSpec& grid,
+                                   std::span<const Pinned> pins) {
+  ASSERT_EQ(pins.size(), core::weak_strategies().size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    SweepSpec spec = grid;
+    spec.strategy = core::weak_strategies()[i];
+    ASSERT_EQ(core::to_string(spec.strategy), pins[i].name);
+    expect_pinned(spec, pins[i]);
+  }
+}
+
 TEST(PinnedCounts, EveryWeakStrategy) {
   const Pinned pins[] = {
       {"crash", 0xf0cd8bffec897820ULL, 24},
@@ -91,13 +108,7 @@ TEST(PinnedCounts, EveryWeakStrategy) {
       {"intent_spammer", 0xdfd9d73658617d9aULL, 24},
       {"map_liar", 0xd808f4b64eab3289ULL, 24},
   };
-  ASSERT_EQ(std::size(pins), core::weak_strategies().size());
-  for (std::size_t i = 0; i < std::size(pins); ++i) {
-    SweepSpec spec = gathered_grid();
-    spec.strategy = core::weak_strategies()[i];
-    ASSERT_EQ(core::to_string(spec.strategy), pins[i].name);
-    expect_pinned(spec, pins[i]);
-  }
+  expect_weak_strategies_pinned(gathered_grid(), pins);
 }
 
 TEST(PinnedCounts, SpooferAgainstStrongGathered) {
@@ -105,6 +116,34 @@ TEST(PinnedCounts, SpooferAgainstStrongGathered) {
   spec.algorithms = {Algorithm::kStrongGathered};
   spec.strategy = ByzStrategy::kSpoofer;
   expect_pinned(spec, {"spoofer", 0x6fc7adc9b29a1f90ULL, 8});
+}
+
+SweepSpec arbitrary_grid() {
+  SweepSpec spec = gathered_grid();
+  spec.algorithms = {Algorithm::kSqrtArbitrary, Algorithm::kStrongArbitrary};
+  return spec;
+}
+
+TEST(PinnedCounts, ArbitraryStartQuorumTokens) {
+  const Pinned pins[] = {
+      {"crash", 0x0617076b72423379ULL, 16},
+      {"random_walker", 0x1523de99874ea23cULL, 16},
+      {"squatter", 0x9a86abb40c52d322ULL, 16},
+      {"fake_settler", 0x4e1f2a9cb230f1caULL, 16},
+      {"silent_settler", 0xee3d375e75870f9cULL, 16},
+      {"intent_spammer", 0x9beb28939d934cefULL, 16},
+      {"map_liar", 0x697cce84d562fa4cULL, 16},
+  };
+  expect_weak_strategies_pinned(arbitrary_grid(), pins);
+  SweepSpec spoofed = arbitrary_grid();
+  spoofed.algorithms = {Algorithm::kStrongArbitrary};
+  spoofed.strategy = ByzStrategy::kSpoofer;
+  expect_pinned(spoofed, {"spoofer", 0x66d8d6a4410bedb7ULL, 8});
+  SweepSpec mixed = arbitrary_grid();
+  mixed.strategy_mixes = {{ByzStrategy::kFakeSettler, ByzStrategy::kMapLiar,
+                           ByzStrategy::kSquatter}};
+  expect_pinned(mixed,
+                {"fake_settler+map_liar+squatter", 0xddb7ce1ee563e67eULL, 16});
 }
 
 TEST(PinnedCounts, Mix) {
