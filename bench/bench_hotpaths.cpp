@@ -187,7 +187,7 @@ sim::Proc chatter(sim::Ctx ctx, std::uint64_t rounds, std::uint64_t* sink) {
   const std::int64_t words[6] = {1, 2, 3, 4, 5,
                                  static_cast<std::int64_t>(ctx.self())};
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    ctx.broadcast_pooled(kChatterKind, words);
+    ctx.broadcast(kChatterKind, words);
     co_await ctx.next_subround();
     std::uint64_t sum = 0;
     for (const sim::Msg& m : ctx.inbox())

@@ -106,13 +106,13 @@ std::optional<Port> draw_move(CompiledStrategy::MoveRule rule, Ctx& ctx,
 /// The one interpreter behind every adversary. Live rounds walk the op
 /// list; replayed (fast-forwarded) rounds run its per-phase digest, which
 /// draws and counts exactly what one walk does, and so do the rounds the
-/// engine steps under the plan each live round arms (rounds in which no
-/// robot at the adversary's node can hear it; the interpreter never reads
-/// its inbox). So bulk execution (parked via end_round_ambient, replaying
-/// the rounds the engine skipped, stepped by the engine where unheard) and
-/// live execution (an observer is attached, so the engine resumes the
-/// robot in every round) agree bit-for-bit on RNG draw order, message
-/// contents and order, move timing and charged-window sleeps; only
+/// engine steps under the plan each live round parks with (rounds in which
+/// no robot at the adversary's node can hear it; the interpreter never
+/// reads its inbox). So bulk execution (parked via end_round_ambient,
+/// replaying the rounds the engine skipped, stepped by the engine where
+/// unheard) and live execution (an observer is attached, so the engine
+/// resumes the robot in every round) agree bit-for-bit on RNG draw order,
+/// message contents and order, move timing and charged-window sleeps; only
 /// simulated_rounds, resumes and wall clock differ (and an engine-stepped
 /// round counts the resumes of the live round it stands for).
 Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
@@ -147,9 +147,10 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
   // bounds it draws, in order, plus the broadcasts it emits. A victim draw
   // is below(|peers|) and needs a peer; a spoof fires (drawing its payload
   // and counting) only once a victim was drawn this round. Fast-forwarded
-  // rounds replay from this list through Ctx::ambient_walk, and the engine
-  // steps deferred rounds from it (activations: the resumes of one live
-  // round, one per sub-round it runs in).
+  // rounds replay from it (one range effect when it draws nothing and the
+  // phase stays put, else through Ctx::ambient_walk), and the engine steps
+  // unheard rounds from it (activations: the resumes of one live round,
+  // one per sub-round it runs in).
   struct ReplayDigest {
     std::vector<std::uint64_t> draws;
     std::uint64_t emitted = 0;
@@ -253,14 +254,14 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
       std::uint64_t steps = span.fits_u64()
                                 ? span.low_u64()
                                 : std::numeric_limits<std::uint64_t>::max();
-      if (p.bulk_ok) {
+      const ReplayDigest& rd = replay_digest[phase];
+      if (rd.draws.empty() && p.move == CompiledStrategy::MoveRule::kStay) {
         // Draw-free stationary phase: the stretch is ONE range effect,
         // chunked so the message product stays in 64 bits while the
         // resume budget still bounds pathological gaps.
         steps = std::min<std::uint64_t>(steps, 1ULL << 32);
-        ctx.ambient_round(std::nullopt, steps * p.messages_per_round);
+        ctx.ambient_round(std::nullopt, steps * rd.emitted);
       } else {
-        const ReplayDigest& rd = replay_digest[phase];
         ctx.ambient_walk(steps, rd.draws, p.move, rd.emitted, rng);
       }
       now += Round(steps);
@@ -301,7 +302,7 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
               ctx.broadcast_shared(op.msg_kind, blocks[rng.below(4)]);
             } else {
               fill_payload(op.payload, rng, words);
-              ctx.broadcast_pooled(op.msg_kind, {words.data(), words.size()});
+              ctx.broadcast(op.msg_kind, {words.data(), words.size()});
             }
             break;
           case OpKind::kSpoofBroadcast:
@@ -313,8 +314,8 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
                                            blocks[rng.below(4)]);
               } else {
                 fill_payload(op.payload, rng, words);
-                ctx.spoof_broadcast_pooled(victim, op.msg_kind,
-                                           {words.data(), words.size()});
+                ctx.spoof_broadcast(victim, op.msg_kind,
+                                    {words.data(), words.size()});
               }
             }
             break;
@@ -332,12 +333,14 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
                                   ? c.low_u64()
                                   : std::numeric_limits<std::uint64_t>::max();
       if (p.len != LenRule::kForever) horizon = std::min(horizon, left - 1);
-      ctx.arm_ambient_plan(
-          {rd.draws, p.move, rd.emitted, rd.activations, &rng, horizon});
-      co_await ctx.end_round_ambient(draw_move(p.move, ctx, rng));
+      const sim::AmbientPlan plan{rd.draws,       p.move, rd.emitted,
+                                  rd.activations, &rng,   horizon};
+      // Draw hoisted out of the co_await (detlint unsequenced-rng).
+      const std::optional<Port> move = draw_move(p.move, ctx, rng);
       // This round plus the ones stepped for it; a phase that ran out is
       // entered here, before any later draw, as in per-round execution.
-      const std::uint64_t rounds = 1 + ctx.deferred_rounds();
+      const std::uint64_t rounds =
+          1 + co_await ctx.end_round_ambient(move, &plan);
       now += Round(rounds);
       if (p.len != LenRule::kForever && (left -= rounds) == 0)
         enter_phase(/*advance=*/true);
@@ -399,27 +402,6 @@ CompiledStrategy compile_strategy(ByzStrategy s) {
   };
   const CS::Op victim{CS::OpKind::kDrawVictim, 0, {}};
   const CS::Op subround{CS::OpKind::kNextSubround, 0, {}};
-  // Derive each phase's replay shape: a phase is bulk-replayable (one
-  // range effect for the whole stretch) iff no op or move consumes a
-  // draw; spoof phases always draw victims, so they never qualify and
-  // their peers-dependent message count comes from the replay digest.
-  const auto finalize = [](CS cs) {
-    for (auto& p : cs.phases) {
-      bool draws = p.move != CS::MoveRule::kStay;
-      std::uint64_t msgs = 0;
-      for (const auto& op : p.ops) {
-        if (op.kind == CS::OpKind::kBroadcast ||
-            op.kind == CS::OpKind::kSpoofBroadcast)
-          ++msgs;
-        if (op.kind == CS::OpKind::kDrawVictim) draws = true;
-        for (const auto& e : op.payload)
-          if (e.draw_below4) draws = true;
-      }
-      p.messages_per_round = msgs;
-      p.bulk_ok = !draws;
-    }
-    return cs;
-  };
 
   CS cs;
   switch (s) {
@@ -433,7 +415,7 @@ CompiledStrategy compile_strategy(ByzStrategy s) {
                            false,
                            {bcast(kMsgStatus, {lit(kStateToBeSettled)})},
                            CS::MoveRule::kRandomPort});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kSquatter:
       cs.phases.push_back({CS::LenRule::kForever,
                            0,
@@ -441,7 +423,7 @@ CompiledStrategy compile_strategy(ByzStrategy s) {
                            false,
                            {bcast(kMsgStatus, {lit(kStateSettled)})},
                            CS::MoveRule::kStay});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kFakeSettler:
       // Claim Settled for squat_len = 2 + below(2n) rounds (drawn once),
       // then sneak hops = 1 + below(3) hops away (drawn at each entry) and
@@ -458,7 +440,7 @@ CompiledStrategy compile_strategy(ByzStrategy s) {
                            false,
                            {},
                            CS::MoveRule::kRandomPort});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kSilentSettler:
       cs.phases.push_back({CS::LenRule::kFixed,
                            3,
@@ -469,7 +451,7 @@ CompiledStrategy compile_strategy(ByzStrategy s) {
       // Then vanish from the airwaves for good: visitors that recorded us
       // must blacklist us for the missing beacon (paper step 4).
       cs.loop = false;
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kIntentSpammer:
       // Announce settling without ever staying put: honest robots must
       // record us and exercise the relocation blacklist rule.
@@ -480,7 +462,7 @@ CompiledStrategy compile_strategy(ByzStrategy s) {
                            {bcast(kMsgStatus, {lit(kStateToBeSettled)}),
                             bcast(kMsgIntent), bcast(kMsgSettled)},
                            CS::MoveRule::kRandomPort});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kMapLiar:
       // Lie on every map-finding channel at once: fake token presence,
       // fake instructions, garbage map codes.
@@ -496,7 +478,7 @@ CompiledStrategy compile_strategy(ByzStrategy s) {
             bcast(explore::kMsgMapCode, {lit(1), lit(0)}), subround,
             bcast(explore::kMsgTokenHere)},
            CS::MoveRule::kChancePort});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kSpoofer: {
       // Forge votes under several peers' identities on all channels.
       CS::Phase p;
@@ -519,7 +501,7 @@ CompiledStrategy compile_strategy(ByzStrategy s) {
       }
       cs.phases.push_back(std::move(p));
       cs.spoofing = true;
-      return finalize(std::move(cs));
+      return cs;
     }
   }
   throw std::invalid_argument("compile_strategy: bad strategy");

@@ -93,15 +93,15 @@ struct ChargeGate {
 //    not walk live is one of two kinds, both run from a per-phase digest
 //    of the op list (its draws, broadcast count and resumes per round):
 //     - fast-forwarded: the engine skipped the round, and the interpreter
-//       replays the stretch on its next resume, as one range effect for a
-//       draw-free stationary phase, otherwise one Ctx::ambient_walk call
-//       that makes the draws, counts the broadcasts (suppressed) and
-//       applies the moves immediately;
+//       replays the stretch on its next resume, as one range effect when
+//       the digest draws nothing and the phase stays put, otherwise one
+//       Ctx::ambient_walk call that makes the draws, counts the broadcasts
+//       (suppressed) and applies the moves immediately;
 //     - engine-stepped: the engine simulates the round, but no robot at
 //       the adversary's node can hear it (the interpreter never reads its
 //       inbox), so the engine steps the round through the same kernel
-//       under the plan each live round arms (Ctx::arm_ambient_plan), up
-//       to the phase's end and the next charged window, instead of
+//       under the digest each live round's park passes as its AmbientPlan,
+//       up to the phase's end and the next charged window, instead of
 //       resuming the coroutine;
 //  * live (an observer is attached): the engine turns the ambient park
 //    into a plain end_round, so the robot walks the op list in every
@@ -147,12 +147,6 @@ struct CompiledStrategy {
     bool n_scaled = false;    ///< multiply bound by ctx.n() (fake settler)
     std::vector<Op> ops;      ///< per-round ops in emission order
     MoveRule move = MoveRule::kStay;
-    // Derived by compile_strategy():
-    /// Draw-free and stationary: a fast-forwarded stretch inside this
-    /// phase replays as one range effect (message count += rounds x
-    /// messages_per_round) instead of through Ctx::ambient_walk.
-    bool bulk_ok = false;
-    std::uint64_t messages_per_round = 0;
   };
   std::vector<Phase> phases;
   bool loop = true;      ///< cycle phases forever; false = run once, finish

@@ -45,7 +45,7 @@ struct AgentRun {
 Task<bool> a_round(AgentRun& r, MapOp op, Port port) {
   const std::int64_t instr[2] = {static_cast<std::int64_t>(op),
                                  static_cast<std::int64_t>(port)};
-  r.ctx.broadcast_pooled(kMsgInstr, instr);
+  r.ctx.broadcast(kMsgInstr, instr);
   co_await r.ctx.next_subround();  // sub 1: token side acts
   co_await r.ctx.next_subround();  // sub 2: read presence votes
   const bool here =
@@ -93,8 +93,10 @@ Task<void> idle_rest(Ctx ctx, std::uint64_t used, core::Round budget) {
 /// Done + the map code in the same sub-round 0 (token-group members read
 /// both from one inbox), then finish the round. Consumes exactly one round.
 Task<void> publish_done(Ctx ctx, const CanonicalCode& code) {
-  ctx.broadcast(kMsgInstr, {static_cast<std::int64_t>(MapOp::kDone), 0});
-  ctx.broadcast(kMsgMapCode, {code.begin(), code.end()});
+  const std::int64_t done[2] = {static_cast<std::int64_t>(MapOp::kDone), 0};
+  const std::vector<std::int64_t> words(code.begin(), code.end());
+  ctx.broadcast(kMsgInstr, done);
+  ctx.broadcast(kMsgMapCode, words);
   co_await ctx.next_subround();
   co_await ctx.next_subround();
   co_await ctx.end_round(std::nullopt);
@@ -323,9 +325,10 @@ Task<MapFindOutcome> run_map_token(Ctx ctx, MapFindConfig cfg) {
       max_silent = parked ? std::min(max_silent, parked_silence_bound -
                                                      parked_silence)
                           : core::Round(0);
-    co_await ctx.await_delivery(kMsgInstr, max_silent, cfg.agent_quorum);
-    used += ctx.listened_rounds();
-    parked_silence += ctx.listened_rounds();
+    const std::uint64_t slept =
+        co_await ctx.await_delivery(kMsgInstr, max_silent, cfg.agent_quorum);
+    used += slept;
+    parked_silence += slept;
     const auto instr =
         believed_payload(ctx.inbox(), kMsgInstr, cfg.agents, cfg.agent_quorum);
     if (!instr.has_value() && cfg.early_close) {

@@ -130,23 +130,6 @@ thread_local QueryCache g_believed_cache, g_presence_cache;
 
 }  // namespace
 
-std::uint32_t support_for(std::span<const sim::Msg> inbox, std::uint32_t kind,
-                          std::span<const std::int64_t> payload,
-                          const std::vector<sim::RobotId>& members) {
-  // One vote per PHYSICAL sender (Msg::source): a strong Byzantine robot
-  // can forge the claimed ID but still presents one memory ([24]'s
-  // exposed-memory model; see Msg::source).
-  g_voters.clear();
-  for (const sim::Msg& m : inbox) {
-    if (m.kind != kind || !same_payload(m.data.view(), payload)) continue;
-    if (!is_member(m.claimed, members)) continue;
-    if (std::find(g_voters.begin(), g_voters.end(), m.source) ==
-        g_voters.end())
-      g_voters.push_back(m.source);
-  }
-  return static_cast<std::uint32_t>(g_voters.size());
-}
-
 std::optional<std::span<const std::int64_t>> believed_payload(
     std::span<const sim::Msg> inbox, std::uint32_t kind,
     const std::vector<sim::RobotId>& members, std::uint32_t quorum) {
@@ -194,6 +177,9 @@ std::uint32_t presence_support(std::span<const sim::Msg> inbox,
                                const std::vector<sim::RobotId>& members) {
   if (g_presence_cache.lookup(inbox, kind, members, 0))
     return static_cast<std::uint32_t>(g_presence_cache.result);
+  // One vote per PHYSICAL sender (Msg::source): a strong Byzantine robot
+  // can forge the claimed ID but still presents one memory ([24]'s
+  // exposed-memory model; see Msg::source).
   g_voters.clear();
   for (const sim::Msg& m : inbox) {
     if (m.kind != kind || !is_member(m.claimed, members)) continue;

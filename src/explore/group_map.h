@@ -1,12 +1,18 @@
 #pragma once
-// Quorum tallying for group protocols: count distinct claimed sender IDs
-// belonging to an expected membership set that support identical payloads.
-// Strong Byzantine robots can forge sender IDs, so "support" can only ever
-// be trusted above a quorum chosen per the paper's group arguments.
+// Quorum tallying for group protocols. A vote is a message whose claimed
+// sender ID belongs to an expected membership set; support counts the
+// distinct PHYSICAL senders (sim::Msg::source) behind such votes, so a
+// strong Byzantine robot forging several member IDs still counts once.
+// Support can only ever be trusted above a quorum chosen per the paper's
+// group arguments.
 //
 // These run once per token-group member per round on the group-dispersion
 // hot path, so they tally into reusable flat scratch (no per-call maps,
 // sets, or key copies) and hand results back as views into the inbox.
+// Results are memoized per thread by inbox identity (address and length)
+// within one sim::delivery_epoch(), so an inbox must not be changed in
+// place, nor a freed one's buffer reused, between two calls inside one
+// epoch. Engine-delivered inboxes never are.
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -16,23 +22,17 @@
 
 namespace bdg::explore {
 
-/// Count distinct claimed IDs in `members` among messages of `kind`
-/// carrying exactly `payload`.
-[[nodiscard]] std::uint32_t support_for(std::span<const sim::Msg> inbox,
-                                        std::uint32_t kind,
-                                        std::span<const std::int64_t> payload,
-                                        const std::vector<sim::RobotId>& members);
-
-/// The payload of `kind` with maximum distinct support among `members`,
-/// provided that support reaches `quorum`; ties broken by smaller payload.
+/// The payload of `kind` with the most distinct physical senders among
+/// messages claimed by `members`, provided that support reaches `quorum`;
+/// ties go to the lexicographically smaller payload.
 /// The returned span aliases a message payload in `inbox` and is valid
 /// only while that inbox is (i.e. within the current sub-round).
 [[nodiscard]] std::optional<std::span<const std::int64_t>> believed_payload(
     std::span<const sim::Msg> inbox, std::uint32_t kind,
     const std::vector<sim::RobotId>& members, std::uint32_t quorum);
 
-/// Count distinct claimed member IDs among messages of `kind`, regardless
-/// of payload (presence votes).
+/// Distinct physical senders of messages of `kind` claimed by `members`,
+/// regardless of payload (presence votes).
 [[nodiscard]] std::uint32_t presence_support(
     std::span<const sim::Msg> inbox, std::uint32_t kind,
     const std::vector<sim::RobotId>& members);

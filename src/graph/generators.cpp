@@ -151,6 +151,9 @@ Graph make_random_tree(std::size_t n, Rng& rng) {
 
 Graph make_connected_er(std::size_t n, double p, Rng& rng) {
   if (n < 2) throw std::invalid_argument("make_connected_er: n >= 2");
+  // NaN compares false everywhere: it would skip the threshold default and
+  // add no edge in any of the attempts below.
+  if (std::isnan(p)) throw std::invalid_argument("make_connected_er: p is NaN");
   if (p <= 0) {
     // Just above the connectivity threshold ln(n)/n, with slack.
     p = std::min(1.0, 2.5 * std::max(1.0, std::log(static_cast<double>(n))) /

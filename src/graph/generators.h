@@ -57,7 +57,8 @@ namespace bdg {
 [[nodiscard]] Graph make_random_tree(std::size_t n, Rng& rng);
 
 /// Erdos-Renyi G(n, p) conditioned on connectivity (resamples until
-/// connected; p defaults near the connectivity threshold if <= 0).
+/// connected; p defaults near the connectivity threshold if <= 0). Throws
+/// std::invalid_argument for n < 2 or a NaN p.
 [[nodiscard]] Graph make_connected_er(std::size_t n, double p, Rng& rng);
 
 /// Random d-regular simple graph via the pairing model with resampling.

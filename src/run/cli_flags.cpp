@@ -1,6 +1,7 @@
 #include "run/cli_flags.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -179,7 +180,13 @@ GridFlagsResult parse_grid_flags(int argc, char** argv) {
       } else if (arg == "--common-graphs") {
         spec.common_graphs = true;
       } else if (auto v = flag_value(arg, "--er-p")) {
-        spec.er_edge_probability = parse_flag_double(*v, "--er-p");
+        // A probability; <= 0 asks for the connectivity threshold.
+        const double p = parse_flag_double(*v, "--er-p");
+        if (!std::isfinite(p) || p > 1)
+          return fail("bad value '" + *v +
+                      "' for --er-p (want a probability <= 1; <= 0 means "
+                      "the connectivity threshold)");
+        spec.er_edge_probability = p;
       } else if (auto v = flag_value(arg, "--base-seed")) {
         spec.base_seed = parse_flag_number<std::uint64_t>(*v, "--base-seed");
       } else if (auto v = flag_value(arg, "--threads")) {
@@ -223,8 +230,8 @@ void print_grid_flag_help(std::FILE* to) {
       "  --require-trivial-quotient  restrict graphs to all-distinct views\n"
       "  --common-graphs        share the graph across algorithms and f per\n"
       "                         (family, n, seed) cell\n"
-      "  --er-p=P               ER edge probability (<=0: connectivity\n"
-      "                         threshold; default 0.45)\n"
+      "  --er-p=P               ER edge probability, at most 1 (<=0:\n"
+      "                         connectivity threshold; default 0.45)\n"
       "  --base-seed=S          reseed the whole sweep\n"
       "execution:\n"
       "  --threads=N            worker threads (default: hardware)\n"

@@ -81,7 +81,6 @@ void Engine::resume_robot(Robot& r) {
   if (r.done) return;
   account_resumes(1);
   ++stats_.coroutine_resumes;
-  r.plan.horizon = 0;  // a plan covers only the park ending this resume
   r.leaf.resume();
   if (r.proc.done()) {
     r.done = true;
@@ -156,12 +155,12 @@ void Engine::wake_ambient() {
     Robot& r = robots_[idx];
     // Within its horizon, unheard, caught up (it acted in the previous
     // round): step the round it would have run live.
-    if (r.deferred < r.plan.horizon && readers_[r.pos] == 0 &&
+    if (r.covered < r.plan.horizon && readers_[r.pos] == 0 &&
         r.wake_round == round_ && r.plan.activations <= subs &&
         observer_ == nullptr) {
       walk(r, 1, r.plan.draws, r.plan.move, r.plan.emitted,
            r.plan.activations, *r.plan.rng);
-      ++r.deferred;
+      ++r.covered;
       r.wake_round = round_ + 1;
       ambient_[kept++] = idx;
     } else {
@@ -207,8 +206,8 @@ void Engine::wake_listeners() {
     // Parked at sub-round 0 of round S, woken at sub-round 1 of round W:
     // the per-round loop would have resumed it at S's sub-round 1, at both
     // sub-rounds of S+1 .. W-1 and at W's sub-round 0.
-    r.listened = (round_ - r.listen_start).low_u64();
-    account_resumes(2 * r.listened - r.listen_accounted);
+    r.covered = (round_ - r.listen_start).low_u64();
+    account_resumes(2 * r.covered - r.listen_accounted);
     --listening_[r.pos];
     runnable_.push_back(idx);
   }
@@ -297,25 +296,21 @@ RunStats Engine::run(Round max_rounds) {
   while (round_ < max_rounds) {
     if (honest_all_done()) break;
     // Listeners hold every round, as their per-round loop would.
-    const bool nobody_next = next_round_.empty() && listeners_.empty();
-    if (nobody_next && wake_queue_.empty()) break;
-    // Fast-forward stretches where nobody is scheduled (bucket empty =>
-    // everybody sleeps until at least the heap's earliest wake).
-    if (nobody_next) {
-      const Round wake = wake_queue_.top().first;
-      if (wake > round_) {
-        round_ = std::min(wake, max_rounds);
-        if (round_ >= max_rounds) break;
-      }
-    } else if (next_round_.empty() && ambient_.empty() &&
-               observer_ == nullptr) {
-      // Only listeners hold the round: nobody runs, so nothing is delivered
-      // before the earliest deadline or scheduled wake. Jump there; the
-      // per-round schedule simulates every round in between.
-      Round to = std::min(listen_due_, max_rounds);
+    if (next_round_.empty() && listeners_.empty() && wake_queue_.empty())
+      break;
+    // Nobody is scheduled next round: nothing is delivered before the
+    // earliest scheduled wake or listener deadline, so jump there. Rounds
+    // a listener holds are simulated ones: they count as such, and they
+    // are jumped only when no parked ambient robot must run in them and no
+    // observer must see them.
+    if (next_round_.empty() &&
+        (listeners_.empty() || (ambient_.empty() && observer_ == nullptr))) {
+      Round to = max_rounds;
       if (!wake_queue_.empty()) to = std::min(to, wake_queue_.top().first);
+      if (!listeners_.empty()) to = std::min(to, listen_due_);
       if (to > round_) {
-        stats_.simulated_rounds += (to - round_).low_u64();
+        if (!listeners_.empty())
+          stats_.simulated_rounds += (to - round_).low_u64();
         round_ = to;
         if (round_ >= max_rounds) break;
       }
@@ -409,14 +404,7 @@ void Engine::push_msg(std::uint32_t idx, RobotId claimed, std::uint32_t kind,
     observer_->on_message(box.back(), r.pos, round_);
 }
 
-void Ctx::broadcast(std::uint32_t kind, std::vector<std::int64_t> data) {
-  Engine& e = *engine_;
-  e.push_msg(idx_, e.robots_[idx_].id, kind, e.pool_.make(data),
-             /*notify_observer=*/true);
-}
-
-void Ctx::broadcast_pooled(std::uint32_t kind,
-                           std::span<const std::int64_t> data) {
+void Ctx::broadcast(std::uint32_t kind, std::span<const std::int64_t> data) {
   Engine& e = *engine_;
   e.push_msg(idx_, e.robots_[idx_].id, kind, e.pool_.make(data),
              /*notify_observer=*/true);
@@ -456,39 +444,26 @@ void Ctx::ambient_walk(std::uint64_t steps,
                 /*activations=*/1, rng);
 }
 
-
 bool Ctx::draining() const { return engine_->draining_; }
 
-void Ctx::spoof_broadcast(RobotId claimed, std::uint32_t kind,
-                          std::vector<std::int64_t> data) {
-  Engine& e = *engine_;
-  if (e.robots_[idx_].faultiness != Faultiness::kStrongByzantine)
+void Engine::push_spoof(std::uint32_t idx, RobotId claimed,
+                        std::uint32_t kind, util::PayloadRef payload) {
+  if (robots_[idx].faultiness != Faultiness::kStrongByzantine)
     throw std::logic_error(
         "Ctx: only strong Byzantine robots can fake sender IDs");
   // Spoofed messages never fired the observer hook; preserved exactly so
   // trace streams stay bit-identical.
-  e.push_msg(idx_, claimed, kind, e.pool_.make(data),
-             /*notify_observer=*/false);
+  push_msg(idx, claimed, kind, std::move(payload), /*notify_observer=*/false);
 }
 
-void Ctx::spoof_broadcast_pooled(RobotId claimed, std::uint32_t kind,
-                                 std::span<const std::int64_t> data) {
-  Engine& e = *engine_;
-  if (e.robots_[idx_].faultiness != Faultiness::kStrongByzantine)
-    throw std::logic_error(
-        "Ctx: only strong Byzantine robots can fake sender IDs");
-  e.push_msg(idx_, claimed, kind, e.pool_.make(data),
-             /*notify_observer=*/false);
+void Ctx::spoof_broadcast(RobotId claimed, std::uint32_t kind,
+                          std::span<const std::int64_t> data) {
+  engine_->push_spoof(idx_, claimed, kind, engine_->pool_.make(data));
 }
 
 void Ctx::spoof_broadcast_shared(RobotId claimed, std::uint32_t kind,
                                  const util::PayloadRef& payload) {
-  Engine& e = *engine_;
-  if (e.robots_[idx_].faultiness != Faultiness::kStrongByzantine)
-    throw std::logic_error(
-        "Ctx: only strong Byzantine robots can fake sender IDs");
-  e.push_msg(idx_, claimed, kind, payload,
-             /*notify_observer=*/false);
+  engine_->push_spoof(idx_, claimed, kind, payload);
 }
 
 }  // namespace bdg::sim

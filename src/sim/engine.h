@@ -36,13 +36,17 @@
 // and per-node listener counts let a sub-round with no delivery at a
 // listener's node skip the listener scan.
 //
-// Robots that never read their inbox can go further. A parked ambient robot
-// that arms an AmbientPlan (Ctx::arm_ambient_plan) declares what one of its
-// live rounds does; in every simulated round where no robot at its node can
-// hear it, the engine steps that round itself through the replay kernel
+// Robots that never read their inbox can go further. A robot that parks
+// ambient with an AmbientPlan (Ctx::end_round_ambient) declares what one of
+// its live rounds does; in every simulated round where no robot at its node
+// can hear it, the engine steps that round itself through the replay kernel
 // instead of resuming the coroutine. Per-node reader counts (robots not done
-// and without a plan) decide, so the step is invisible to every robot that
-// reads, and all counts stay those of the per-round execution.
+// and never parked with a plan) decide, so the step is invisible to every
+// robot that reads, and all counts stay those of the per-round execution.
+//
+// Every wait is one awaitable that takes its inputs and returns what the
+// engine did for the robot meanwhile: end_round_ambient the rounds it
+// stepped under the plan, await_delivery the rounds the robot slept.
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
@@ -118,8 +122,9 @@ enum class WalkMove : std::uint8_t {
 
 /// One live round of a parked ambient robot, declared so the engine can
 /// step the round itself while no robot at the robot's node can hear it
-/// (Ctx::arm_ambient_plan). A stepped round makes the draws, move and
-/// message count of one ambient_walk step and adds `activations` resumes.
+/// (passed to Ctx::end_round_ambient). A stepped round makes the draws,
+/// move and message count of one ambient_walk step and adds `activations`
+/// resumes.
 struct AmbientPlan {
   std::span<const std::uint64_t> draws;  ///< below() bounds, in draw order
   WalkMove move = WalkMove::kStay;
@@ -152,37 +157,30 @@ class Ctx {
   [[nodiscard]] std::uint32_t subround() const;
   /// Messages broadcast at this node in the previous sub-round. The view
   /// is valid for the current sub-round only (delivery recycles buffers).
-  /// A robot that armed an AmbientPlan must never call it: the engine
-  /// stopped counting it as a reader.
+  /// A robot that ever parked with an AmbientPlan must never call it: the
+  /// engine stopped counting it as a reader.
   [[nodiscard]] std::span<const Msg> inbox() const;
 
   // --- actions ------------------------------------------------------------
   /// Broadcast to co-located robots; delivered next sub-round. The sender
   /// ID is the robot's true ID (enforced). The words are copied once into
   /// a pooled block shared by every recipient.
-  void broadcast(std::uint32_t kind, std::vector<std::int64_t> data = {});
-  /// Span-taking variant for per-round hot paths: one copy into a pooled
-  /// block, no intermediate vector. Semantically identical to broadcast()
-  /// — receivers cannot tell the two apart.
-  void broadcast_pooled(std::uint32_t kind, std::span<const std::int64_t> data);
+  void broadcast(std::uint32_t kind, std::span<const std::int64_t> data = {});
   /// Build a pooled payload once; re-broadcast it any number of times with
   /// broadcast_shared at zero copies (each send is a refcount bump). The
   /// beacon loops (settled robots announcing every round) are the intended
   /// callers.
   [[nodiscard]] util::PayloadRef make_payload(
       std::span<const std::int64_t> data);
-  /// Broadcast an already-built pooled payload; copy-free.
+  /// Broadcast an already-built pooled payload; copy-free. Receivers cannot
+  /// tell it from broadcast() of the same words.
   void broadcast_shared(std::uint32_t kind, const util::PayloadRef& payload);
   /// Broadcast with a forged sender ID. Only strong Byzantine robots may
   /// call this; the engine throws std::logic_error otherwise.
   void spoof_broadcast(RobotId claimed, std::uint32_t kind,
-                       std::vector<std::int64_t> data = {});
-  /// Span-taking spoof for the compiled-adversary hot path: same checks
-  /// and semantics as spoof_broadcast, one copy into a pooled block.
-  void spoof_broadcast_pooled(RobotId claimed, std::uint32_t kind,
-                              std::span<const std::int64_t> data);
+                       std::span<const std::int64_t> data = {});
   /// Spoof an already-built pooled payload; copy-free (the shared analogue
-  /// of broadcast_shared, for round-invariant forged payloads).
+  /// of broadcast_shared, for round-invariant forged payloads). Same check.
   void spoof_broadcast_shared(RobotId claimed, std::uint32_t kind,
                               const util::PayloadRef& payload);
 
@@ -214,51 +212,45 @@ class Ctx {
   /// While an observer is attached the park is a plain end_round(port):
   /// the robot runs live in every round, so the observer sees all of its
   /// messages and moves, and it never has a gap to replay or a drain.
-  /// With a plan armed just before the park (arm_ambient_plan), simulated
-  /// rounds in which no robot at its node can hear it are stepped by the
-  /// engine instead; deferred_rounds() says how many on the next resume.
-  [[nodiscard]] auto end_round_ambient(std::optional<Port> port);
+  ///
+  /// With a `plan` (nullptr: none) the robot declares what one of its live
+  /// rounds does, and from then on it is not a reader: it must never call
+  /// inbox() again. While it stays parked and caught up (no fast-forward
+  /// gap pending), each simulated round in which no robot at its node is a
+  /// reader — one that is not done and never parked with a plan — is
+  /// stepped by the engine: the plan's draws and move are made from
+  /// `*plan->rng` at once, its `emitted` broadcasts are counted and its
+  /// `activations` resumes accounted (budgeted), at most `plan->horizon`
+  /// rounds in a row. The engine copies the plan, which covers this park
+  /// only; `plan->draws` and `plan->rng` must outlive it. The plan is
+  /// ignored with an observer attached and when a live round needs more
+  /// sub-rounds than a round has. The co_await yields the rounds stepped
+  /// under it (0 without a plan): the program advances its own round
+  /// cursor and phase budget by them.
+  [[nodiscard]] auto end_round_ambient(std::optional<Port> port,
+                                       const AmbientPlan* plan = nullptr);
   /// Called at sub-round 0: behaves like next_subround(), but the robot
   /// sleeps, staying put, through every round in which messages of `kind`
   /// from at least `min_sources` (0 counts as 1) distinct physical senders
-  /// (Msg::source) do not reach its node in sub-round 0. It resumes at sub-round 1 of the
-  /// first round whose sub-round 1 inbox at its node holds such a quorum,
-  /// and at the latest at sub-round 1 of round ctx.round() + max_silent,
-  /// whatever the inbox holds. A caller that treats a round with fewer
-  /// sources like a silent one (a quorum tally that finds no winner) thus
-  /// sees exactly the rounds its per-round loop would act on.
-  /// listened_rounds() then says how many whole rounds it slept through.
-  /// Those rounds count toward RunStats::resumes exactly as the per-round
-  /// loop (next_subround, inbox scan, end_round) would have counted them,
-  /// two per round, also when the run ends mid-wait. While any robot sleeps
-  /// here the engine does not end the run for lack of scheduled robots, and
-  /// rounds it jumps count as simulated (RunStats). With an observer
-  /// attached, with max_silent == 0, anywhere but sub-round 0, or with
-  /// fewer than two sub-rounds it is a plain next_subround().
+  /// (Msg::source) do not reach its node in sub-round 0. It resumes at
+  /// sub-round 1 of the first round whose sub-round 1 inbox at its node
+  /// holds such a quorum, and at the latest at sub-round 1 of round
+  /// ctx.round() + max_silent, whatever the inbox holds. A caller that
+  /// treats a round with fewer sources like a silent one (a quorum tally
+  /// that finds no winner) thus sees exactly the rounds its per-round loop
+  /// would act on. The co_await yields the whole rounds slept through (0
+  /// when it acted as a plain next_subround()). Those rounds count toward
+  /// RunStats::resumes exactly as the per-round loop (next_subround, inbox
+  /// scan, end_round) would have counted them, two per round, also when
+  /// the run ends mid-wait. While any robot sleeps here the engine does not
+  /// end the run for lack of scheduled robots, and rounds it jumps count as
+  /// simulated (RunStats). With an observer attached, with max_silent == 0,
+  /// anywhere but sub-round 0, or with fewer than two sub-rounds it is a
+  /// plain next_subround().
   [[nodiscard]] auto await_delivery(std::uint32_t kind, Round max_silent,
                                     std::uint32_t min_sources = 1);
-  /// Whole rounds the last await_delivery slept through (0 after a plain
-  /// next_subround()).
-  [[nodiscard]] std::uint64_t listened_rounds() const;
 
   // --- ambient replay accounting ---------------------------------------
-  /// Arm a deferral plan for the park that ends the current resume; it
-  /// applies only if that park is end_round_ambient. From then on the
-  /// robot is not a reader: it must never call inbox() again. While
-  /// it stays parked and caught up (no fast-forward gap pending), each
-  /// simulated round in which no robot at its node is a reader — one
-  /// that is not done and has armed no plan — is stepped by the engine:
-  /// the plan's draws and move are made from `*plan.rng` at once, its
-  /// `emitted` broadcasts are counted and its `activations` resumes
-  /// accounted (budgeted), at most `plan.horizon` rounds in a row. The
-  /// plan is ignored with an observer attached and when a live round
-  /// needs more sub-rounds than a round has. `plan.draws` and
-  /// `plan.rng` must outlive the park.
-  void arm_ambient_plan(const AmbientPlan& plan);
-  /// Rounds the engine stepped under the most recently armed plan. The
-  /// program advances its own round cursor and phase budget by them.
-  [[nodiscard]] std::uint64_t deferred_rounds() const;
-
   /// Account one fast-forwarded round on behalf of a parked ambient
   /// robot: apply an immediate hop through `port` (nullopt = stay,
   /// invalid port throws exactly like a live move) and add `messages`
@@ -278,8 +270,8 @@ class Ctx {
   /// and generator state stay in locals over a flat copy of the graph,
   /// and the counters are committed once per call. If the resume budget
   /// runs out mid-stretch it throws at the same step the per-round loop
-  /// would, after that step's draws. The engine steps deferred rounds
-  /// (arm_ambient_plan) through the same kernel.
+  /// would, after that step's draws. The engine steps the rounds of an
+  /// AmbientPlan (end_round_ambient) through the same kernel.
   void ambient_walk(std::uint64_t steps, std::span<const std::uint64_t> draws,
                     WalkMove move, std::uint64_t emitted, Rng& rng);
   /// True while the engine is draining parked ambient robots after the
@@ -302,8 +294,9 @@ struct WakeAwaiter;
 /// receive model-level events (used by the trace recorder, the CLI and
 /// debugging sessions; zero cost when unset). Attaching one keeps
 /// end_round_ambient robots live in every round (no fast-forward replay,
-/// no deferred rounds), so their events are reported like everyone
-/// else's; for the compiled adversary only simulated_rounds, resumes and
+/// no rounds stepped under a plan) and turns await_delivery into a plain
+/// next_subround, so their events are reported like everyone else's; for
+/// the compiled adversary only simulated_rounds, resumes and
 /// coroutine_resumes change.
 class Observer {
  public:
@@ -431,18 +424,18 @@ class Engine {
     Round listen_start = 0;
     Round listen_deadline = 0;
     std::uint64_t listen_accounted = 0;
-    std::uint64_t listened = 0;  ///< Ctx::listened_rounds()
-    // Ambient deferral: the plan armed in the latest resume (resume_robot
-    // zeroes its horizon first, so a park without a fresh plan is never
-    // stepped), the rounds stepped under it, and whether the robot ever
-    // armed one (it then no longer counts toward readers_).
+    // kAmbient: the plan passed with the current park (horizon 0 without
+    // one, so it is never stepped), and whether the robot ever passed one
+    // (it then no longer counts toward readers_).
     AmbientPlan plan;
-    std::uint64_t deferred = 0;  ///< Ctx::deferred_rounds()
     bool armed = false;
+    /// Rounds the engine covered for the robot during its current wait
+    /// (stepped under its plan, or slept in await_delivery); reset by
+    /// set_command, returned by the awaiter on resume.
+    std::uint64_t covered = 0;
   };
-  void set_command(std::uint32_t idx, WakeKind kind, std::optional<Port> port,
-                   Round rounds, std::uint32_t listen_kind,
-                   std::uint32_t listen_quorum, std::coroutine_handle<> leaf);
+  void set_command(std::uint32_t idx, const detail::WakeAwaiter& wish,
+                   std::coroutine_handle<> leaf);
 
   /// Per-node inbox. Co-location counts are tiny on dispersive paths, so a
   /// few inline slots cover the common case; gathered-phase rally nodes
@@ -458,7 +451,7 @@ class Engine {
   /// Add `count` resumes accounted on a robot's behalf, throwing like
   /// resume_robot when they exhaust the budget.
   void account_resumes(std::uint64_t count);
-  /// The replay kernel behind Ctx::ambient_walk and deferred rounds: walk
+  /// The replay kernel behind Ctx::ambient_walk and plan-stepped rounds: walk
   /// `r` through `steps` rounds of `draws` + `move`, counting `emitted`
   /// messages and `activations` resumes per round.
   void walk(Robot& r, std::uint64_t steps,
@@ -467,8 +460,8 @@ class Engine {
   /// Move `r` to `to` outside apply_moves, keeping readers_ right.
   void relocate(Robot& r, NodeId to);
   /// Start of a simulated round: step every parked ambient robot whose
-  /// armed plan allows it and whom no robot at its node can hear, and
-  /// move the rest into runnable_.
+  /// plan allows it and whom no robot at its node can hear, and move the
+  /// rest into runnable_.
   void wake_ambient();
   /// Sub-round 1: move every listener that hears its kind from its quorum
   /// of senders, or reached its deadline, into runnable_ (ID order) with
@@ -482,6 +475,9 @@ class Engine {
   void release_inbox(Inbox& box);
   void push_msg(std::uint32_t idx, RobotId claimed, std::uint32_t kind,
                 util::PayloadRef payload, bool notify_observer);
+  /// push_msg under a forged ID, after the one strong-robot check.
+  void push_spoof(std::uint32_t idx, RobotId claimed, std::uint32_t kind,
+                  util::PayloadRef payload);
 
   Graph graph_;
   /// Flat (CSR) copy of graph_ for Ctx::ambient_walk: node v's half-edges
@@ -519,13 +515,13 @@ class Engine {
   /// the honest robots finishing.
   std::vector<std::uint32_t> ambient_;
   bool draining_ = false;
-  /// Per node: robots there that are not done and armed no AmbientPlan,
-  /// i.e. every robot that might read the node's inbox. Exact at the
-  /// start of each simulated round as long as planless robots replay
-  /// moves (ambient_round, ambient_walk) only for rounds fast-forwarded
-  /// while they were parked ambient: every robot parked beside them then
-  /// owes the same gap, and a robot owing a gap is resumed, never
-  /// stepped.
+  /// Per node: robots there that are not done and never parked with an
+  /// AmbientPlan, i.e. every robot that might read the node's inbox. Exact
+  /// at the start of each simulated round as long as planless robots
+  /// replay moves (ambient_round, ambient_walk) only for rounds
+  /// fast-forwarded while they were parked ambient: every robot parked
+  /// beside them then owes the same gap, and a robot owing a gap is
+  /// resumed, never stepped.
   std::vector<std::uint32_t> readers_;
   /// Robots sleeping in await_delivery. Nonempty, they keep every round
   /// simulated, as the per-round loop's next_round_ entries would; the
@@ -561,7 +557,9 @@ class Engine {
 
 namespace detail {
 /// Shared awaiter for every suspension kind; records the robot's wish in
-/// the engine and yields control back to the scheduler.
+/// the engine, yields control back to the scheduler and, on resume, hands
+/// the program the rounds the engine covered for it meanwhile (0 for the
+/// plain waits).
 struct WakeAwaiter {
   Engine* engine;
   std::uint32_t idx;
@@ -570,32 +568,40 @@ struct WakeAwaiter {
   Round rounds;
   std::uint32_t listen_kind = 0;
   std::uint32_t listen_quorum = 1;
+  const AmbientPlan* plan = nullptr;
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
-    engine->set_command(idx, kind, port, rounds, listen_kind, listen_quorum,
-                        h);
+    engine->set_command(idx, *this, h);
   }
-  void await_resume() const noexcept {}
+  std::uint64_t await_resume() const noexcept {
+    return engine->robots_[idx].covered;
+  }
 };
 }  // namespace detail
 
-inline void Engine::set_command(std::uint32_t idx, WakeKind kind,
-                                std::optional<Port> port, Round rounds,
-                                std::uint32_t listen_kind,
-                                std::uint32_t listen_quorum,
+inline void Engine::set_command(std::uint32_t idx,
+                                const detail::WakeAwaiter& wish,
                                 std::coroutine_handle<> leaf) {
-  // Observed runs keep ambient robots live (see Ctx::end_round_ambient).
-  if (kind == WakeKind::kAmbient && observer_ != nullptr)
-    kind = WakeKind::kEndRound;
   Robot& r = robots_[idx];
-  if (kind == WakeKind::kListen) {
-    r.listened = 0;
-    // Ctx::await_delivery's plain-next_subround cases.
-    if (observer_ != nullptr || rounds == 0 || subround_ != 0 ||
-        subround_count() < 2)
-      kind = WakeKind::kSubround;
+  WakeKind kind = wish.kind;
+  r.covered = 0;
+  if (kind == WakeKind::kAmbient) {
+    assert((wish.plan == nullptr || wish.plan->activations >= 1) &&
+           "a live round is at least one resume");
+    if (wish.plan != nullptr && !r.armed) {
+      r.armed = true;
+      --readers_[r.pos];
+    }
+    r.plan = wish.plan != nullptr ? *wish.plan : AmbientPlan{};
+    // Observed runs keep ambient robots live (see Ctx::end_round_ambient).
+    if (observer_ != nullptr) kind = WakeKind::kEndRound;
   }
+  // Ctx::await_delivery's plain-next_subround cases.
+  if (kind == WakeKind::kListen &&
+      (observer_ != nullptr || wish.rounds == 0 || subround_ != 0 ||
+       subround_count() < 2))
+    kind = WakeKind::kSubround;
   r.wake = kind;
   r.leaf = leaf;
   r.move = std::nullopt;
@@ -604,13 +610,13 @@ inline void Engine::set_command(std::uint32_t idx, WakeKind kind,
       next_runnable_.push_back(idx);
       break;
     case WakeKind::kEndRound:
-      r.move = port;
+      r.move = wish.port;
       r.wake_round = round_ + 1;
       next_round_.push_back(idx);
-      if (port.has_value()) movers_.push_back(idx);
+      if (wish.port.has_value()) movers_.push_back(idx);
       break;
     case WakeKind::kSleep:
-      r.wake_round = round_ + std::max<Round>(rounds, 1);
+      r.wake_round = round_ + std::max<Round>(wish.rounds, 1);
       if (r.wake_round == round_ + 1)
         next_round_.push_back(idx);
       else
@@ -620,18 +626,18 @@ inline void Engine::set_command(std::uint32_t idx, WakeKind kind,
       // Park outside both wake queues: the robot moves this round like
       // end_round, then waits to be merged into whichever round the
       // engine simulates next (possibly far ahead).
-      r.move = port;
+      r.move = wish.port;
       r.wake_round = round_ + 1;
       ambient_.push_back(idx);
-      if (port.has_value()) movers_.push_back(idx);
+      if (wish.port.has_value()) movers_.push_back(idx);
       break;
     case WakeKind::kListen:
       // Park outside every wake queue until wake_listeners() finds a
       // quorum of `listen_kind` senders at the robot's node or the deadline.
-      r.listen_kind = listen_kind;
-      r.listen_quorum = std::max<std::uint32_t>(listen_quorum, 1);
+      r.listen_kind = wish.listen_kind;
+      r.listen_quorum = std::max<std::uint32_t>(wish.listen_quorum, 1);
       r.listen_start = round_;
-      r.listen_deadline = round_ + rounds;
+      r.listen_deadline = round_ + wish.rounds;
       r.listen_accounted = 0;
       listeners_.push_back(idx);
       ++listening_[r.pos];
@@ -678,34 +684,20 @@ inline auto Ctx::sleep_rounds(Round rounds) {
                              std::nullopt, rounds};
 }
 
-inline auto Ctx::end_round_ambient(std::optional<Port> port) {
-  return detail::WakeAwaiter{engine_, idx_, Engine::WakeKind::kAmbient, port,
-                             0};
+inline auto Ctx::end_round_ambient(std::optional<Port> port,
+                                   const AmbientPlan* plan) {
+  return detail::WakeAwaiter{.engine = engine_,
+                             .idx = idx_,
+                             .kind = Engine::WakeKind::kAmbient,
+                             .port = port,
+                             .rounds = 0,
+                             .plan = plan};
 }
 
 inline auto Ctx::await_delivery(std::uint32_t kind, Round max_silent,
                                 std::uint32_t min_sources) {
   return detail::WakeAwaiter{engine_,    idx_, Engine::WakeKind::kListen,
                              std::nullopt, max_silent, kind, min_sources};
-}
-
-inline std::uint64_t Ctx::listened_rounds() const {
-  return engine_->robots_[idx_].listened;
-}
-
-inline void Ctx::arm_ambient_plan(const AmbientPlan& plan) {
-  assert(plan.activations >= 1 && "a live round is at least one resume");
-  Engine::Robot& r = engine_->robots_[idx_];
-  if (!r.armed) {
-    r.armed = true;
-    --engine_->readers_[r.pos];
-  }
-  r.plan = plan;
-  r.deferred = 0;
-}
-
-inline std::uint64_t Ctx::deferred_rounds() const {
-  return engine_->robots_[idx_].deferred;
 }
 
 }  // namespace bdg::sim

@@ -87,6 +87,24 @@ TEST(CliFlags, RejectsJunkNegativeAndOutOfRangeNumbers) {
   EXPECT_NE(error_of({"--shard=2/2"}).find("i < m"), std::string::npos);
 }
 
+TEST(CliFlags, ErPMustBeAFiniteProbability) {
+  // --er-p=nan used to spend 4096 x n^2 draws per point before failing
+  // without naming the flag; inf, 1e400 (strtod's inf) and 7 ran silently.
+  for (const std::string bad :
+       {"--er-p=nan", "--er-p=-nan", "--er-p=inf", "--er-p=-inf",
+        "--er-p=1e400", "--er-p=7", "--er-p=1.0000001"}) {
+    SCOPED_TRACE(bad);
+    const std::string error = error_of({bad});
+    EXPECT_NE(error.find("--er-p"), std::string::npos)
+        << "the error must name the flag: " << error;
+  }
+  // <= 0 still asks for the connectivity threshold, and 1 is complete.
+  for (const std::string good : {"--er-p=0", "--er-p=-0.5", "--er-p=1"}) {
+    SCOPED_TRACE(good);
+    EXPECT_TRUE(parse({good}).ok);
+  }
+}
+
 TEST(CliFlags, CheckedNumbersAreRangeCheckedToTheirType) {
   EXPECT_EQ(parse_flag_number<std::uint16_t>("65535", "--listen"), 65535u);
   EXPECT_EQ(parse_flag_number<std::uint16_t>("0", "--listen"), 0u);

@@ -154,7 +154,8 @@ INSTANTIATE_TEST_SUITE_P(Strategies, AdversarySweep,
 /// guaranteed to see the same "settled" ID at two different nodes.
 sim::Proc shadow_settler(sim::Ctx ctx) {
   for (;;) {
-    ctx.broadcast(kMsgStatus, {kStateSettled});
+    const std::int64_t status[] = {kStateSettled};
+    ctx.broadcast(kMsgStatus, status);
     co_await ctx.end_round(Port{0});
   }
 }

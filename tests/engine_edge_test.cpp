@@ -19,7 +19,8 @@ namespace {
 
 Proc late_broadcaster(Ctx ctx, std::uint32_t at_subround) {
   while (ctx.subround() < at_subround) co_await ctx.next_subround();
-  ctx.broadcast(9, {1});
+  const std::int64_t words[] = {1};
+  ctx.broadcast(9, words);
   co_await ctx.end_round(std::nullopt);
   co_await ctx.end_round(std::nullopt);
 }
@@ -52,13 +53,15 @@ TEST(EngineEdge, BroadcastInFinalSubroundIsDropped) {
   EXPECT_TRUE(heard.empty());
 }
 
-Proc pooled_broadcaster(Ctx ctx) {
+Proc span_and_shared_broadcaster(Ctx ctx) {
   // Same payload through both paths across two rounds: receivers must not
-  // be able to tell broadcast_pooled (arena-backed) from broadcast.
+  // be able to tell broadcast (one copy per send) from broadcast_shared of
+  // a block built once.
   static constexpr std::int64_t kPayload[] = {7, -3, 42};
+  const util::PayloadRef shared = ctx.make_payload(kPayload);
   for (int round = 0; round < 2; ++round) {
-    ctx.broadcast(11, {7, -3, 42});
-    ctx.broadcast_pooled(12, kPayload);
+    ctx.broadcast(11, kPayload);
+    ctx.broadcast_shared(12, shared);
     co_await ctx.end_round(std::nullopt);
   }
 }
@@ -70,7 +73,7 @@ TEST(EngineEdge, PooledBroadcastDeliversIdenticalPayloads) {
   Engine eng(g, cfg);
   std::vector<Msg> heard;
   eng.add_robot(1, Faultiness::kHonest, 0,
-                [](Ctx c) { return pooled_broadcaster(c); });
+                [](Ctx c) { return span_and_shared_broadcaster(c); });
   eng.add_robot(2, Faultiness::kHonest, 0,
                 [&](Ctx c) { return every_subround_listener(c, &heard, 4); });
   eng.run(8);
@@ -417,8 +420,8 @@ Task<std::uint64_t> listen(Ctx ctx, bool engine_wait, std::uint64_t max_silent,
   std::uint64_t silent = 0;
   for (;;) {
     if (engine_wait) {
-      co_await ctx.await_delivery(kWatched, max_silent - silent, quorum);
-      silent += ctx.listened_rounds();
+      silent +=
+          co_await ctx.await_delivery(kWatched, max_silent - silent, quorum);
     } else {
       co_await ctx.next_subround();
     }
@@ -754,9 +757,10 @@ TEST(AwaitDelivery, DeadlineUnderSubQuorumTraffic) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred ambient rounds (Ctx::arm_ambient_plan) against their definition:
-// twin engines run the same oblivious script, one arming a plan before each
-// live park, the other not, so it is resumed in every simulated round.
+// Deferred ambient rounds (an AmbientPlan passed to Ctx::end_round_ambient)
+// against their definition: twin engines run the same oblivious script, one
+// parking with a plan after each live round, the other without, so it is
+// resumed in every simulated round.
 // Every count but coroutine_resumes, every position and arrival port, the
 // script's generator state afterwards and every inbox the other robots read
 // must match, and a resume budget must throw in exactly the same runs.
@@ -811,7 +815,7 @@ void log_inbox(const Ctx& ctx, std::vector<Heard>* log) {
                     {m.data.begin(), m.data.end()}});
 }
 
-/// Runs `s`. With `arm` it arms a plan before each live park (its horizon:
+/// Runs `s`. With `arm` it passes a plan to each live park (its horizon:
 /// the phase's remaining rounds and the rounds before the charged window);
 /// with `heard` (planless only) it reads its inbox at every sub-round it
 /// runs live. Records its arrival port at every drain.
@@ -869,21 +873,20 @@ Proc scripted(Ctx ctx, const Script* s, bool arm, Rng* rng,
       if (heard != nullptr) log_inbox(ctx, heard);
       ctx.broadcast(kScripted + 1 + i, words);
     }
-    if (arm) {
-      std::uint64_t horizon =
-          left != 0 ? left - 1 : std::numeric_limits<std::uint64_t>::max();
-      if (now < s->charged_begin)
-        horizon = std::min(horizon, (s->charged_begin - now).low_u64() - 1);
-      ctx.arm_ambient_plan({s->draws, s->move, emitted, 1 + s->extra_subs,
-                            rng, horizon});
-    }
+    std::uint64_t horizon =
+        left != 0 ? left - 1 : std::numeric_limits<std::uint64_t>::max();
+    if (now < s->charged_begin)
+      horizon = std::min(horizon, (s->charged_begin - now).low_u64() - 1);
+    const AmbientPlan plan{s->draws, s->move, emitted, 1 + s->extra_subs,
+                           rng,      horizon};
     bool hop = s->move == WalkMove::kRandomPort;
     if (s->move == WalkMove::kChancePort) hop = rng->chance(1, 2);
     std::optional<Port> port;
     if (hop && ctx.degree() != 0)
       port = static_cast<Port>(rng->below(ctx.degree()));
-    co_await ctx.end_round_ambient(port);
-    const std::uint64_t rounds = 1 + ctx.deferred_rounds();
+    const AmbientPlan* const passed = arm ? &plan : nullptr;
+    const std::uint64_t rounds =
+        1 + co_await ctx.end_round_ambient(port, passed);
     now += Round(rounds);
     if (left != 0 && (left -= rounds) == 0) left = phase_len();
   }
@@ -1191,13 +1194,13 @@ TEST(AmbientDefer, ColocatedReadingByzantineHearsEverything) {
   EXPECT_EQ(armed.walker_heard.size(), 25u * 2);  // two messages a round
 }
 
-/// Arms one plan at round 0, then parks ambient every round without
-/// arming again, logging each round it is resumed in.
+/// Parks with a plan at round 0, then parks ambient every round without
+/// one, logging each round it is resumed in.
 Proc arm_once(Ctx ctx, Rng* rng, std::vector<Round>* resumed) {
   const std::uint64_t draws[] = {4};
-  ctx.arm_ambient_plan({draws, WalkMove::kStay, 1, 1, rng,
-                        std::numeric_limits<std::uint64_t>::max()});
-  co_await ctx.end_round_ambient(std::nullopt);
+  const AmbientPlan plan{draws, WalkMove::kStay, 1, 1, rng,
+                         std::numeric_limits<std::uint64_t>::max()};
+  co_await ctx.end_round_ambient(std::nullopt, &plan);
   for (;;) {
     resumed->push_back(ctx.round());
     co_await ctx.end_round_ambient(std::nullopt);

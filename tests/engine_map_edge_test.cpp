@@ -195,7 +195,8 @@ sim::Proc scripted_agent(sim::Ctx c,
                          std::vector<std::pair<std::uint64_t, MapOp>> script) {
   for (const auto& [round, op] : script) {
     if (c.round() < round) co_await c.sleep_rounds(round - c.round());
-    c.broadcast(kMsgInstr, {static_cast<std::int64_t>(op), 0});
+    const std::int64_t instr[] = {static_cast<std::int64_t>(op), 0};
+    c.broadcast(kMsgInstr, instr);
     std::optional<Port> move;
     if (op == MapOp::kTMove) move = 0;
     co_await c.end_round(move);

@@ -37,7 +37,8 @@ TEST(Engine, MoveUpdatesPositionAndArrivalPort) {
 }
 
 Proc broadcaster(Ctx ctx) {
-  ctx.broadcast(kPing, {42});
+  const std::int64_t words[] = {42};
+  ctx.broadcast(kPing, words);
   co_await ctx.end_round(std::nullopt);
 }
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 namespace bdg {
 namespace {
@@ -112,6 +114,15 @@ TEST(Generators, ConnectedErIsConnected) {
     EXPECT_EQ(g.n(), n);
     expect_well_formed(g);
   }
+}
+
+TEST(Generators, ConnectedErRejectsNaNUpFront) {
+  // NaN used to fall through every comparison: 4096 edgeless resamples,
+  // then a runtime_error that did not say what was wrong.
+  Rng rng(11);
+  EXPECT_THROW((void)make_connected_er(
+                   8, std::numeric_limits<double>::quiet_NaN(), rng),
+               std::invalid_argument);
 }
 
 TEST(Generators, RandomRegularDegrees) {

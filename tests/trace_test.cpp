@@ -13,7 +13,8 @@ namespace {
 
 Proc hop_and_talk(Ctx ctx, int hops) {
   for (int i = 0; i < hops; ++i) {
-    ctx.broadcast(1, {i});
+    const std::int64_t words[] = {i};
+    ctx.broadcast(1, words);
     co_await ctx.end_round(Port{0});
   }
 }
