@@ -1,16 +1,17 @@
 // dispersion_cli — run any scenario from the command line.
 //
-//   dispersion_cli [--algo=NAME] [--graph=er|ring|grid|torus|tree|regular|
-//                  hypercube|complete] [--n=12] [--f=F] [--strategy=NAME]
-//                  [--seed=1] [--theory-cost] [--trace]
+//   dispersion_cli [--algo=NAME] [--graph=FAMILY] [--n=12] [--f=F]
+//                  [--strategy=NAME] [--seed=1] [--theory-cost] [--trace]
 //                  [--graph-file=path.bdg1] [--help]
 //
-// --algo takes the names sweep_cli --algorithms takes (default
-// three-group); --help lists them and the strategy names. Without --f the
-// algorithm's maximum claimed tolerance is used; f must be < n.
+// --algo and --graph take sweep_cli's --algorithms and --families names
+// (defaults: three-group, the first family; --help lists them), and the
+// graph has exactly --n nodes. Without --f the algorithm's maximum claimed
+// tolerance is used; f must be < n.
 // --theory-cost charges the paper's cited bounds verbatim (X(n) = n^5)
 // instead of the scaled covering-walk model. A bad flag or value exits 2,
 // naming the flag.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -18,22 +19,19 @@
 #include <string>
 
 #include "core/scenario.h"
-#include "graph/generators.h"
 #include "graph/quotient.h"
 #include "graph/serialize.h"
 #include "run/cli_flags.h"
+#include "run/sweep.h"
 #include "sim/trace.h"
 
 namespace {
 
 using namespace bdg;
 
-constexpr const char* kGraphs[] = {"er",   "ring",    "grid",      "torus",
-                                   "tree", "regular", "hypercube", "complete"};
-
 struct Options {
   std::string algo = "three-group";
-  std::string graph = "er";
+  std::string graph = run::known_families().front();
   std::string strategy = "fake_settler";
   std::uint32_t n = 12;
   std::optional<std::uint32_t> f;  // unset: maximum claimed tolerance
@@ -54,9 +52,9 @@ void parse_args(Options& opt, int argc, char** argv) {
       opt.graph_file = *v;
     } else if (auto v = run::flag_value(arg, "--graph")) {
       opt.graph = *v;
-      bool known = false;
-      for (const char* name : kGraphs) known |= opt.graph == name;
-      if (!known) throw std::invalid_argument("unknown --graph '" + *v + "'");
+      const auto& known = run::known_families();
+      if (std::find(known.begin(), known.end(), opt.graph) == known.end())
+        throw std::invalid_argument("unknown --graph '" + *v + "'");
     } else if (auto v = run::flag_value(arg, "--strategy")) {
       opt.strategy = *v;
     } else if (auto v = run::flag_value(arg, "--n")) {
@@ -81,9 +79,8 @@ void print_usage(std::FILE* to) {
   std::fputs(
       "usage: dispersion_cli [flags]\n"
       "  --algo=NAME        algorithm (default: three-group)\n"
-      "  --graph=FAMILY     er|ring|grid|torus|tree|regular|hypercube|\n"
-      "                     complete (default: er)\n"
-      "  --n=N              node count (default: 12)\n"
+      "  --graph=FAMILY     graph family (default: first family name)\n"
+      "  --n=N              node count, exact (default: 12)\n"
       "  --graph-file=PATH  read a bdg1 graph instead of --graph/--n\n"
       "  --f=F              Byzantine robots, F < n (default: the\n"
       "                     algorithm's maximum claimed tolerance)\n"
@@ -96,34 +93,18 @@ void print_usage(std::FILE* to) {
       to);
 }
 
-Graph build_graph(const Options& opt, Rng& rng) {
+Graph build_graph(const Options& opt) {
   if (!opt.graph_file.empty()) {
     std::ifstream in(opt.graph_file);
     if (!in) throw std::invalid_argument("cannot open " + opt.graph_file);
     return read_graph(in);
   }
-  const std::size_t n = opt.n;
-  if (opt.graph == "ring") return shuffle_ports(make_ring(n), rng);
-  if (opt.graph == "grid") {
-    std::size_t r = 2;
-    while (r * r < n) ++r;
-    return make_grid(r, (n + r - 1) / r);
-  }
-  if (opt.graph == "torus") {
-    std::size_t r = 3;
-    while (r * r < n) ++r;
-    return make_torus(r, r);
-  }
-  if (opt.graph == "tree") return make_random_tree(n, rng);
-  if (opt.graph == "regular")
-    return make_random_regular(n + (n * 3 % 2), 3, rng);
-  if (opt.graph == "hypercube") {
-    std::size_t d = 1;
-    while ((std::size_t{1} << d) < n) ++d;
-    return make_hypercube(d);
-  }
-  if (opt.graph == "complete") return make_complete(n);
-  return shuffle_ports(make_connected_er(n, 0.0, rng), rng);
+  std::optional<Graph> g = run::build_family_graph(
+      opt.graph, opt.n, opt.seed * 77 + 1, false, /*er_edge_probability=*/0.0);
+  if (!g)
+    throw std::invalid_argument("no " + opt.graph + " graph has exactly n=" +
+                                std::to_string(opt.n) + " nodes");
+  return std::move(*g);
 }
 
 }  // namespace
@@ -154,10 +135,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  Rng rng(opt.seed * 77 + 1);
   Graph g;
   try {
-    g = build_graph(opt, rng);
+    g = build_graph(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dispersion_cli: cannot build the graph (%s): %s\n",
                  opt.graph_file.empty() ? "--graph, --n" : "--graph-file",

@@ -15,8 +15,6 @@ enum DispersionMsgKind : std::uint32_t {
   kMsgIntent = 201,
   /// State-change announcement: the sender settles here now.
   kMsgSettled = 202,
-  /// Roster exchange when establishing the gathered participant list.
-  kMsgRoll = 203,
 };
 
 enum DispersionState : std::int64_t {

@@ -244,7 +244,7 @@ ScenarioResult run_scenario(const Graph& g, const ScenarioConfig& cfg) {
     if (is_byz[i]) ++wave_byz[i % waves];
   }
 
-  const bool strong = cfg.strong_byzantine || info.handles_strong;
+  const bool strong = info.handles_strong;
   std::vector<AlgorithmPlan> plans;
   std::vector<Round> offsets(waves, Round(0));
   Round total_rounds = 0;

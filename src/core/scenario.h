@@ -122,9 +122,6 @@ struct ScenarioConfig {
   /// Give the f smallest IDs to Byzantine robots (worst case for the
   /// rank-preference rules) instead of a random subset.
   bool byz_smallest_ids = true;
-  /// Make the Byzantine robots strong (forced on for the strong
-  /// algorithms, which are the only ones claiming that tolerance).
-  bool strong_byzantine = false;
   std::uint64_t seed = 1;
   gather::CostModel cost{/*scaled=*/true};
   /// Batched pairing windows for the tournament algorithms (map-cache,

@@ -42,24 +42,12 @@ std::optional<std::pair<NodeId, Port>> PartialMap::first_unexplored() const {
   return std::nullopt;
 }
 
-std::vector<NodeId> PartialMap::candidates(std::uint32_t deg, Port q) const {
-  std::vector<NodeId> out;
-  candidates_into(deg, q, out);
-  return out;
-}
-
 void PartialMap::candidates_into(std::uint32_t deg, Port q,
                                  std::vector<NodeId>& out) const {
   out.clear();
   for (NodeId v = 0; v < size(); ++v)
     if (degree(v) == deg && q < degree(v) && !explored(v, q))
       out.push_back(v);
-}
-
-std::vector<Port> PartialMap::route(NodeId from, NodeId to) const {
-  std::vector<Port> out;
-  route_into(from, to, out);
-  return out;
 }
 
 void PartialMap::route_into(NodeId from, NodeId to,
@@ -88,7 +76,7 @@ void PartialMap::route_into(NodeId from, NodeId to,
       bfs_queue_.push_back(u);
     }
   }
-  throw std::logic_error("PartialMap::route: no explored route");
+  throw std::logic_error("PartialMap::route_into: no explored route");
 }
 
 bool PartialMap::complete() const { return !first_unexplored().has_value(); }

@@ -51,19 +51,14 @@ class PartialMap {
 
   /// Nodes that could be the one just reached through a frontier edge
   /// arriving at port q with observed degree deg: same degree, port q
-  /// unexplored. Ordered by node id (deterministic probe order).
-  [[nodiscard]] std::vector<NodeId> candidates(std::uint32_t deg,
-                                               Port q) const;
-  /// Allocation-free variant for per-round hot paths: fills `out`
-  /// (cleared first), reusing its capacity.
+  /// unexplored. Ordered by node id (deterministic probe order). Fills
+  /// `out` (cleared first), reusing its capacity.
   void candidates_into(std::uint32_t deg, Port q,
                        std::vector<NodeId>& out) const;
 
   /// Shortest route between known nodes using explored edges only, as a
   /// port sequence. Requires such a route to exist (explored subgraph is
-  /// connected by construction).
-  [[nodiscard]] std::vector<Port> route(NodeId from, NodeId to) const;
-  /// Allocation-free variant: fills `out` (cleared first) and reuses the
+  /// connected by construction). Fills `out` (cleared first) and reuses the
   /// map's internal BFS scratch, so repeated routing inside one window
   /// stops allocating. Not reentrant (one route computation at a time).
   void route_into(NodeId from, NodeId to, std::vector<Port>& out) const;

@@ -31,21 +31,6 @@ std::pair<Port, Port> Graph::add_edge(NodeId u, NodeId v) {
   return {pu, pv};
 }
 
-void Graph::add_edge_with_ports(NodeId u, Port pu, NodeId v, Port pv) {
-  assert(u < n() && v < n());
-  assert(pu == adj_[u].size());
-  adj_[u].push_back(HalfEdge{});
-  assert(pv == adj_[v].size());
-  adj_[v].push_back(HalfEdge{});
-  adj_[u][pu] = HalfEdge{v, pv};
-  adj_[v][pv] = HalfEdge{u, pu};
-}
-
-NodeId Graph::add_node() {
-  adj_.emplace_back();
-  return static_cast<NodeId>(adj_.size() - 1);
-}
-
 Graph Graph::from_adjacency(std::vector<std::vector<HalfEdge>> adj) {
   Graph g;
   g.adj_ = std::move(adj);

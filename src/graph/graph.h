@@ -63,14 +63,6 @@ class Graph {
   /// each side. Returns the (port_u, port_v) pair assigned.
   std::pair<Port, Port> add_edge(NodeId u, NodeId v);
 
-  /// Append an undirected edge with explicit ports. The ports must equal the
-  /// next free slot on each side (edges must be added in port order); used
-  /// by deserialization and quotient construction.
-  void add_edge_with_ports(NodeId u, Port pu, NodeId v, Port pv);
-
-  /// Grow the graph by one isolated node, returning its id.
-  NodeId add_node();
-
   /// Build directly from an adjacency structure (used by port relabeling
   /// and node permutation). The caller promises port consistency; it is
   /// checked in debug builds.

@@ -250,6 +250,9 @@ void print_grid_name_lists(std::FILE* to) {
   std::fputs("algorithm names:\n", to);
   for (const core::AlgorithmInfo& row : core::algorithm_table())
     std::fprintf(to, "  %s\n", row.cli_name);
+  std::fputs("family names:\n", to);
+  for (const std::string& family : known_families())
+    std::fprintf(to, "  %s\n", family.c_str());
   std::fputs("strategy names:\n", to);
   std::vector<core::ByzStrategy> strategies = core::weak_strategies();
   strategies.push_back(core::ByzStrategy::kSpoofer);

@@ -59,7 +59,7 @@ struct GridFlagsResult {
 /// their own sections in between.
 void print_grid_flag_help(std::FILE* to);
 
-/// Print the accepted algorithm and strategy name lists.
+/// Print the accepted algorithm, family and strategy name lists.
 void print_grid_name_lists(std::FILE* to);
 
 /// Parse a "HOST:PORT" (or bare "PORT", meaning 127.0.0.1) connection

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -138,23 +139,33 @@ std::optional<Graph> build_family_graph(const std::string& family,
                                         double er_edge_probability) {
   if (!family_supports(family, n)) return std::nullopt;
   Rng rng(seed);
-  if (!need_trivial_quotient) return sample(family, n, rng, er_edge_probability);
-  // Theorem 1 needs all views distinct; resample until the quotient is
-  // trivial. Families with random structure re-roll on their own; the
-  // deterministic ones get fresh port shuffles instead — except
-  // oriented_ring, whose port orientation IS the family (and whose
-  // quotient is a single node by construction, so it can never satisfy
-  // the request).
-  const bool reshuffle = family == "grid" || family == "complete" ||
-                         family == "star" || family == "lollipop" ||
-                         family == "torus" || family == "hypercube";
-  if (family == "oriented_ring") return std::nullopt;
-  for (int attempt = 0; attempt < 128; ++attempt) {
-    Graph g = sample(family, n, rng, er_edge_probability);
-    if (reshuffle) g = shuffle_ports(g, rng);
-    if (has_trivial_quotient(g)) return g;
+  try {
+    if (!need_trivial_quotient)
+      return sample(family, n, rng, er_edge_probability);
+    // Theorem 1 needs all views distinct; resample until the quotient is
+    // trivial. Families with random structure re-roll on their own; the
+    // deterministic ones get fresh port shuffles instead — except
+    // oriented_ring, whose port orientation IS the family (and whose
+    // quotient is a single node by construction, so it can never satisfy
+    // the request).
+    const bool reshuffle = family == "grid" || family == "complete" ||
+                           family == "star" || family == "lollipop" ||
+                           family == "torus" || family == "hypercube";
+    if (family == "oriented_ring") return std::nullopt;
+    for (int attempt = 0; attempt < 128; ++attempt) {
+      Graph g = sample(family, n, rng, er_edge_probability);
+      if (reshuffle) g = shuffle_ports(g, rng);
+      if (has_trivial_quotient(g)) return g;
+    }
+    return std::nullopt;
+  } catch (const std::runtime_error& e) {  // a sampler gave up: name the point
+    char p[48] = "";
+    if (family == "er")
+      std::snprintf(p, sizeof p, " (er edge probability %g)",
+                    er_edge_probability);
+    throw std::runtime_error(family + " graph on n=" + std::to_string(n) + p +
+                             ": " + e.what());
   }
-  return std::nullopt;
 }
 
 bool same_point(const SweepPoint& a, const SweepPoint& b) {

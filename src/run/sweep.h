@@ -50,9 +50,8 @@ namespace bdg::run {
 // Graph-family registry
 // ---------------------------------------------------------------------------
 
-/// Names accepted by SweepSpec::families, in registry order:
-/// "er", "ring", "oriented_ring", "grid", "tree", "complete", "star",
-/// "lollipop", "torus", "hypercube", "regular".
+/// Names accepted by SweepSpec::families and every front-end's family
+/// flag, in registry order (print_grid_name_lists lists them).
 [[nodiscard]] const std::vector<std::string>& known_families();
 
 /// Whether `family` can produce a graph on exactly n nodes (e.g. "torus"
@@ -63,7 +62,9 @@ namespace bdg::run {
 /// Build a graph of `family` on n nodes from `seed` (deterministic). When
 /// `need_trivial_quotient` is set (Theorem 1), resamples until all views
 /// are distinct; returns nullopt if the family cannot satisfy the request
-/// (unsupported n, or no trivial-quotient sample found).
+/// (unsupported n, or no trivial-quotient sample found). A sampler that
+/// gives up throws std::runtime_error naming the family, n and (for "er")
+/// the edge probability.
 [[nodiscard]] std::optional<Graph> build_family_graph(
     const std::string& family, std::uint32_t n, std::uint64_t seed,
     bool need_trivial_quotient = false, double er_edge_probability = 0.45);

@@ -66,7 +66,6 @@ void Engine::start_programs() {
     ++readers_[r.pos];
     r.proc = r.factory(Ctx(this, i));
     r.leaf = r.proc.handle();
-    r.wake = WakeKind::kSubround;  // run at start_round, sub-round 0
     r.wake_round = r.start_round;
     if (r.start_round == 0)
       next_round_.push_back(i);
@@ -260,7 +259,6 @@ void Engine::run_subrounds() {
   // resume at sub-round 0 of the next round.
   for (const std::uint32_t idx : runnable_) {
     Robot& r = robots_[idx];
-    r.wake = WakeKind::kEndRound;
     r.move = std::nullopt;
     r.wake_round = round_ + 1;
     next_round_.push_back(idx);
@@ -332,7 +330,6 @@ RunStats Engine::run(Round max_rounds) {
     // the sorted order they ran); is_sorted is O(k) vs the sort's k log k.
     if (!std::is_sorted(runnable_.begin(), runnable_.end()))
       std::sort(runnable_.begin(), runnable_.end());
-    for (const std::uint32_t idx : runnable_) robots_[idx].wake = WakeKind::kSubround;
     ++stats_.simulated_rounds;
     if (observer_ != nullptr) observer_->on_round(round_);
     // Every parked adversary was stepped and only listeners wait: with no

@@ -392,7 +392,8 @@ class Engine {
   };
 
   /// Engine-side per-robot state. The program coroutine is resumed only via
-  /// resume_robot(); between resumptions `wake` describes when it runs next.
+  /// resume_robot(); between resumptions the queue that holds it (runnable,
+  /// next round, wake queue, ambient or listeners) is its wake condition.
   /// Robots live contiguously in Engine::robots_; the vector never grows
   /// after start_programs(), so handles created then stay valid. Defined in
   /// the header so the Ctx accessors protocol coroutines hit every
@@ -407,8 +408,7 @@ class Engine {
     Round start_round = 0;  ///< first round the program runs
     bool done = false;
 
-    // Pending wake condition, written by WakeAwaiter via set_command().
-    WakeKind wake = WakeKind::kSleep;
+    // Park parameters, written by WakeAwaiter via set_command().
     std::optional<Port> move;  // for kEndRound
     Round wake_round = 0;      // for kSleep / kEndRound: first round in
                                // which the robot runs again
@@ -602,7 +602,6 @@ inline void Engine::set_command(std::uint32_t idx,
       (observer_ != nullptr || wish.rounds == 0 || subround_ != 0 ||
        subround_count() < 2))
     kind = WakeKind::kSubround;
-  r.wake = kind;
   r.leaf = leaf;
   r.move = std::nullopt;
   switch (kind) {

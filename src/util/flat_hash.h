@@ -147,13 +147,6 @@ class FlatMap {
     }
   }
 
-  template <class KK>
-  std::pair<V&, bool> insert_or_assign(KK&& key, V val) {
-    auto [ref, inserted] = try_emplace(std::forward<KK>(key));
-    ref = std::move(val);
-    return {ref, inserted};
-  }
-
   bool erase(const K& key) noexcept {
     if (states_.empty()) return false;
     const std::size_t mask = states_.size() - 1;

@@ -7,8 +7,8 @@
 // entirely while `clear()` retains spill capacity for the rare big case.
 //
 // Deliberately a subset of std::vector: contiguous storage, push/emplace,
-// resize/reserve/assign, erase-by-iterator, swap. Growth never shrinks; use
-// shrink_to_inline() to drop a spill buffer once contents fit inline again.
+// resize/reserve/assign, erase-by-iterator, swap. Growth never shrinks:
+// clear() keeps a spill buffer for the next refill.
 //
 // Move semantics are where small-vector implementations classically go
 // wrong (a moved-from inline buffer whose elements are destroyed once by
@@ -164,22 +164,6 @@ class SmallVec {
     std::move_backward(data_ + at, data_ + size_ - 1, data_ + size_);
     data_[at] = v;
     return data_ + at;
-  }
-
-  /// Drop the spill buffer when the contents fit inline again (clear()
-  /// deliberately keeps it; call this where retaining a one-off burst's
-  /// capacity would pin memory).
-  void shrink_to_inline() {
-    if (!spilled() || size_ > N) return;
-    T* heap = data_;
-    const std::size_t n = size_;
-    for (std::size_t i = 0; i < n; ++i) {
-      ::new (static_cast<void*>(inline_ptr() + i)) T(std::move(heap[i]));
-      heap[i].~T();
-    }
-    ::operator delete(static_cast<void*>(heap));
-    data_ = inline_ptr();
-    cap_ = N;
   }
 
   void swap(SmallVec& other) noexcept {

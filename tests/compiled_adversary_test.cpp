@@ -57,7 +57,6 @@ std::size_t expect_live_matches_bulk(const std::vector<GridCase>& cases) {
       sc.cfg.num_byzantine = max_tolerated_f_k(c.algorithm, c.n, k);
       sc.cfg.strategy = c.strategy;
       sc.cfg.strategies = c.mix;
-      sc.cfg.strong_byzantine = algorithm_info(c.algorithm).handles_strong;
       sc.cfg.seed = seed;
       runs.push_back(std::move(sc));
     }

@@ -155,5 +155,22 @@ TEST(PinnedCounts, Mix) {
                        0xfe5c147802902e80ULL, 24});
 }
 
+/// Every family's sampler, on its own graphs and through the
+/// trivial-quotient redraw with shared graphs (the port reshuffle of the
+/// deterministic families, oriented_ring's never-satisfiable rule), at
+/// sizes some families cannot build (their skip lines are pinned too).
+TEST(PinnedCounts, EveryFamily) {
+  SweepSpec spec = gathered_grid();
+  spec.algorithms = {Algorithm::kQuotient, Algorithm::kThreeGroupGathered,
+                     Algorithm::kRingBaseline};
+  spec.families = known_families();
+  spec.sizes = {8, 9, 12, 16};
+  expect_pinned(spec, {"every family", 0xb11aa6328f49059bULL, 264});
+  spec.require_trivial_quotient = true;
+  spec.common_graphs = true;
+  expect_pinned(spec,
+                {"every family, trivial quotient", 0x6fde584b698eec0fULL, 264});
+}
+
 }  // namespace
 }  // namespace bdg::run

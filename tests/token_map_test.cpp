@@ -26,8 +26,11 @@ TEST(PartialMap, ConnectAndRoute) {
   pm.connect(0, 0, a, 1);
   EXPECT_TRUE(pm.explored(0, 0));
   EXPECT_FALSE(pm.explored(0, 1));
-  EXPECT_EQ(pm.route(0, a), (std::vector<Port>{0}));
-  EXPECT_EQ(pm.route(a, 0), (std::vector<Port>{1}));
+  std::vector<Port> route;
+  pm.route_into(0, a, route);
+  EXPECT_EQ(route, (std::vector<Port>{0}));
+  pm.route_into(a, 0, route);
+  EXPECT_EQ(route, (std::vector<Port>{1}));
   EXPECT_FALSE(pm.complete());
   EXPECT_THROW(pm.connect(0, 0, a, 0), std::logic_error);
 }
@@ -38,12 +41,18 @@ TEST(PartialMap, CandidatesFilterDegreeAndSlot) {
   const NodeId b = pm.add_node(3);
   pm.connect(0, 0, a, 1);
   // Degree-2 nodes with port 0 unexplored: node `a` only (0's port 0 used).
-  EXPECT_EQ(pm.candidates(2, 0), (std::vector<NodeId>{a}));
-  EXPECT_EQ(pm.candidates(3, 2), (std::vector<NodeId>{b}));
-  EXPECT_TRUE(pm.candidates(5, 0).empty());
+  std::vector<NodeId> cands;
+  pm.candidates_into(2, 0, cands);
+  EXPECT_EQ(cands, (std::vector<NodeId>{a}));
+  pm.candidates_into(3, 2, cands);
+  EXPECT_EQ(cands, (std::vector<NodeId>{b}));
+  pm.candidates_into(5, 0, cands);
+  EXPECT_TRUE(cands.empty());
 }
 
-TEST(PartialMap, IntoVariantsReuseBuffersAndMatch) {
+TEST(PartialMap, IntoVariantsClearReusedBuffers) {
+  // Path 0 -(0,1)- a -(0,1)- b: every call refills a buffer that already
+  // holds the previous answer.
   PartialMap pm(2);
   const NodeId a = pm.add_node(2);
   const NodeId b = pm.add_node(2);
@@ -52,13 +61,13 @@ TEST(PartialMap, IntoVariantsReuseBuffersAndMatch) {
   std::vector<Port> route;
   std::vector<NodeId> cands;
   pm.route_into(0, b, route);
-  EXPECT_EQ(route, pm.route(0, b));
-  pm.route_into(b, 0, route);  // reused buffer is cleared first
-  EXPECT_EQ(route, pm.route(b, 0));
+  EXPECT_EQ(route, (std::vector<Port>{0, 0}));
+  pm.route_into(b, 0, route);
+  EXPECT_EQ(route, (std::vector<Port>{1, 1}));
   pm.route_into(a, a, route);
   EXPECT_TRUE(route.empty());
   pm.candidates_into(2, 0, cands);
-  EXPECT_EQ(cands, pm.candidates(2, 0));
+  EXPECT_EQ(cands, (std::vector<NodeId>{b}));
   pm.candidates_into(7, 0, cands);
   EXPECT_TRUE(cands.empty());
 }

@@ -187,17 +187,6 @@ TEST(SmallVec, ClearKeepsCapacitySpilledOrNot) {
   EXPECT_EQ(v.capacity(), cap);  // hot-loop refill must not reallocate
 }
 
-TEST(SmallVec, ShrinkToInline) {
-  util::SmallVec<int, 4> v;
-  for (int i = 0; i < 10; ++i) v.push_back(i);
-  while (v.size() > 3) v.pop_back();
-  ASSERT_TRUE(v.spilled());
-  v.shrink_to_inline();
-  EXPECT_FALSE(v.spilled());
-  ASSERT_EQ(v.size(), 3u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(v[i], i);
-}
-
 TEST(SmallVec, MoveOfInlineLeavesSourceEmptyNoDoubleDestroy) {
   Counted::ctors = Counted::dtors = 0;
   {
