@@ -135,6 +135,7 @@ void pairing_rows(std::ostream& os) {
       {&g24, 5, core::ByzStrategy::kMapLiar, true, false},
   };
   double squatter_bulk = 0, squatter_live = 0;
+  double liar_bulk = 0, liar_live = 0;
   sim::Observer noop;
   for (const Case& c : cases) {
     core::ScenarioConfig cfg;
@@ -153,6 +154,8 @@ void pairing_rows(std::ostream& os) {
     }
     if (c.strategy == core::ByzStrategy::kSquatter)
       (c.compiled ? squatter_bulk : squatter_live) = best;
+    if (c.strategy == core::ByzStrategy::kMapLiar)
+      (c.compiled ? liar_bulk : liar_live) = best;
     os << core::to_string(cfg.algorithm) << ',' << c.g->n() << ',' << c.f
        << ',' << core::to_string(c.strategy) << ',' << (c.batched ? 1 : 0)
        << ',' << (c.compiled ? 1 : 0) << ',' << kReps << ','
@@ -171,6 +174,19 @@ void pairing_rows(std::ostream& os) {
                  "pairing: bulk adversary too slow: %.4fs vs %.4fs live "
                  "(need >= 2x)\n",
                  squatter_bulk, squatter_live);
+    g_pairing_speedup_ok = false;
+  }
+  // The map-liar pair gates the replay kernel the same way, timed in one
+  // process so machine drift cancels: its bulk row replays the long
+  // unheard stretches through the fused chance walk, and must run at least
+  // kLiarSpeedup times faster than the live row (measured on a 4-core x86
+  // VM: 11x before the fused path, 18-20x with it).
+  constexpr double kLiarSpeedup = 14;
+  if (liar_bulk * kLiarSpeedup > liar_live) {
+    std::fprintf(stderr,
+                 "pairing: replay kernel too slow: map_liar %.4fs bulk vs "
+                 "%.4fs live (need >= %.0fx)\n",
+                 liar_bulk, liar_live, kLiarSpeedup);
     g_pairing_speedup_ok = false;
   }
 }

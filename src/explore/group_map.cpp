@@ -72,17 +72,16 @@ thread_local util::SmallVec<std::uint32_t, 16> g_voters;
 
 /// Memo for one support query. All members of a co-located group run the
 /// SAME vote over the SAME delivered inbox each sub-round, so the 2nd..kth
-/// caller can reuse the 1st caller's tally. The key is the inbox IDENTITY
-/// (address + length) made sound by sim::delivery_epoch(): the engine
-/// opens a new epoch whenever delivered inboxes may change (each delivery,
-/// engine construction/destruction), so within one epoch a pointer match
-/// guarantees a content match — the hit check costs O(members), never a
-/// payload scan. Query parameters are compared by value; `members` by
+/// caller can reuse the 1st caller's tally. The key is the inbox IDENTITY:
+/// its engine-assigned delivery number, address and length (sim::InboxView),
+/// under which its contents cannot change, so the hit check costs O(members),
+/// never a payload scan. An inbox no engine delivered (delivery 0) is
+/// never memoized. Query parameters are compared by value; `members` by
 /// contents, since each robot carries its own config copy of the same
 /// group roster.
 struct QueryCache {
   struct Entry {
-    std::uint64_t epoch = 0;
+    std::uint64_t delivery = 0;
     const void* box = nullptr;
     std::size_t box_len = 0;
     std::uint64_t kind_quorum = ~std::uint64_t{0};
@@ -97,12 +96,12 @@ struct QueryCache {
   std::size_t next = 0;
   std::int64_t result = 0;  ///< result of the last successful lookup()
 
-  bool lookup(std::span<const sim::Msg> inbox, std::uint32_t kind,
+  bool lookup(const sim::InboxView& inbox, std::uint32_t kind,
               const std::vector<sim::RobotId>& mem, std::uint64_t extra) {
-    const std::uint64_t epoch = sim::delivery_epoch();
+    if (inbox.delivery == 0) return false;
     const std::uint64_t kq = (static_cast<std::uint64_t>(kind) << 32) | extra;
     for (Entry& e : entries) {
-      if (e.epoch == epoch && e.box == inbox.data() &&
+      if (e.delivery == inbox.delivery && e.box == inbox.data() &&
           e.box_len == inbox.size() && e.kind_quorum == kq &&
           e.members == mem) {
         result = e.result;
@@ -112,12 +111,13 @@ struct QueryCache {
     return false;
   }
 
-  void store(std::span<const sim::Msg> inbox, std::uint32_t kind,
+  void store(const sim::InboxView& inbox, std::uint32_t kind,
              const std::vector<sim::RobotId>& mem, std::uint64_t extra,
              std::int64_t r) {
+    if (inbox.delivery == 0) return;
     Entry& e = entries[next];
     next = (next + 1) % kEntries;
-    e.epoch = sim::delivery_epoch();
+    e.delivery = inbox.delivery;
     e.box = inbox.data();
     e.box_len = inbox.size();
     e.kind_quorum = (static_cast<std::uint64_t>(kind) << 32) | extra;
@@ -131,7 +131,7 @@ thread_local QueryCache g_believed_cache, g_presence_cache;
 }  // namespace
 
 std::optional<std::span<const std::int64_t>> believed_payload(
-    std::span<const sim::Msg> inbox, std::uint32_t kind,
+    const sim::InboxView& inbox, std::uint32_t kind,
     const std::vector<sim::RobotId>& members, std::uint32_t quorum) {
   // A robot that supports several conflicting payloads contributes one vote
   // to each; that cannot push any forged payload beyond the liar count,
@@ -172,7 +172,7 @@ std::optional<std::span<const std::int64_t>> believed_payload(
   return std::nullopt;
 }
 
-std::uint32_t presence_support(std::span<const sim::Msg> inbox,
+std::uint32_t presence_support(const sim::InboxView& inbox,
                                std::uint32_t kind,
                                const std::vector<sim::RobotId>& members) {
   if (g_presence_cache.lookup(inbox, kind, members, 0))

@@ -9,10 +9,9 @@
 // These run once per token-group member per round on the group-dispersion
 // hot path, so they tally into reusable flat scratch (no per-call maps,
 // sets, or key copies) and hand results back as views into the inbox.
-// Results are memoized per thread by inbox identity (address and length)
-// within one sim::delivery_epoch(), so an inbox must not be changed in
-// place, nor a freed one's buffer reused, between two calls inside one
-// epoch. Engine-delivered inboxes never are.
+// Results on engine-delivered inboxes are memoized per thread by inbox
+// identity (sim::InboxView: delivery number and address); a hand-built
+// inbox (delivery 0) is tallied afresh on every call.
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -28,13 +27,13 @@ namespace bdg::explore {
 /// The returned span aliases a message payload in `inbox` and is valid
 /// only while that inbox is (i.e. within the current sub-round).
 [[nodiscard]] std::optional<std::span<const std::int64_t>> believed_payload(
-    std::span<const sim::Msg> inbox, std::uint32_t kind,
+    const sim::InboxView& inbox, std::uint32_t kind,
     const std::vector<sim::RobotId>& members, std::uint32_t quorum);
 
 /// Distinct physical senders of messages of `kind` claimed by `members`,
 /// regardless of payload (presence votes).
 [[nodiscard]] std::uint32_t presence_support(
-    std::span<const sim::Msg> inbox, std::uint32_t kind,
+    const sim::InboxView& inbox, std::uint32_t kind,
     const std::vector<sim::RobotId>& members);
 
 }  // namespace bdg::explore

@@ -8,10 +8,98 @@
 namespace bdg::sim {
 
 namespace {
-thread_local std::uint64_t t_delivery_epoch = 0;
-}  // namespace
+/// Numbers every delivery (InboxView::delivery): one counter per thread,
+/// as engines are thread-confined.
+thread_local std::uint64_t t_deliveries = 0;
 
-std::uint64_t delivery_epoch() noexcept { return t_delivery_epoch; }
+/// Where a replayed walk stands: generator words, node, arrival port, and
+/// the steps made and hops taken so far.
+struct WalkCursor {
+  Rng::Words rng_s;
+  NodeId pos;
+  Port arrival;
+  std::uint64_t done;
+  std::uint64_t moved;
+};
+
+/// The fused path of Engine::walk (README, "The fused chance walk"):
+/// `blocks` blocks of kWalkFusedBlock steps of a chance walk from a node
+/// with a port, whose `draws` discarded draws all have power-of-two
+/// bounds. Each step's next() calls are then the stream's alone: one per
+/// discarded draw, one coin, and one port draw iff the coin's top bit is
+/// clear (ports are paired: every hop draws and moves). So block b's
+/// stream runs branch-free, recording its hops' draws, while the position
+/// chain follows block b - 1's in the same loop. A port draw that would be
+/// redrawn leaves `c` at the start of its block for the exact loop;
+/// otherwise `c` advances by blocks * kWalkFusedBlock steps.
+[[gnu::noinline]] void walk_chance_blocks(const std::uint32_t* begin,
+                                          const HalfEdge* edges,
+                                          std::size_t draws,
+                                          std::uint64_t blocks,
+                                          WalkCursor& c) {
+  std::uint64_t hop_x[2][kWalkFusedBlock];
+  std::uint32_t hop_n[2] = {0, 0};
+  Rng::Words block_start[2];
+  Rng::Words rng_s = c.rng_s;
+  // One step of the stream: append its port draw to `out` iff it hops; the
+  // conditional next() is a masked select of the four state words.
+  const auto draw = [&](std::uint64_t* out, std::uint32_t& made) {
+    for (std::size_t k = 0; k < draws; ++k) (void)Rng::next_inline(rng_s);
+    const std::uint64_t coin = Rng::next_inline(rng_s);
+    Rng::Words hopped = rng_s;
+    out[made] = Rng::next_inline(hopped);
+    const std::uint64_t hop = (coin >> 63) - 1;  // all ones iff it hops
+    for (std::size_t k = 0; k < 4; ++k)
+      rng_s[k] ^= (rng_s[k] ^ hopped[k]) & hop;
+    made += static_cast<std::uint32_t>(hop & 1);
+  };
+  for (std::uint64_t b = 0; b <= blocks; ++b) {
+    // Follow block b - 1's hops from c.pos; the arrival port is read from
+    // the last edge taken.
+    const std::uint64_t* in = hop_x[(b + 1) & 1];
+    const std::uint32_t hops = hop_n[(b + 1) & 1];
+    NodeId pos = c.pos;
+    std::uint32_t edge = 0;
+    const auto follow = [&](std::uint32_t i) {
+      const std::uint32_t first = begin[pos];
+      const std::uint32_t degree = begin[pos + 1] - first;
+      const __uint128_t m = static_cast<__uint128_t>(in[i]) * degree;
+      const auto lo = static_cast<std::uint64_t>(m);
+      if (lo < degree && lo < -std::uint64_t{degree} % degree) [[unlikely]]
+        return false;
+      edge = first + static_cast<std::uint32_t>(m >> 64);
+      pos = edges[edge].to;
+      return true;
+    };
+    std::uint32_t i = 0;
+    if (b < blocks) {
+      std::uint64_t* out = hop_x[b & 1];
+      std::uint32_t made = 0;
+      block_start[b & 1] = rng_s;
+      for (; i < hops; ++i) {
+        draw(out, made);
+        if (!follow(i)) break;
+      }
+      if (i == hops)
+        for (; i < kWalkFusedBlock; ++i) draw(out, made);
+      hop_n[b & 1] = made;
+    } else {
+      while (i < hops && follow(i)) ++i;
+    }
+    if (i < hops) {  // block b - 1 holds a port draw that is redrawn
+      c.rng_s = block_start[(b + 1) & 1];
+      return;
+    }
+    c.pos = pos;
+    if (hops != 0) c.arrival = edges[edge].reverse;
+    if (b != 0) {
+      c.done += kWalkFusedBlock;
+      c.moved += hops;
+    }
+  }
+  c.rng_s = rng_s;
+}
+}  // namespace
 
 Engine::Engine(const Graph& g, EngineConfig cfg) : graph_(g), cfg_(cfg) {
   if (graph_.n() == 0) throw std::invalid_argument("Engine: empty graph");
@@ -24,10 +112,8 @@ Engine::Engine(const Graph& g, EngineConfig cfg) : graph_(g), cfg_(cfg) {
   }
   delivered_.resize(graph_.n());
   pending_.resize(graph_.n());
-  ++t_delivery_epoch;
+  delivery_ = ++t_deliveries;
 }
-
-Engine::~Engine() { ++t_delivery_epoch; }
 
 void Engine::add_robot(RobotId id, Faultiness f, NodeId start,
                        ProgramFactory factory, Round start_round) {
@@ -112,22 +198,37 @@ void Engine::walk(Robot& r, std::uint64_t steps,
   const std::uint64_t last = (cfg_.max_resumes - stats_.resumes) / activations;
   const std::uint32_t* begin = csr_begin_.data();
   const HalfEdge* edges = csr_edges_.data();
-  Rng local_rng = rng;
+  Rng::Words rng_s = Rng::words(rng);
   NodeId pos = r.pos;
   Port arrival = r.arrival;
   std::uint64_t moved = 0;
   std::uint64_t done = 0;
+  // A long chance walk within the budget, from a node with a port, whose
+  // draws are powers of two: whole blocks go through the fused path, the
+  // rest (and everything after a redrawn port draw) through the loop.
+  if (move == WalkMove::kChancePort && steps >= kWalkFusedMin &&
+      steps <= last && begin[pos + 1] != begin[pos] &&
+      std::all_of(draws.begin(), draws.end(),
+                  [](std::uint64_t b) { return (b & (b - 1)) == 0; })) {
+    WalkCursor c{rng_s, pos, arrival, 0, 0};
+    walk_chance_blocks(begin, edges, draws.size(), steps / kWalkFusedBlock, c);
+    rng_s = c.rng_s;
+    pos = c.pos;
+    arrival = c.arrival;
+    moved = c.moved;
+    done = c.done;
+  }
   for (; done < steps; ++done) {
     for (const std::uint64_t bound : draws)
-      (void)Rng::below_inline(local_rng, bound);
+      (void)Rng::below_inline(rng_s, bound);
     bool hop = move == WalkMove::kRandomPort;
     if (move == WalkMove::kChancePort)
-      hop = Rng::below_inline(local_rng, 2) < 1;  // chance(1, 2)
+      hop = Rng::below_inline(rng_s, 2) < 1;  // chance(1, 2)
     const std::uint32_t first = begin[pos];
     const std::uint32_t degree = begin[pos + 1] - first;
     Port port = kNoPort;
     if (hop && degree != 0)
-      port = static_cast<Port>(Rng::below_inline(local_rng, degree));
+      port = static_cast<Port>(Rng::below_inline(rng_s, degree));
     if (done == last) break;
     if (port != kNoPort) {
       const HalfEdge he = edges[first + port];
@@ -136,7 +237,7 @@ void Engine::walk(Robot& r, std::uint64_t steps,
       ++moved;
     }
   }
-  rng = local_rng;
+  Rng::words(rng) = rng_s;
   relocate(r, pos);
   r.arrival = arrival;
   stats_.moves += moved;
@@ -228,9 +329,9 @@ void Engine::run_subrounds() {
   const std::uint32_t subs = subround_count();
   for (subround_ = 0; subround_ < subs; ++subround_) {
     // Deliver last sub-round's broadcasts: recycle the previous inboxes,
-    // promote pending buffers, swap the dirty lists. Delivered state is
-    // about to change: open a new memoization epoch.
-    ++t_delivery_epoch;
+    // promote pending buffers, swap the dirty lists, under a new delivery
+    // number.
+    delivery_ = ++t_deliveries;
     for (const NodeId v : delivered_dirty_) release_inbox(delivered_[v]);
     delivered_dirty_.clear();
     for (const NodeId v : pending_dirty_) delivered_[v].swap(pending_[v]);

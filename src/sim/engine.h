@@ -67,15 +67,6 @@
 
 namespace bdg::sim {
 
-/// Thread-local delivery epoch: bumped whenever ANY engine on this thread
-/// (engines are thread-confined) may have mutated or recycled delivered
-/// inboxes — each sub-round delivery, plus engine construction and
-/// destruction. Within one epoch, a delivered inbox's address, length and
-/// contents are immutable, so (epoch, inbox pointer) keys memoized
-/// inbox-derived computations exactly (explore/group_map.cpp's shared
-/// vote tallies).
-[[nodiscard]] std::uint64_t delivery_epoch() noexcept;
-
 using RobotId = std::uint64_t;
 /// Round counts are saturating 128-bit everywhere: the charged bounds the
 /// engine fast-forwards (exponential gathering, theory-model charges)
@@ -110,6 +101,19 @@ struct Msg {
   util::PayloadRef data;
 };
 
+/// A node's delivered inbox as Ctx::inbox returns it: the messages, and
+/// the delivery that put them there. `delivery` is engine-assigned: a number
+/// no other sub-round delivery of any engine on this thread shares, and 0
+/// for an inbox no engine delivered (a hand-built one). Within one delivery
+/// an inbox's address, length and contents are fixed, so (delivery,
+/// address) keys memoized inbox-derived computations exactly
+/// (explore/group_map.cpp's vote tallies), which never memoize delivery 0.
+struct InboxView : std::span<const Msg> {
+  InboxView(std::span<const Msg> msgs, std::uint64_t from = 0)
+      : std::span<const Msg>(msgs), delivery(from) {}
+  std::uint64_t delivery = 0;
+};
+
 class Engine;
 
 /// Move drawn at each round of a replayed stretch (Ctx::ambient_walk); the
@@ -119,6 +123,12 @@ enum class WalkMove : std::uint8_t {
   kRandomPort,  ///< below(degree); stays (and draws nothing) at degree 0
   kChancePort,  ///< chance(1,2), then kRandomPort on success
 };
+
+/// The replay kernel's fused path (Ctx::ambient_walk) takes chance walks
+/// of at least kWalkFusedMin steps, in blocks of kWalkFusedBlock; shorter
+/// stretches would spend most of it filling and draining its pipeline.
+inline constexpr std::uint32_t kWalkFusedBlock = 256;
+inline constexpr std::uint64_t kWalkFusedMin = 2 * kWalkFusedBlock;
 
 /// One live round of a parked ambient robot, declared so the engine can
 /// step the round itself while no robot at the robot's node can hear it
@@ -159,7 +169,7 @@ class Ctx {
   /// is valid for the current sub-round only (delivery recycles buffers).
   /// A robot that ever parked with an AmbientPlan must never call it: the
   /// engine stopped counting it as a reader.
-  [[nodiscard]] std::span<const Msg> inbox() const;
+  [[nodiscard]] InboxView inbox() const;
 
   // --- actions ------------------------------------------------------------
   /// Broadcast to co-located robots; delivered next sub-round. The sender
@@ -268,7 +278,8 @@ class Ctx {
   /// the RNG stream, position, arrival port, moves, messages and resumes
   /// (one per round) all come out bit-identical. Position, arrival port
   /// and generator state stay in locals over a flat copy of the graph,
-  /// and the counters are committed once per call. If the resume budget
+  /// and the counters are committed once per call; long chance walks take
+  /// a fused path with the same result (Engine::walk). If the resume budget
   /// runs out mid-stretch it throws at the same step the per-round loop
   /// would, after that step's draws. The engine steps the rounds of an
   /// AmbientPlan (end_round_ambient) through the same kernel.
@@ -349,7 +360,6 @@ struct RunStats {
 class Engine {
  public:
   Engine(const Graph& g, EngineConfig cfg = {});
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -453,7 +463,16 @@ class Engine {
   void account_resumes(std::uint64_t count);
   /// The replay kernel behind Ctx::ambient_walk and plan-stepped rounds: walk
   /// `r` through `steps` rounds of `draws` + `move`, counting `emitted`
-  /// messages and `activations` resumes per round.
+  /// messages and `activations` resumes per round. The per-step loop keeps
+  /// the generator's words (Rng::words), position and arrival port in
+  /// locals. A kChancePort stretch of at least kWalkFusedMin steps that
+  /// stays within the resume budget, from a node with a port, whose draws
+  /// all have power-of-two bounds, first runs its whole kWalkFusedBlock
+  /// blocks through the fused path (engine.cpp, walk_chance_blocks): there
+  /// the stream alone fixes each step's next() calls, so one block's
+  /// stream runs branch-free while the position chain follows the block
+  /// before. A port draw that would be redrawn sends its block back to the
+  /// per-step loop, which also takes every other stretch and the tail.
   void walk(Robot& r, std::uint64_t steps,
             std::span<const std::uint64_t> draws, WalkMove move,
             std::uint64_t emitted, std::uint32_t activations, Rng& rng);
@@ -546,6 +565,8 @@ class Engine {
   // and clearing costs O(active nodes) with no arena shuffling.
   std::vector<Inbox> delivered_, pending_;
   std::vector<NodeId> delivered_dirty_, pending_dirty_;
+  /// The delivery the current delivered_ came in (InboxView::delivery).
+  std::uint64_t delivery_ = 0;
   /// Pooled payload blocks (the PR 5 payload arena, generalized): cleared
   /// inboxes recycle uniquely held blocks into the pool's bounded free
   /// list, so steady-state payload construction performs no allocation.
@@ -662,10 +683,10 @@ inline Port Ctx::arrival_port() const { return engine_->robots_[idx_].arrival; }
 inline Round Ctx::round() const { return engine_->round_; }
 inline std::uint32_t Ctx::subround() const { return engine_->subround_; }
 
-inline std::span<const Msg> Ctx::inbox() const {
+inline InboxView Ctx::inbox() const {
   assert(!engine_->robots_[idx_].armed && "a robot with a plan never reads");
   const Engine::Inbox& box = engine_->delivered_[engine_->robots_[idx_].pos];
-  return {box.data(), box.size()};
+  return {{box.data(), box.size()}, engine_->delivery_};
 }
 
 inline auto Ctx::next_subround() {

@@ -21,10 +21,10 @@ Rng::Rng(std::uint64_t seed) noexcept {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next() noexcept { return next_inline(*this); }
+std::uint64_t Rng::next() noexcept { return next_inline(s_); }
 
 std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  return below_inline(*this, bound);
+  return below_inline(s_, bound);
 }
 
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {

@@ -3,6 +3,7 @@
 // library. All randomness (graph generation, adversary choices, placements)
 // flows through bdg::Rng so that every experiment is reproducible from a
 // single 64-bit seed.
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -43,12 +44,21 @@ class Rng {
   /// Derive an independent child generator (for per-robot adversary state).
   [[nodiscard]] Rng fork() noexcept;
 
-  /// The bodies of next() and below(), inline for hot replay loops
-  /// (sim::Ctx::ambient_walk) that keep a local generator in registers;
-  /// every other caller uses the out-of-line members, which wrap these.
-  /// Static, taking the generator, so detlint sees each call as a draw.
-  [[nodiscard]] static std::uint64_t next_inline(Rng& rng) noexcept {
-    std::uint64_t* s = rng.s_;
+  /// The generator's state: four xoshiro256** words. Hot replay loops
+  /// (sim::Ctx::ambient_walk) copy them into a local, step the local with
+  /// the inline bodies below and write it back, so the words stay in
+  /// registers. The fused chance-walk path there also advances a second
+  /// copy one draw ahead and keeps it or not by a mask: on a clear
+  /// chance(1, 2) bit the port draw is one more next() (ports paired,
+  /// degree >= 1), so the stream alone decides each step's draw count.
+  using Words = std::array<std::uint64_t, 4>;
+  [[nodiscard]] static Words& words(Rng& rng) noexcept { return rng.s_; }
+
+  /// The bodies of next() and below() over bare words, inline for those
+  /// loops; every other caller uses the out-of-line members, which wrap
+  /// these. Static, taking the words, so detlint sees each call on an
+  /// rng-named argument as a draw.
+  [[nodiscard]] static std::uint64_t next_inline(Words& s) noexcept {
     const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
     const std::uint64_t t = s[1] << 17;
     s[2] ^= s[0];
@@ -59,16 +69,18 @@ class Rng {
     s[3] = rotl(s[3], 45);
     return result;
   }
-  [[nodiscard]] static std::uint64_t below_inline(Rng& rng,
-                                                  std::uint64_t bound) noexcept {
-    // Lemire-style rejection for unbiased bounded values.
-    std::uint64_t x = next_inline(rng);
+  [[nodiscard]] static std::uint64_t below_inline(
+      Words& s, std::uint64_t bound) noexcept {
+    // Lemire-style rejection for unbiased bounded values: a draw whose low
+    // product word falls below 2^64 mod bound is redrawn (never for a
+    // power-of-two bound, whose threshold is 0).
+    std::uint64_t x = next_inline(s);
     __uint128_t m = static_cast<__uint128_t>(x) * bound;
     auto lo = static_cast<std::uint64_t>(m);
     if (lo < bound) {
       const std::uint64_t threshold = -bound % bound;
       while (lo < threshold) {
-        x = next_inline(rng);
+        x = next_inline(s);
         m = static_cast<__uint128_t>(x) * bound;
         lo = static_cast<std::uint64_t>(m);
       }
@@ -81,7 +93,7 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::uint64_t s_[4];
+  Words s_;
 };
 
 }  // namespace bdg

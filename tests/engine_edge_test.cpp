@@ -295,15 +295,23 @@ struct WalkEnd {
   bool threw = false;
   NodeId pos = kNoNode;
   Port arrival = kNoPort;
-  std::uint64_t next_draw = 0;  ///< the generator's next value afterwards
+  Rng::Words words{};  ///< the generator's state afterwards
 };
 
+/// The generator every walker starts from unless a test gives its words.
+Rng::Words default_words() {
+  Rng rng(4242);
+  return Rng::words(rng);
+}
+
 WalkEnd run_walker(const Graph& g, const WalkCase& wc, bool kernel,
-                   std::uint64_t max_resumes) {
+                   std::uint64_t max_resumes,
+                   const Rng::Words& start = default_words()) {
   EngineConfig cfg;
   cfg.max_resumes = max_resumes;
   Engine eng(g, cfg);
-  Rng rng(4242);
+  Rng rng(1);
+  Rng::words(rng) = start;
   WalkEnd end;
   eng.add_robot(1, Faultiness::kHonest, 0, [&](Ctx c) {
     return walker(c, &wc, kernel, &rng, &end.arrival);
@@ -314,18 +322,19 @@ WalkEnd run_walker(const Graph& g, const WalkCase& wc, bool kernel,
     end.threw = true;
   }
   end.pos = eng.robot_position(0);
-  end.next_draw = rng.next();
+  end.words = Rng::words(rng);
   return end;
 }
 
 void expect_kernel_matches_loop(const Graph& g, const WalkCase& wc,
-                                std::uint64_t max_resumes = 1'000'000) {
-  const WalkEnd loop = run_walker(g, wc, /*kernel=*/false, max_resumes);
-  const WalkEnd kernel = run_walker(g, wc, /*kernel=*/true, max_resumes);
+                                std::uint64_t max_resumes = 1'000'000,
+                                const Rng::Words& start = default_words()) {
+  const WalkEnd loop = run_walker(g, wc, /*kernel=*/false, max_resumes, start);
+  const WalkEnd kernel = run_walker(g, wc, /*kernel=*/true, max_resumes, start);
   EXPECT_EQ(kernel.threw, loop.threw);
   EXPECT_EQ(kernel.pos, loop.pos);
   EXPECT_EQ(kernel.arrival, loop.arrival);
-  EXPECT_EQ(kernel.next_draw, loop.next_draw);
+  EXPECT_EQ(kernel.words, loop.words);
   EXPECT_EQ(kernel.stats.moves, loop.stats.moves);
   EXPECT_EQ(kernel.stats.messages, loop.stats.messages);
   EXPECT_EQ(kernel.stats.resumes, loop.stats.resumes);
@@ -386,6 +395,160 @@ TEST(EngineEdge, AmbientWalkThrowsAtTheSameStepAsThePerRoundLoop) {
     EXPECT_FALSE(exact.threw);
     EXPECT_EQ(exact.stats.resumes, 1001u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The kernel's fused path (chance walks of at least kWalkFusedMin steps
+// whose draws have power-of-two bounds, run in blocks of kWalkFusedBlock)
+// against the per-round loop: stretch lengths around the threshold and the
+// block edges, every graph shape the sweeps use, the budget rule, and a
+// generator state whose port draw rejects inside a block.
+// ---------------------------------------------------------------------------
+
+TEST(EngineEdge, AmbientWalkFusedPathMatchesPerRoundReplay) {
+  Rng grng(11);
+  struct Shape {
+    const char* name;
+    Graph g;
+  };
+  const Shape shapes[] = {
+      {"ring", make_ring(9)},
+      {"tree", make_random_tree(13, grng)},
+      {"er", make_connected_er(12, 0.3, grng)},
+      {"star", make_star(7)},
+      {"one node", Graph(1)},
+  };
+  constexpr std::uint64_t kB = kWalkFusedBlock;
+  const std::uint64_t lengths[] = {kWalkFusedMin - 1, kWalkFusedMin,
+                                   3 * kB - 1,        3 * kB,
+                                   3 * kB + 1,        7 * kB + 1};
+  const std::vector<std::vector<std::uint64_t>> draw_sets = {
+      {}, {4}, {4, 4}, {4, 7}};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    for (const WalkMove move :
+         {WalkMove::kStay, WalkMove::kRandomPort, WalkMove::kChancePort}) {
+      SCOPED_TRACE(static_cast<int>(move));
+      for (const auto& draws : draw_sets) {
+        SCOPED_TRACE(draws.size());
+        for (const std::uint64_t steps : lengths) {
+          SCOPED_TRACE(steps);
+          expect_kernel_matches_loop(shape.g, {steps, draws, move, 3});
+        }
+      }
+    }
+    // One long stretch per draw set on the fused path's own move rule.
+    for (const auto& draws : draw_sets)
+      expect_kernel_matches_loop(
+          shape.g, {100'000, draws, WalkMove::kChancePort, 2}, 10'000'000);
+  }
+}
+
+TEST(EngineEdge, AmbientWalkBudgetInsideALongStretchTakesTheExactLoop) {
+  // The budget runs out at step 700 of 2000, or at the last step (the
+  // program's own resume is 1): the stretch would cross it, so it runs the
+  // per-step loop and throws there. A budget that covers the stretch
+  // exactly takes the fused path and does not throw.
+  Rng grng(3);
+  const Graph g = make_connected_er(12, 0.3, grng);
+  for (const std::vector<std::uint64_t>& draws :
+       {std::vector<std::uint64_t>{}, std::vector<std::uint64_t>{4}}) {
+    const WalkCase wc{2000, draws, WalkMove::kChancePort, 5};
+    for (const std::uint64_t budget : {701u, 2000u}) {
+      expect_kernel_matches_loop(g, wc, budget);
+      EXPECT_TRUE(run_walker(g, wc, /*kernel=*/true, budget).threw);
+    }
+    expect_kernel_matches_loop(g, wc, /*max_resumes=*/2001);
+    const WalkEnd exact = run_walker(g, wc, /*kernel=*/true, 2001);
+    EXPECT_FALSE(exact.threw);
+    EXPECT_EQ(exact.stats.resumes, 2001u);
+    EXPECT_EQ(exact.stats.messages, 10000u);
+  }
+}
+
+/// xoshiro256**'s state step run backwards: the words whose next() call
+/// leaves `s`.
+Rng::Words previous_words(const Rng::Words& s) {
+  const auto rotr = [](std::uint64_t x, int k) {
+    return (x >> k) | (x << (64 - k));
+  };
+  // Forward, from (a, b, c, d): s0 = a^d^b, s1 = a^b^c, s2 = a^c^(b<<17),
+  // s3 = rotl(d^b, 45).
+  const std::uint64_t d_b = rotr(s[3], 45);
+  const std::uint64_t a = s[0] ^ d_b;
+  const std::uint64_t y = s[1] ^ s[2];  // b ^ (b << 17)
+  std::uint64_t b = y;
+  for (int i = 0; i < 4; ++i) b = y ^ (b << 17);
+  return {a, b, s[1] ^ b ^ a, d_b ^ b};
+}
+
+/// The step (0-based) of a chance walk from node 0 of `g`, replayed by the
+/// per-round definition from `start`, whose port draw is made from the
+/// generator state `target`; `steps` when no port draw is.
+std::uint64_t port_draw_step(const Graph& g, Rng::Words start,
+                             const std::vector<std::uint64_t>& draws,
+                             const Rng::Words& target, std::uint64_t steps) {
+  NodeId pos = 0;
+  for (std::uint64_t s = 0; s < steps; ++s) {
+    for (const std::uint64_t bound : draws)
+      (void)Rng::below_inline(start, bound);
+    if (Rng::below_inline(start, 2) != 0) continue;
+    if (start == target) return s;
+    pos = g.hop(pos, static_cast<Port>(
+                         Rng::below_inline(start, g.degree(pos))))
+              .to;
+  }
+  return steps;
+}
+
+TEST(EngineEdge, AmbientWalkRedoesABlockWhosePortDrawRejects) {
+  // Every node of K4 has degree 3, and a draw of 0 leaves a low product
+  // word of 0 < 2^64 mod 3 = 1: Lemire's method draws again. State words
+  // with s[1] = 0 make next() return 0, so run the generator backwards
+  // from such a state until it is a port draw of the walk, in the first,
+  // a middle and the last block of an 8-block stretch: the fused path
+  // must hand each of them to the exact loop from the start of its block.
+  const Graph g = make_complete(4);
+  constexpr std::uint64_t kSteps = 8 * kWalkFusedBlock;
+  const std::vector<std::uint64_t> draws = {4};
+  // The call before a port draw is a coin that said hop (a clear top bit).
+  Rng seed(99);
+  Rng::Words target{};
+  for (;;) {
+    target = Rng::words(seed);
+    target[1] = 0;
+    Rng::Words coin = previous_words(target);
+    if (Rng::below_inline(coin, 2) == 0) break;
+    (void)seed.next();
+  }
+  {
+    // The inverse really inverts, and the target's draw really is 0.
+    Rng::Words back = previous_words(target);
+    (void)Rng::next_inline(back);
+    ASSERT_EQ(back, target);
+    Rng::Words zero = target;
+    ASSERT_EQ(Rng::next_inline(zero), 0u);
+  }
+  // A step of this walk makes 2.5 next() calls on average: start about
+  // that many calls before the middle of each wanted block and step back
+  // until the target is one of the walk's port draws in that block.
+  std::size_t found = 0;
+  for (const std::uint64_t block : {0u, 3u, 7u}) {
+    SCOPED_TRACE(block);
+    Rng::Words start = target;
+    const std::uint64_t lead = 5 * (2 * block + 1) * kWalkFusedBlock / 4;
+    for (std::uint64_t c = 0; c < lead; ++c) start = previous_words(start);
+    for (int tries = 0; tries < 500; ++tries) {
+      start = previous_words(start);
+      const std::uint64_t at = port_draw_step(g, start, draws, target, kSteps);
+      if (at == kSteps || at / kWalkFusedBlock != block) continue;
+      ++found;
+      expect_kernel_matches_loop(g, {kSteps, draws, WalkMove::kChancePort, 1},
+                                 1'000'000, start);
+      break;
+    }
+  }
+  EXPECT_EQ(found, 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 // The group vote queries of explore/group_map: a vote is a message of the
 // queried kind whose claimed ID is a group member, and support counts the
 // distinct physical senders (Msg::source) behind the votes. Hand-built
-// inboxes pin the tally rules; a real Engine pins the memo's keying on the
-// delivery epoch (an inbox at the same address with the same length in the
-// next sub-round is new data and must be re-tallied).
+// inboxes pin the tally rules (they are never memoized, even when two of
+// them share an address and a length); a real Engine pins the memo's
+// keying on the delivery number (an inbox at the same address with the
+// same length in the next sub-round is new data and must be re-tallied).
 #include "explore/group_map.h"
 
 #include <gtest/gtest.h>
@@ -30,12 +31,6 @@ struct Inbox {
   util::PayloadPool pool;
   std::vector<Msg> msgs;
 
-  Inbox() {
-    // The queries memoize per (delivery epoch, inbox address, length); a
-    // fresh inbox may reuse a freed one's address. Constructing an engine
-    // opens a new epoch, as every engine delivery does.
-    const sim::Engine epoch_bump(make_path(2));
-  }
   Inbox& add(RobotId claimed, std::uint32_t source,
              std::vector<std::int64_t> words, std::uint32_t kind = kVote) {
     msgs.push_back(Msg{claimed, source, kind, pool.make(words)});
@@ -113,11 +108,34 @@ TEST(GroupVote, BelowTheQuorumThereIsNoBelief) {
   EXPECT_EQ(presence_support(empty.view(), kVote, kMembers), 0u);
 }
 
+TEST(GroupVote, HandBuiltInboxesAtOneAddressEachGetTheirOwnTally) {
+  // One buffer refilled with a second inbox of the same length: the same
+  // address and length, queried right after the first, with no engine
+  // delivery between them.
+  util::PayloadPool pool;
+  std::vector<Msg> msgs;
+  msgs.reserve(2);
+  msgs.push_back(Msg{1, 1, kVote, pool.make(Words{5})});
+  msgs.push_back(Msg{2, 2, kVote, pool.make(Words{5})});
+  const Msg* first = msgs.data();
+  const auto view = [&] { return std::span<const Msg>(msgs); };
+  EXPECT_EQ(presence_support(view(), kVote, kMembers), 2u);
+  EXPECT_EQ(words_of(believed_payload(view(), kVote, kMembers, 2)), Words{5});
+
+  msgs.clear();
+  msgs.push_back(Msg{1, 1, kVote, pool.make(Words{6})});
+  msgs.push_back(Msg{50, 2, kVote, pool.make(Words{6})});  // non-member
+  ASSERT_EQ(msgs.data(), first);
+  EXPECT_EQ(presence_support(view(), kVote, kMembers), 1u);
+  EXPECT_FALSE(believed_payload(view(), kVote, kMembers, 2).has_value());
+  EXPECT_EQ(words_of(believed_payload(view(), kVote, kMembers, 1)), Words{6});
+}
+
 // ---------------------------------------------------------------------------
 // Through a real Engine: robot 1 (a member) votes in sub-round 0, robot 3
 // (a non-member) in sub-round 1. Robot 2 queries the same node at
 // sub-rounds 1 and 2, where the delivered inbox sits in the same buffer
-// with the same length (one message), so only the delivery epoch tells the
+// with the same length (one message), so only the delivery number tells the
 // two apart: the second query must re-tally to 0 votes.
 // ---------------------------------------------------------------------------
 
@@ -139,7 +157,7 @@ sim::Proc querier(sim::Ctx ctx, const std::vector<RobotId>* members,
                   std::vector<Seen>* seen) {
   for (int i = 0; i < 2; ++i) {
     co_await ctx.next_subround();
-    const std::span<const Msg> inbox = ctx.inbox();
+    const sim::InboxView inbox = ctx.inbox();
     seen->push_back({presence_support(inbox, kVote, *members),
                      words_of(believed_payload(inbox, kVote, *members, 1)),
                      inbox.data(), inbox.size()});
