@@ -26,13 +26,19 @@
 // spill capacities are warm. A nonzero count fails the binary directly
 // AND lands in the CSV, whose rows perf_diff compares as key columns.
 //
-// Output: four CSVs (quotient rows: name,n,num_classes,reps,seconds;
+// Output: five CSVs (quotient rows: name,n,num_classes,reps,seconds;
 // engine rows: the run/ points schema; pairing rows:
 // algorithm,n,f,strategy,batched,compiled,reps,ok,rounds,simulated_rounds,
 // moves,messages,planned_rounds,seconds; alloc rows:
-// name,robots,payload_words,rounds,window_rounds,steady_allocs,messages).
+// name,robots,payload_words,rounds,window_rounds,steady_allocs,messages;
+// work rows, one per engine row: algorithm,family,n,f,seed,strategy,
+// derived_seed,coroutine_resumes,iterated_rounds,visited_rounds). The work
+// columns count what the engine did not skip (sim::RunStats), in no report
+// or checkpoint: perf_diff fails a row whose work grew, so a speedup they
+// explain cannot silently come undone.
 // Usage:
-//   bench_hotpaths [quotient_csv [engine_csv [pairing_csv [alloc_csv]]]]
+//   bench_hotpaths [quotient_csv [engine_csv [pairing_csv [alloc_csv
+//                  [work_csv]]]]]
 // Paths default to stdout; "-" also means stdout. `seconds` is the
 // minimum over reps; every other column is deterministic and compared
 // exactly by perf_diff.
@@ -293,6 +299,19 @@ run::SweepResult engine_points() {
   return result;
 }
 
+void work_rows(std::ostream& os, const run::SweepResult& engine) {
+  os << "algorithm,family,n,f,seed,strategy,derived_seed,coroutine_resumes,"
+        "iterated_rounds,visited_rounds\n";
+  for (const run::PointResult& p : engine.points) {
+    if (p.skipped) continue;
+    os << core::to_string(p.point.algorithm) << ',' << p.point.family << ','
+       << p.point.n << ',' << p.point.f << ',' << p.point.seed << ','
+       << core::to_string(p.point.strategy) << ',' << p.derived_seed << ','
+       << p.stats.coroutine_resumes << ',' << p.stats.iterated_rounds << ','
+       << p.stats.visited_rounds << '\n';
+  }
+}
+
 bool write_to(const char* path, const std::function<void(std::ostream&)>& fn) {
   if (path == nullptr || std::string(path) == "-") {
     fn(std::cout);
@@ -316,6 +335,8 @@ int main(int argc, char** argv) {
   });
   ok &= write_to(argc > 3 ? argv[3] : nullptr, pairing_rows);
   ok &= write_to(argc > 4 ? argv[4] : nullptr, alloc_rows);
+  ok &= write_to(argc > 5 ? argv[5] : nullptr,
+                 [&](std::ostream& os) { work_rows(os, engine); });
   for (const run::PointResult& p : engine.points)
     if (!p.skipped && !p.ok) {
       std::fprintf(stderr, "engine point failed: %s\n", p.detail.c_str());

@@ -7,6 +7,10 @@
 //    planned_rounds, derived_seed, num_classes): must match the baseline
 //    EXACTLY — any drift means the simulation behaves differently and
 //    fails regardless of tolerance;
+//  * work (coroutine_resumes, iterated_rounds, visited_rounds: the engine
+//    work a speedup removed, deterministic but allowed to shrink):
+//    one-sided. More than the baseline fails; less passes and is printed,
+//    so a change that saves more work shows it and re-records the baseline;
 //  * wall-clock (seconds): gated by ratio. current > tolerance * baseline
 //    fails, but only when the baseline is at least --min-seconds (tiny
 //    points measure scheduler noise, not the code under test);
@@ -40,8 +44,17 @@ const char* const kExactColumns[] = {
     "ok",       "rounds",       "simulated_rounds", "moves",
     "messages", "planned_rounds", "derived_seed",   "num_classes"};
 
+const char* const kWorkColumns[] = {"coroutine_resumes", "iterated_rounds",
+                                    "visited_rounds"};
+
 bool is_exact_column(const std::string& name) {
   for (const char* c : kExactColumns)
+    if (name == c) return true;
+  return false;
+}
+
+bool is_work_column(const std::string& name) {
+  for (const char* c : kWorkColumns)
     if (name == c) return true;
   return false;
 }
@@ -108,7 +121,7 @@ bool load(const char* path, Table& out) {
     std::map<std::string, std::string> row;
     for (std::size_t i = 0; i < fields.size(); ++i) {
       const std::string& col = out.columns[i];
-      if (col == "seconds" || is_exact_column(col)) {
+      if (col == "seconds" || is_exact_column(col) || is_work_column(col)) {
         row[col] = fields[i];
       } else {
         if (!key.empty()) key += '|';
@@ -221,7 +234,15 @@ int main(int argc, char** argv) {
       for (const auto& [col, bval] : brow) {
         if (col == "seconds") continue;
         const std::string& cval = crow.at(col);
-        if (bval != cval) {
+        if (is_work_column(col) && bval != cval) {
+          const unsigned long long b = std::strtoull(bval.c_str(), nullptr, 10);
+          const unsigned long long c = std::strtoull(cval.c_str(), nullptr, 10);
+          std::printf("%s [%s]: %s %s -> %s%s (%s)\n", c > b ? "FAIL" : "  ok",
+                      key.c_str(), col.c_str(), bval.c_str(), cval.c_str(),
+                      run_tag(i).c_str(),
+                      c > b ? "more work" : "less work: re-record");
+          drift |= c > b;
+        } else if (bval != cval) {
           std::printf("FAIL [%s]: %s changed %s -> %s%s (deterministic"
                       " metric drifted)\n", key.c_str(), col.c_str(),
                       bval.c_str(), cval.c_str(), run_tag(i).c_str());

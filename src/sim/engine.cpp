@@ -144,19 +144,23 @@ void Engine::start_programs() {
             [](const Robot& a, const Robot& b) { return a.id < b.id; });
   honest_live_ = 0;
   readers_.assign(graph_.n(), 0);
+  armed_at_.assign(graph_.n(), 0);
   listening_.assign(graph_.n(), 0);
+  quorum_at_.assign(graph_.n(), 0);
   seen_sources_.reserve(robots_.size());
+  ahead_.reserve(robots_.size());
   for (std::uint32_t i = 0; i < robots_.size(); ++i) {
     Robot& r = robots_[i];
     index_of_[r.id] = i;
-    ++readers_[r.pos];
     r.proc = r.factory(Ctx(this, i));
     r.leaf = r.proc.handle();
     r.wake_round = r.start_round;
-    if (r.start_round == 0)
+    if (r.start_round == 0) {
       next_round_.push_back(i);
-    else
-      wake_queue_.push({r.start_round, i});
+      ++readers_[r.pos];
+    } else {
+      wake_queue_.push({r.start_round, i});  // a reader once popped
+    }
     if (r.faultiness == Faultiness::kHonest) ++honest_live_;
   }
   started_ = true;
@@ -166,10 +170,11 @@ void Engine::resume_robot(Robot& r) {
   if (r.done) return;
   account_resumes(1);
   ++stats_.coroutine_resumes;
+  reader_ran_ |= !r.armed;
   r.leaf.resume();
   if (r.proc.done()) {
     r.done = true;
-    if (!r.armed) --readers_[r.pos];
+    --(r.armed ? armed_at_ : readers_)[r.pos];
     if (r.faultiness == Faultiness::kHonest) --honest_live_;
     if (observer_ != nullptr) observer_->on_done(r.id, round_);
     r.proc.rethrow_if_failed();
@@ -177,25 +182,42 @@ void Engine::resume_robot(Robot& r) {
 }
 
 void Engine::account_resumes(std::uint64_t count) {
-  stats_.resumes += count;
-  if (stats_.resumes > cfg_.max_resumes)
+  if (count > budget_for(count))
     throw std::runtime_error("Engine: resume budget exceeded (livelock?)");
+  stats_.resumes += count;
+}
+
+std::uint64_t Engine::budget_for(std::uint64_t need) {
+  // A running robot always has stats_.resumes <= max_resumes. Rounds
+  // walked ahead past this one are not spent yet on the per-round path.
+  if (need > cfg_.max_resumes - stats_.resumes && !ahead_.empty())
+    rewind_ahead();
+  return cfg_.max_resumes - stats_.resumes;
 }
 
 void Engine::relocate(Robot& r, NodeId to) {
-  if (!r.armed) {
+  if (r.armed) {
+    if (!r.ahead) {
+      --armed_at_[r.pos];
+      ++armed_at_[to];
+    }
+  } else {
     --readers_[r.pos];
     ++readers_[to];
   }
   r.pos = to;
 }
 
-void Engine::walk(Robot& r, std::uint64_t steps,
-                  std::span<const std::uint64_t> draws, WalkMove move,
-                  std::uint64_t emitted, std::uint32_t activations, Rng& rng) {
+std::uint64_t Engine::walk(Robot& r, std::uint64_t steps,
+                           std::span<const std::uint64_t> draws, WalkMove move,
+                           std::uint64_t emitted, std::uint32_t activations,
+                           Rng& rng, const std::uint32_t* stop_at) {
   // Step `last` (0-based) is the one whose resumes would exceed the
-  // budget; a running robot always has stats_.resumes <= max_resumes.
-  const std::uint64_t last = (cfg_.max_resumes - stats_.resumes) / activations;
+  // budget.
+  std::uint64_t need = 0;
+  if (__builtin_mul_overflow(steps, activations, &need))
+    need = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t last = budget_for(need) / activations;
   const std::uint32_t* begin = csr_begin_.data();
   const HalfEdge* edges = csr_edges_.data();
   Rng::Words rng_s = Rng::words(rng);
@@ -207,7 +229,7 @@ void Engine::walk(Robot& r, std::uint64_t steps,
   // draws are powers of two: whole blocks go through the fused path, the
   // rest (and everything after a redrawn port draw) through the loop.
   if (move == WalkMove::kChancePort && steps >= kWalkFusedMin &&
-      steps <= last && begin[pos + 1] != begin[pos] &&
+      steps <= last && stop_at == nullptr && begin[pos + 1] != begin[pos] &&
       std::all_of(draws.begin(), draws.end(),
                   [](std::uint64_t b) { return (b & (b - 1)) == 0; })) {
     WalkCursor c{rng_s, pos, arrival, 0, 0};
@@ -219,6 +241,7 @@ void Engine::walk(Robot& r, std::uint64_t steps,
     done = c.done;
   }
   for (; done < steps; ++done) {
+    if (stop_at != nullptr && stop_at[pos] != 0) break;
     for (const std::uint64_t bound : draws)
       (void)Rng::below_inline(rng_s, bound);
     bool hop = move == WalkMove::kRandomPort;
@@ -242,22 +265,37 @@ void Engine::walk(Robot& r, std::uint64_t steps,
   r.arrival = arrival;
   stats_.moves += moved;
   stats_.messages += done * emitted;
-  account_resumes(done * activations);  // within budget by `last`
-  if (done < steps) account_resumes(activations);  // throws
+  stats_.resumes += done * activations;  // within budget by `last`
+  if (done == last && done < steps) account_resumes(activations);  // throws
+  return done;
+}
+
+void Engine::join_ahead() {
+  std::erase_if(ahead_, [&](const Ahead& a) {
+    Robot& r = robots_[a.idx];
+    if (r.wake_round > round_) return false;
+    r.ahead = false;
+    ++armed_at_[r.pos];
+    return true;
+  });
 }
 
 void Engine::wake_ambient() {
+  if (!ahead_.empty()) join_ahead();
   // A live round that outlasts the round's sub-rounds spills into the
   // next round: one engine step cannot stand for it.
   const std::uint32_t subs = subround_count();
   std::size_t kept = 0;
   for (const std::uint32_t idx : ambient_) {
     Robot& r = robots_[idx];
+    if (r.ahead) {  // walked ahead past this round
+      ambient_[kept++] = idx;
+      continue;
+    }
     // Within its horizon, unheard, caught up (it acted in the previous
     // round): step the round it would have run live.
-    if (r.covered < r.plan.horizon && readers_[r.pos] == 0 &&
-        r.wake_round == round_ && r.plan.activations <= subs &&
-        observer_ == nullptr) {
+    if (r.covered < r.plan.horizon && r.wake_round == round_ &&
+        r.plan.activations <= subs && observer_ == nullptr && !heard(r.pos)) {
       walk(r, 1, r.plan.draws, r.plan.move, r.plan.emitted,
            r.plan.activations, *r.plan.rng);
       ++r.covered;
@@ -268,6 +306,79 @@ void Engine::wake_ambient() {
     }
   }
   ambient_.resize(kept);
+}
+
+Round Engine::walk_ahead(Round max_rounds) {
+  // Until the cap only a robot that is not armed running can change who
+  // reads where (a listener woken by quorum); rewind_ahead covers that.
+  Round cap = std::min(max_rounds, listen_due_);
+  if (!wake_queue_.empty()) cap = std::min(cap, wake_queue_.top().first);
+  const Round from = round_ + 1;
+  const std::uint64_t span =
+      (cap - from).fits_u64() ? (cap - from).low_u64()
+                              : std::numeric_limits<std::uint64_t>::max();
+  Round next = cap;
+  for (const std::uint32_t idx : ambient_) {
+    Robot& r = robots_[idx];
+    // Skipped round: every parked robot was stepped in it or walked past it.
+    if (r.ahead || readers_[r.pos] != 0) {
+      next = std::min(next, r.wake_round);
+      continue;
+    }
+    const AmbientPlan& p = r.plan;
+    // The walk never throws: the budget left bounds it like the horizon.
+    std::uint64_t steps = std::min(span, p.horizon - r.covered);
+    std::uint64_t need = 0;
+    const std::uint64_t left = cfg_.max_resumes - stats_.resumes;
+    if (__builtin_mul_overflow(steps, p.activations, &need) || need > left)
+      steps = left / p.activations;
+    if (steps == 0) {
+      next = from;
+      continue;
+    }
+    // It stands elsewhere before its due round: counted nowhere.
+    Ahead a{idx, from, Rng::words(*p.rng), r.pos, r.arrival, r.covered, 0};
+    --armed_at_[r.pos];
+    r.ahead = true;
+    const std::uint64_t moves = stats_.moves;
+    const std::uint64_t walked =
+        walk(r, steps, p.draws, p.move, p.emitted, p.activations, *p.rng,
+             readers_.data());
+    a.moved = stats_.moves - moves;
+    r.covered += walked;
+    r.wake_round = from + Round(walked);
+    ahead_.push_back(a);
+    next = std::min(next, r.wake_round);
+  }
+  return next;
+}
+
+void Engine::rewind_ahead() {
+  const Round next = round_ + 1;
+  // Restore every walk past the next round first, so no re-walk below can
+  // run out of budget.
+  for (const Ahead& a : ahead_) {
+    Robot& r = robots_[a.idx];
+    if (r.wake_round <= next) continue;
+    const AmbientPlan& p = r.plan;
+    const std::uint64_t steps = (r.wake_round - a.from).low_u64();
+    stats_.moves -= a.moved;
+    stats_.messages -= steps * p.emitted;
+    stats_.resumes -= steps * p.activations;
+    Rng::words(*p.rng) = a.rng;
+    r.pos = a.pos;
+    r.arrival = a.arrival;
+    r.covered = a.covered;
+  }
+  for (const Ahead& a : ahead_) {
+    Robot& r = robots_[a.idx];
+    if (r.wake_round <= next) continue;
+    const AmbientPlan& p = r.plan;
+    const std::uint64_t steps = (next - a.from).low_u64();
+    walk(r, steps, p.draws, p.move, p.emitted, p.activations, *p.rng);
+    r.covered += steps;
+    r.wake_round = next;
+  }
 }
 
 std::uint32_t Engine::distinct_sources(const Inbox& box, std::uint32_t kind) {
@@ -418,7 +529,9 @@ RunStats Engine::run(Round max_rounds) {
     // heap entries, sorted so robots run in ID order.
     runnable_.swap(next_round_);
     while (!wake_queue_.empty() && wake_queue_.top().first <= round_) {
-      runnable_.push_back(wake_queue_.top().second);
+      const std::uint32_t idx = wake_queue_.top().second;
+      if (!robots_[idx].armed) ++readers_[robots_[idx].pos];
+      runnable_.push_back(idx);
       wake_queue_.pop();
     }
     // Parked ambient robots run in every simulated round: merged here (and
@@ -432,18 +545,26 @@ RunStats Engine::run(Round max_rounds) {
     if (!std::is_sorted(runnable_.begin(), runnable_.end()))
       std::sort(runnable_.begin(), runnable_.end());
     ++stats_.simulated_rounds;
+    ++stats_.visited_rounds;
     if (observer_ != nullptr) observer_->on_round(round_);
     // Every parked adversary was stepped and only listeners wait: with no
-    // deadline due, no robot can act or hear anything this round.
+    // deadline due, no robot can act or hear anything this round, nor in
+    // the rounds the adversaries are walked through next.
     if (runnable_.empty() && round_ < listen_due_ && observer_ == nullptr) {
-      round_ += 1;
+      const Round next = walk_ahead(max_rounds);
+      stats_.simulated_rounds += (next - round_).low_u64() - 1;
+      round_ = next;
       continue;
     }
     ++stats_.iterated_rounds;
     run_subrounds();
     apply_moves();
+    if (reader_ran_ && !ahead_.empty()) rewind_ahead();
+    reader_ran_ = false;
     round_ += 1;
   }
+  join_ahead();  // all due by now
+  assert(ahead_.empty());
   // Listeners still asleep owe the resumes of the rounds run since they
   // parked: their per-round loop would have run S's sub-round 1 and both
   // sub-rounds of S+1 .. round_-1. Accounted before the ambient drain,

@@ -40,9 +40,15 @@
 // ambient with an AmbientPlan (Ctx::end_round_ambient) declares what one of
 // its live rounds does; in every simulated round where no robot at its node
 // can hear it, the engine steps that round itself through the replay kernel
-// instead of resuming the coroutine. Per-node reader counts (robots not done
-// and never parked with a plan) decide, so the step is invisible to every
-// robot that reads, and all counts stay those of the per-round execution.
+// instead of resuming the coroutine. Per-node counts decide: of readers
+// (robots not done, not asleep in the wake queue and never parked with a
+// plan), of parked listeners with their smallest quorum, and of armed
+// robots, which bound the senders a listener can hear. So the step is
+// invisible to every robot that reads, and all counts stay those of the
+// per-round execution. In a round where every adversary was stepped and
+// nobody else runs, each one on a reader-free node walks on, in one kernel
+// call, to the first round it stands beside a reader; the engine jumps to
+// the earliest such round (README, "Hearing rule and quiet stretches").
 //
 // Every wait is one awaitable that takes its inputs and returns what the
 // engine did for the robot meanwhile: end_round_ambient the rounds it
@@ -339,9 +345,16 @@ struct RunStats {
   /// Ctx::await_delivery holds but in which nobody could act.
   std::uint64_t simulated_rounds = 0;
   /// The simulated rounds whose sub-rounds actually ran; the others were
-  /// jumped or skipped while only listeners waited. Like coroutine_resumes
-  /// it depends on how the engine skipped work, so no report carries it.
+  /// jumped or skipped while only listeners waited, including the quiet
+  /// stretches the engine walked parked adversaries through. Like
+  /// coroutine_resumes and visited_rounds it depends on how the engine
+  /// skipped work, so no report carries it (bench_hotpaths' work CSV
+  /// gates the three).
   std::uint64_t iterated_rounds = 0;
+  /// The simulated rounds the run loop took one at a time: the iterated
+  /// ones and those skipped after stepping every parked adversary. The
+  /// rest were jumped a stretch at a time.
+  std::uint64_t visited_rounds = 0;
   /// Robot activations of the per-round schedule: coroutine resumptions
   /// plus the rounds accounted on a robot's behalf instead (ambient
   /// replay, deferred ambient rounds, await_delivery sleeps), so it does
@@ -435,10 +448,12 @@ class Engine {
     Round listen_deadline = 0;
     std::uint64_t listen_accounted = 0;
     // kAmbient: the plan passed with the current park (horizon 0 without
-    // one, so it is never stepped), and whether the robot ever passed one
-    // (it then no longer counts toward readers_).
+    // one, so it is never stepped), whether the robot ever passed one (it
+    // then counts toward armed_at_, not readers_), and whether the engine
+    // walked it past the next round (it is then in ahead_, not armed_at_).
     AmbientPlan plan;
     bool armed = false;
+    bool ahead = false;
     /// Rounds the engine covered for the robot during its current wait
     /// (stepped under its plan, or slept in await_delivery); reset by
     /// set_command, returned by the awaiter on resume.
@@ -461,27 +476,60 @@ class Engine {
   /// Add `count` resumes accounted on a robot's behalf, throwing like
   /// resume_robot when they exhaust the budget.
   void account_resumes(std::uint64_t count);
+  /// Resumes left in the budget for `need` more: when they do not fit,
+  /// robots walked ahead first give back the rounds after this one, so a
+  /// throw comes exactly when the per-round path's would.
+  [[nodiscard]] std::uint64_t budget_for(std::uint64_t need);
   /// The replay kernel behind Ctx::ambient_walk and plan-stepped rounds: walk
   /// `r` through `steps` rounds of `draws` + `move`, counting `emitted`
-  /// messages and `activations` resumes per round. The per-step loop keeps
-  /// the generator's words (Rng::words), position and arrival port in
-  /// locals. A kChancePort stretch of at least kWalkFusedMin steps that
-  /// stays within the resume budget, from a node with a port, whose draws
-  /// all have power-of-two bounds, first runs its whole kWalkFusedBlock
+  /// messages and `activations` resumes per round, and return the rounds
+  /// walked. With `stop_at` set it stops before the first round in which
+  /// the robot stands on a node v with stop_at[v] != 0 (walk_ahead passes
+  /// readers_). The per-step loop keeps the generator's words
+  /// (Rng::words), position and arrival port in locals. A kChancePort
+  /// stretch of at least kWalkFusedMin steps without `stop_at` that stays
+  /// within the resume budget, from a node with a port, whose draws all
+  /// have power-of-two bounds, first runs its whole kWalkFusedBlock
   /// blocks through the fused path (engine.cpp, walk_chance_blocks): there
   /// the stream alone fixes each step's next() calls, so one block's
   /// stream runs branch-free while the position chain follows the block
   /// before. A port draw that would be redrawn sends its block back to the
   /// per-step loop, which also takes every other stretch and the tail.
-  void walk(Robot& r, std::uint64_t steps,
-            std::span<const std::uint64_t> draws, WalkMove move,
-            std::uint64_t emitted, std::uint32_t activations, Rng& rng);
-  /// Move `r` to `to` outside apply_moves, keeping readers_ right.
+  std::uint64_t walk(Robot& r, std::uint64_t steps,
+                     std::span<const std::uint64_t> draws, WalkMove move,
+                     std::uint64_t emitted, std::uint32_t activations,
+                     Rng& rng, const std::uint32_t* stop_at = nullptr);
+  /// Move `r` to `to` outside apply_moves, keeping readers_ and armed_at_
+  /// right.
   void relocate(Robot& r, NodeId to);
-  /// Start of a simulated round: step every parked ambient robot whose
-  /// plan allows it and whom no robot at its node can hear, and move the
-  /// rest into runnable_.
+  /// Whether a robot parked at `v` is heard this round: some reader there
+  /// can read, i.e. one that is not a parked listener, or a listener that
+  /// may wake (the armed robots there could make its quorum, or a listener
+  /// deadline is due).
+  [[nodiscard]] bool heard(NodeId v) const {
+    const std::uint32_t readers = readers_[v];
+    return readers != 0 && (readers != listening_[v] ||
+                            armed_at_[v] >= quorum_at_[v] ||
+                            round_ >= listen_due_);
+  }
+  /// Robots walked ahead to this round or before stand at their node from
+  /// now on: they leave ahead_ and join armed_at_.
+  void join_ahead();
+  /// Start of a simulated round: join_ahead, then step every parked ambient
+  /// robot whose plan allows it and whom nobody hears, keep those walked
+  /// ahead past it, and move the rest into runnable_.
   void wake_ambient();
+  /// End of a skipped round (every parked ambient robot stepped, nobody
+  /// else ran): walk each one on a reader-free node ahead to the first
+  /// round it stands on a node with a reader, within its horizon, the
+  /// budget and the cap (the earliest wake, listener deadline and
+  /// `max_rounds`). Returns the next round anything can happen in.
+  [[nodiscard]] Round walk_ahead(Round max_rounds);
+  /// Restore every robot walked past the next round to where its walk
+  /// started, taking back its counts, and walk it to the next round only.
+  /// Called after an iterated round in which a reader ran (it may read
+  /// elsewhere from then on) and by budget_for.
+  void rewind_ahead();
   /// Sub-round 1: move every listener that hears its kind from its quorum
   /// of senders, or reached its deadline, into runnable_ (ID order) with
   /// its slept rounds accounted. Returns at once when no listener is due
@@ -528,26 +576,53 @@ class Engine {
                       std::greater<WakeEntry>>
       wake_queue_;
   /// Robots parked via end_round_ambient: merged into runnable_ at every
-  /// simulated round, never consulted by the fast-forward logic. Drained
+  /// simulated round unless stepped or walked past it (Robot::ahead),
+  /// never consulted by the fast-forward logic. Drained
   /// (one final resume each, with draining_ set) after the run loop so
   /// their replay accounting covers rounds cut off by max_rounds or by
   /// the honest robots finishing.
   std::vector<std::uint32_t> ambient_;
   bool draining_ = false;
-  /// Per node: robots there that are not done and never parked with an
-  /// AmbientPlan, i.e. every robot that might read the node's inbox. Exact
-  /// at the start of each simulated round as long as planless robots
-  /// replay moves (ambient_round, ambient_walk) only for rounds
-  /// fast-forwarded while they were parked ambient: every robot parked
-  /// beside them then owes the same gap, and a robot owing a gap is
-  /// resumed, never stepped.
+  /// Per node: robots there that are not done, not asleep in wake_queue_
+  /// (sleep_rounds past the next round, or a start_round still ahead: they
+  /// count again once popped) and never parked with an AmbientPlan, i.e.
+  /// every robot that might read the node's inbox this round. Exact at the
+  /// start of each simulated round as long as planless robots replay moves
+  /// (ambient_round, ambient_walk) only for rounds fast-forwarded while
+  /// they were parked ambient: every robot parked beside them then owes
+  /// the same gap, and a robot owing a gap is resumed, never stepped.
   std::vector<std::uint32_t> readers_;
+  /// Per node: robots there that are not done, ever parked with a plan
+  /// and not walked ahead (those join at their due round). They bound the
+  /// distinct senders a parked listener there can hear.
+  std::vector<std::uint32_t> armed_at_;
   /// Robots sleeping in await_delivery. Nonempty, they keep every round
   /// simulated, as the per-round loop's next_round_ entries would; the
   /// rounds are iterated only when a robot runs or a deadline is due.
   std::vector<std::uint32_t> listeners_;
-  /// Per node: listeners parked there (they never move while parked).
+  /// Per node: listeners parked there (they never move while parked), and
+  /// the smallest quorum among those parked since the node last had none
+  /// (a lower bound once some left, which only makes heard() true more
+  /// often).
   std::vector<std::uint32_t> listening_;
+  std::vector<std::uint32_t> quorum_at_;
+  /// Parked ambient robots walk_ahead walked past the next round, with
+  /// where each walk started: the first round it stepped, the generator
+  /// words, node, arrival port and covered count then, and the hops it
+  /// made. Reserved to the robot count, so walking never allocates.
+  struct Ahead {
+    std::uint32_t idx;
+    Round from;
+    Rng::Words rng;
+    NodeId pos;
+    Port arrival;
+    std::uint64_t covered;
+    std::uint64_t moved;
+  };
+  std::vector<Ahead> ahead_;
+  /// A robot that is not armed ran this round (it may have changed who
+  /// reads where): robots walked ahead are rewound after the round.
+  bool reader_ran_ = false;
   /// Earliest listen_deadline among listeners_ (saturated when none).
   Round listen_due_ = Round::saturated();
   /// wake_listeners scratch: distinct sources seen in one inbox (reserved
@@ -613,6 +688,7 @@ inline void Engine::set_command(std::uint32_t idx,
     if (wish.plan != nullptr && !r.armed) {
       r.armed = true;
       --readers_[r.pos];
+      ++armed_at_[r.pos];
     }
     r.plan = wish.plan != nullptr ? *wish.plan : AmbientPlan{};
     // Observed runs keep ambient robots live (see Ctx::end_round_ambient).
@@ -637,10 +713,13 @@ inline void Engine::set_command(std::uint32_t idx,
       break;
     case WakeKind::kSleep:
       r.wake_round = round_ + std::max<Round>(wish.rounds, 1);
-      if (r.wake_round == round_ + 1)
+      if (r.wake_round == round_ + 1) {
         next_round_.push_back(idx);
-      else
+      } else {
+        // Reads nothing before its wake round: a reader again once popped.
         wake_queue_.push({r.wake_round, idx});
+        if (!r.armed) --readers_[r.pos];
+      }
       break;
     case WakeKind::kAmbient:
       // Park outside both wake queues: the robot moves this round like
@@ -659,8 +738,10 @@ inline void Engine::set_command(std::uint32_t idx,
       r.listen_start = round_;
       r.listen_deadline = round_ + wish.rounds;
       r.listen_accounted = 0;
+      assert(!r.armed && "a robot with a plan never reads");
       listeners_.push_back(idx);
-      ++listening_[r.pos];
+      if (listening_[r.pos]++ == 0 || r.listen_quorum < quorum_at_[r.pos])
+        quorum_at_[r.pos] = r.listen_quorum;
       listen_due_ = std::min(listen_due_, r.listen_deadline);
       break;
   }

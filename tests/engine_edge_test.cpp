@@ -2,7 +2,8 @@
 // round boundaries, livelock guards, multi-call run() behavior, the
 // batched ambient replay kernel against its per-round definition, and
 // await_delivery against the per-round listen loop it replaces, and the
-// rounds only listeners hold against engines that iterate every round.
+// rounds only listeners hold against engines that iterate every round, and
+// the engine's quiet stretches against live twins.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -938,8 +939,9 @@ constexpr std::uint32_t kScripted = 60;
 /// later sub-rounds, then moves by `move`. It sleeps through the charged
 /// window [charged_begin, charged_end) and replays fast-forwarded rounds
 /// through ambient_walk, or with `replay_per_round` through one
-/// ambient_round per round.
+/// ambient_round per round. Its sub-round 0 broadcast is of `kind`.
 struct Script {
+  std::uint32_t kind = kScripted;
   std::vector<std::uint64_t> draws = {4, 7};
   WalkMove move = WalkMove::kChancePort;
   std::uint32_t extra_subs = 1;
@@ -981,9 +983,11 @@ void log_inbox(const Ctx& ctx, std::vector<Heard>* log) {
 /// Runs `s`. With `arm` it passes a plan to each live park (its horizon:
 /// the phase's remaining rounds and the rounds before the charged window);
 /// with `heard` (planless only) it reads its inbox at every sub-round it
-/// runs live. Records its arrival port at every drain.
+/// runs live. Records its arrival port at every drain and, with `live`
+/// set, every round it runs live.
 Proc scripted(Ctx ctx, const Script* s, bool arm, Rng* rng,
-              std::vector<Heard>* heard, std::vector<Port>* drained) {
+              std::vector<Heard>* heard, std::vector<Port>* drained,
+              std::vector<Round>* live = nullptr) {
   const auto phase_len = [&]() -> std::uint64_t {
     std::uint64_t jitter = 0;
     if (s->phase_bound != 0) jitter = rng->below(s->phase_bound);
@@ -1026,11 +1030,12 @@ Proc scripted(Ctx ctx, const Script* s, bool arm, Rng* rng,
       now = ctx.round();
       continue;
     }
+    if (live != nullptr) live->push_back(now);
     std::vector<std::int64_t> words;
     for (const std::uint64_t bound : s->draws)
       words.push_back(static_cast<std::int64_t>(rng->below(bound)));
     if (heard != nullptr) log_inbox(ctx, heard);
-    ctx.broadcast(kScripted, words);
+    ctx.broadcast(s->kind, words);
     for (std::uint32_t i = 0; i < s->extra_subs; ++i) {
       co_await ctx.next_subround();
       if (heard != nullptr) log_inbox(ctx, heard);
@@ -1669,6 +1674,354 @@ TEST(FreeRounds, ObserverAttachedWhileAListenerSleeps) {
   EXPECT_EQ(wait.stats[1].iterated_rounds, wait.stats[1].simulated_rounds);
   EXPECT_EQ(wait_rounds.rounds, poll_rounds.rounds);
   EXPECT_EQ(wait_rounds.rounds.size(), wait.stats[1].simulated_rounds);
+}
+
+
+// ---------------------------------------------------------------------------
+// Quiet stretches against live twins: the same robots run unobserved and
+// with a no-op observer attached, which resumes every adversary in every
+// round and turns every listener into its polling loop. Unobserved, the
+// engine steps an adversary whom no robot that can read this round hears
+// (a sleeper, a robot not started yet and a listener short of its quorum
+// read nothing), and in a skipped round walks each one on a reader-free
+// node ahead to its next reader, rewinding those walked past a round in
+// which a reader ran. Every count but coroutine_resumes and
+// iterated_rounds must match (resumes up to the one each drain adds: the
+// observed adversary never parks), and so must every position, generator
+// state and inbox read, and a resume budget must throw in exactly the runs
+// the per-round path throws in.
+// ---------------------------------------------------------------------------
+
+/// One act of an honest robot: listen for up to `listen` silent rounds
+/// (woken by `quorum` kWatched senders) and read the rest of the wake
+/// round, sleep `sleep` rounds, or read every inbox of a round and move
+/// through `move`.
+struct Act {
+  std::uint64_t listen = 0;
+  std::uint32_t quorum = 1;
+  Round sleep = 0;
+  std::optional<Port> move;
+};
+
+std::vector<Act> reads(std::size_t rounds) { return std::vector<Act>(rounds); }
+
+std::vector<Act> operator+(std::vector<Act> a, const std::vector<Act>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+Act listen_for(std::uint64_t rounds, std::uint32_t quorum) {
+  return {rounds, quorum, Round(0), std::nullopt};
+}
+
+Act sleep_for(Round rounds) { return {0, 1, rounds, std::nullopt}; }
+
+Act step(Port port) { return {0, 1, Round(0), port}; }
+
+Proc honest(Ctx ctx, std::vector<Act> acts, std::uint32_t subs,
+            std::vector<Wake>* wakes, std::vector<Heard>* heard,
+            std::uint64_t* early_wakes) {
+  for (const Act& a : acts) {
+    if (a.sleep != Round(0)) {
+      co_await ctx.sleep_rounds(a.sleep);
+      continue;
+    }
+    std::uint32_t sub = 0;
+    if (a.listen != 0) {
+      Wake w;
+      w.silent = co_await listen(ctx, /*engine_wait=*/true, a.listen,
+                                 a.quorum, early_wakes);
+      w.round = ctx.round();
+      wakes->push_back(std::move(w));
+      sub = 1;
+    }
+    log_inbox(ctx, heard);
+    for (++sub; sub < subs; ++sub) {
+      co_await ctx.next_subround();
+      log_inbox(ctx, heard);
+    }
+    co_await ctx.end_round(a.move);
+  }
+}
+
+struct QuietAdv {
+  NodeId start = 0;
+  Script script;
+  bool arm = true;  ///< false: planless, reading every inbox it runs in
+};
+
+struct QuietHonest {
+  NodeId start = 0;
+  std::vector<Act> acts;
+  Round start_round = 0;
+};
+
+/// Adversaries take IDs 1, 2, ..., the honest robots the IDs after them.
+struct QuietCase {
+  Graph g = make_oriented_ring(6);  // port 0: v -> v + 1, port 1: v -> v - 1
+  std::uint32_t subrounds = 3;
+  std::vector<QuietAdv> advs;
+  std::vector<QuietHonest> honest;
+  std::vector<Round> run_to = {400};  ///< one run() per entry
+  std::uint64_t max_resumes = 1'000'000;
+};
+
+struct QuietEnd {
+  std::vector<RunStats> stats;        ///< one per completed run()
+  std::vector<std::uint64_t> drains;  ///< adversary drains, per run()
+  bool threw = false;
+  std::vector<NodeId> pos;
+  std::vector<Rng::Words> words;              ///< per adversary
+  std::vector<std::vector<Round>> live;       ///< per adversary
+  std::vector<std::vector<Heard>> adv_heard;  ///< per planless adversary
+  std::vector<std::vector<Wake>> wakes;       ///< per honest robot
+  std::vector<std::vector<Heard>> heard;      ///< per honest robot
+  std::uint64_t early_wakes = 0;
+};
+
+QuietEnd run_quiet(const QuietCase& c, Observer* observer) {
+  Engine eng(c.g, EngineConfig{.subrounds = c.subrounds,
+                               .max_resumes = c.max_resumes});
+  eng.set_observer(observer);
+  const std::size_t advs = c.advs.size();
+  QuietEnd end;
+  end.live.resize(advs);
+  end.adv_heard.resize(advs);
+  end.wakes.resize(c.honest.size());
+  end.heard.resize(c.honest.size());
+  std::vector<Rng> rngs;
+  for (std::size_t i = 0; i < advs; ++i) rngs.emplace_back(100 + i);
+  std::vector<std::vector<Port>> drained(advs);
+  RobotId id = 1;
+  for (std::size_t i = 0; i < advs; ++i) {
+    eng.add_robot(id++, Faultiness::kWeakByzantine, c.advs[i].start,
+                  [&, i](Ctx x) {
+                    const QuietAdv& a = c.advs[i];
+                    return scripted(x, &a.script, a.arm, &rngs[i],
+                                    a.arm ? nullptr : &end.adv_heard[i],
+                                    &drained[i], &end.live[i]);
+                  });
+  }
+  for (std::size_t j = 0; j < c.honest.size(); ++j) {
+    eng.add_robot(
+        id++, Faultiness::kHonest, c.honest[j].start,
+        [&, j](Ctx x) {
+          return honest(x, c.honest[j].acts, c.subrounds, &end.wakes[j],
+                        &end.heard[j], &end.early_wakes);
+        },
+        c.honest[j].start_round);
+  }
+  std::uint64_t counted = 0;
+  try {
+    for (const Round r : c.run_to) {
+      end.stats.push_back(eng.run(r));
+      std::uint64_t total = 0;
+      for (const std::vector<Port>& d : drained) total += d.size();
+      end.drains.push_back(total - counted);
+      counted = total;
+    }
+  } catch (const std::runtime_error&) {
+    end.threw = true;
+  }
+  for (std::size_t i = 0; i < eng.num_robots(); ++i)
+    end.pos.push_back(eng.robot_position(i));
+  for (Rng& rng : rngs) end.words.push_back(Rng::words(rng));
+  return end;
+}
+
+void expect_same_quiet_run(const QuietEnd& quiet, const QuietEnd& live) {
+  EXPECT_EQ(quiet.threw, live.threw);
+  EXPECT_EQ(quiet.pos, live.pos);
+  EXPECT_EQ(quiet.words, live.words);
+  EXPECT_EQ(quiet.adv_heard, live.adv_heard);
+  EXPECT_EQ(quiet.wakes, live.wakes);
+  EXPECT_EQ(quiet.heard, live.heard);
+  EXPECT_EQ(quiet.early_wakes, 0u);
+  ASSERT_EQ(quiet.stats.size(), live.stats.size());
+  for (std::size_t i = 0; i < live.stats.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    const RunStats& a = quiet.stats[i];
+    const RunStats& b = live.stats[i];
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.simulated_rounds, b.simulated_rounds);
+    EXPECT_EQ(a.resumes, b.resumes + quiet.drains[i]);
+    EXPECT_EQ(live.drains[i], 0u);
+    EXPECT_EQ(a.moves, b.moves);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.all_honest_done, b.all_honest_done);
+    EXPECT_LE(a.iterated_rounds, a.simulated_rounds);
+  }
+}
+
+/// The twin comparison plus resume budgets one short of the unobserved
+/// run's total and exactly it. Returns {unobserved run, observed run}.
+std::pair<QuietEnd, QuietEnd> expect_quiet_matches_live(const QuietCase& c) {
+  Observer noop;
+  const QuietEnd live = run_quiet(c, &noop);
+  const QuietEnd quiet = run_quiet(c, nullptr);
+  expect_same_quiet_run(quiet, live);
+  if (!quiet.threw && quiet.stats.size() == 1) {
+    const std::uint64_t total = quiet.stats[0].resumes;
+    for (const std::uint64_t budget : {total - 1, total}) {
+      SCOPED_TRACE("max_resumes " + std::to_string(budget));
+      QuietCase tight = c;
+      tight.max_resumes = budget;
+      const QuietEnd t = run_quiet(tight, nullptr);
+      EXPECT_EQ(t.threw, budget < total);
+      if (!t.threw) expect_same_quiet_run(t, live);
+    }
+  }
+  return {quiet, live};
+}
+
+std::vector<Round> rounds_of(std::initializer_list<std::uint64_t> rs) {
+  std::vector<Round> out;
+  for (const std::uint64_t r : rs) out.emplace_back(r);
+  return out;
+}
+
+Script stays() {
+  Script s;
+  s.move = WalkMove::kStay;
+  return s;
+}
+
+TEST(QuietStretch, SleepersAndLateStartersAreNoReaders) {
+  // A stationary adversary at node 0 with a robot that reads, sleeps 40
+  // rounds and reads again, and one that starts at round 25: it runs live
+  // only while one of them can read. The listener at node 3 holds every
+  // round.
+  QuietCase c;
+  c.advs = {{.start = 0, .script = stays()}};
+  c.honest = {{.start = 0, .acts = reads(3) + std::vector<Act>{sleep_for(40)} +
+                                   reads(3)},
+              {.start = 0, .acts = reads(2), .start_round = 25},
+              {.start = 3, .acts = {listen_for(30, 1), listen_for(40, 1)}}};
+  const auto [quiet, live] = expect_quiet_matches_live(c);
+  // Round 3: the sleeper still counts (it falls asleep in it); rounds 27
+  // and 46: the readers finish in them.
+  EXPECT_EQ(quiet.live[0], rounds_of({0, 1, 2, 3, 25, 26, 27, 43, 44, 45, 46}));
+  EXPECT_LT(quiet.stats[0].iterated_rounds + 50, quiet.stats[0].simulated_rounds);
+}
+
+TEST(QuietStretch, ListenerQuorumNeedsTheArmedRobotsThere) {
+  // A quorum-2 listener beside one adversary: that one is stepped. A
+  // second one walks over from node 3; walked ahead, it joins the count
+  // only once it stands there, and then both run live and wake the
+  // listener.
+  QuietCase c;
+  Script walks;
+  walks.kind = kWatched;
+  walks.move = WalkMove::kRandomPort;
+  Script watched = stays();
+  watched.kind = kWatched;
+  c.advs = {{.start = 0, .script = watched}, {.start = 3, .script = walks}};
+  c.honest = {{.start = 0, .acts = {listen_for(60, 2), listen_for(60, 2)}}};
+  const auto [quiet, live] = expect_quiet_matches_live(c);
+  ASSERT_FALSE(quiet.wakes[0].empty());
+  const Wake& first = quiet.wakes[0][0];
+  EXPECT_LT(first.silent, 60u);  // the quorum woke it
+  ASSERT_GE(quiet.live[0].size(), 2u);
+  EXPECT_EQ(quiet.live[0][1], first.round);
+  EXPECT_NE(std::find(quiet.live[1].begin(), quiet.live[1].end(), first.round),
+            quiet.live[1].end());
+}
+
+TEST(QuietStretch, DeadlineDueListenerHearsTheAdversary) {
+  // One adversary cannot make the quorum of 2, but at each deadline the
+  // listener reads its inbox anyway: the adversary runs live then, and in
+  // the round after, when the listener runs to listen again.
+  QuietCase c;
+  c.advs = {{.start = 0, .script = stays()}};
+  c.honest = {{.start = 0, .acts = {listen_for(15, 2), listen_for(15, 2)}}};
+  const auto [quiet, live] = expect_quiet_matches_live(c);
+  EXPECT_EQ(quiet.live[0], rounds_of({0, 15, 16, 31, 32}));
+  EXPECT_EQ(quiet.heard[0].size(), 4u);  // two messages at each deadline
+}
+
+TEST(QuietStretch, PlanlessByzantineIsAReader) {
+  // A planless Byzantine robot reading beside an armed one keeps it live in
+  // every round.
+  QuietCase c;
+  c.advs = {{.start = 0, .script = stays()},
+            {.start = 0, .script = stays(), .arm = false}};
+  c.honest = {{.start = 3, .acts = {listen_for(20, 1), listen_for(20, 1)}}};
+  const auto [quiet, live] = expect_quiet_matches_live(c);
+  EXPECT_EQ(quiet.live[0], live.live[0]);
+  EXPECT_FALSE(quiet.adv_heard[1].empty());
+}
+
+TEST(QuietStretch, WalkAheadStopsAtWakesDeadlinesAndCuts) {
+  // A stationary adversary beside a robot asleep from round 1 to 31, and a
+  // chance walker that stops wherever it meets the listener at node 3.
+  // Walks ahead end at the cuts at rounds 13 and 37, the listener's
+  // deadline at 20 and the sleeper's wake at 31.
+  QuietCase c;
+  Script chance;
+  chance.move = WalkMove::kChancePort;
+  c.advs = {{.start = 1, .script = stays()}, {.start = 4, .script = chance}};
+  c.honest = {
+      {.start = 1, .acts = reads(1) + std::vector<Act>{sleep_for(30)} + reads(2)},
+      {.start = 3, .acts = {listen_for(20, 2), listen_for(50, 2)}}};
+  c.run_to = rounds_of({13, 37, 400});
+  const auto [quiet, live] = expect_quiet_matches_live(c);
+  ASSERT_EQ(quiet.stats.size(), 3u);
+  EXPECT_EQ(quiet.stats[0].rounds, Round(13));
+  EXPECT_EQ(quiet.stats[1].rounds, Round(37));
+  EXPECT_TRUE(quiet.stats[2].all_honest_done);
+  // Each later run() resumes the drained robot once, planless.
+  EXPECT_EQ(quiet.live[0], rounds_of({0, 1, 13, 31, 32, 33, 37}));
+  ASSERT_EQ(quiet.wakes[1].size(), 2u);
+  EXPECT_EQ(quiet.wakes[1][0].round, Round(20));
+}
+
+/// A quorum-2 listener at node 0 beside a stationary adversary; a chance
+/// walker from node 3 wakes it by quorum when it arrives (in round 16). A
+/// third adversary, stationary at node 1 and three activations a round, is
+/// walked ahead meanwhile to the listener's deadline at 80.
+QuietCase quorum_wake_mid_stretch(std::vector<Act> after) {
+  QuietCase c;
+  Script walks;
+  walks.kind = kWatched;
+  walks.move = WalkMove::kChancePort;
+  Script watched = stays();
+  watched.kind = kWatched;
+  Script busy = stays();
+  busy.extra_subs = 2;
+  c.advs = {{.start = 0, .script = watched},
+            {.start = 3, .script = walks},
+            {.start = 1, .script = busy}};
+  c.honest = {{.start = 0,
+               .acts = std::vector<Act>{listen_for(80, 2)} + after}};
+  return c;
+}
+
+TEST(QuietStretch, QuorumWakeMidStretchRewindsTheWalkers) {
+  // Woken, the listener steps to node 1 and reads there for three rounds:
+  // the adversary walked ahead there must be rewound and heard.
+  const QuietCase c = quorum_wake_mid_stretch(
+      std::vector<Act>{step(Port{0})} + reads(3) +
+      std::vector<Act>{listen_for(30, 2)});
+  const auto [quiet, live] = expect_quiet_matches_live(c);
+  ASSERT_FALSE(quiet.wakes[0].empty());
+  const Round woke = quiet.wakes[0][0].round;
+  EXPECT_LT(woke, Round(80));
+  const std::vector<Round> beside = {woke + Round(2), woke + Round(3),
+                                     woke + Round(4)};
+  EXPECT_TRUE(std::includes(quiet.live[2].begin(), quiet.live[2].end(),
+                            beside.begin(), beside.end()));
+  ASSERT_GE(quiet.live[2].size(), 2u);
+  EXPECT_GT(quiet.live[2][1], woke);  // walked ahead until then
+}
+
+TEST(QuietStretch, RewindWhenTheRunEndsKeepsTheBudget) {
+  // The listener finishes right after its quorum wake, ending the run with
+  // the busy adversary walked up to 80 rounds past it: a budget of the
+  // run's exact total must not throw (expect_quiet_matches_live).
+  const QuietCase c = quorum_wake_mid_stretch({});
+  const auto [quiet, live] = expect_quiet_matches_live(c);
+  ASSERT_EQ(quiet.wakes[0].size(), 1u);
+  EXPECT_LT(quiet.stats[0].rounds + Round(40), Round(80));
 }
 
 }  // namespace

@@ -155,6 +155,35 @@ TEST(PinnedCounts, Mix) {
                        0xfe5c147802902e80ULL, 24});
 }
 
+/// Quiet stretches (README, "Hearing rule and quiet stretches"), recorded
+/// before the engine walked adversaries ahead. A slice of perfbench's
+/// sweepd_live grid: cheap points of five algorithms against their own
+/// adversaries, with short walks between listener deadlines. And
+/// three-group map-liars at n = 8..16, where liars gathering on the rally
+/// node wake its token listeners by quorum while other liars are walked
+/// ahead, so the engine rewinds those and walks them again.
+TEST(PinnedCounts, QuietStretches) {
+  SweepSpec spec;
+  spec.algorithms = {Algorithm::kQuotient, Algorithm::kSqrtArbitrary,
+                     Algorithm::kStrongArbitrary, Algorithm::kStrongGathered,
+                     Algorithm::kThreeGroupGathered};
+  spec.families = {"er", "tree"};
+  spec.sizes = {8, 12};
+  spec.byzantine_counts = {0, 1, 2};
+  spec.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  spec.measure_seconds = false;
+  spec.threads = 4;
+  expect_pinned(spec, {"sweepd_live slice", 0x05f81e86ef3ba574ULL, 416});
+  SweepSpec liars = gathered_grid();
+  liars.algorithms = {Algorithm::kThreeGroupGathered};
+  liars.families = {"er", "ring", "tree"};
+  liars.sizes = {8, 12, 16};
+  liars.seeds = {1, 2, 3};
+  liars.strategy = ByzStrategy::kMapLiar;
+  expect_pinned(liars,
+                {"three-group map_liar rewinds", 0x5f721419a36ffb3aULL, 27});
+}
+
 /// Every family's sampler, on its own graphs and through the
 /// trivial-quotient redraw with shared graphs (the port reshuffle of the
 /// deterministic families, oriented_ring's never-satisfiable rule), at
