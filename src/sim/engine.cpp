@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace bdg::sim {
 
@@ -128,14 +129,8 @@ void Engine::add_robot(RobotId id, Faultiness f, NodeId start,
   r.faultiness = f;
   r.pos = start;
   r.factory = std::move(factory);
-  r.start_round = start_round;
+  r.park.due = start_round;
   robots_.push_back(std::move(r));
-}
-
-std::uint32_t Engine::subround_count() const {
-  return cfg_.subrounds != 0
-             ? cfg_.subrounds
-             : static_cast<std::uint32_t>(robots_.size()) + 6;
 }
 
 void Engine::start_programs() {
@@ -143,10 +138,7 @@ void Engine::start_programs() {
   std::sort(robots_.begin(), robots_.end(),
             [](const Robot& a, const Robot& b) { return a.id < b.id; });
   honest_live_ = 0;
-  readers_.assign(graph_.n(), 0);
-  armed_at_.assign(graph_.n(), 0);
-  listening_.assign(graph_.n(), 0);
-  quorum_at_.assign(graph_.n(), 0);
+  nodes_.assign(graph_.n(), {});
   seen_sources_.reserve(robots_.size());
   ahead_.reserve(robots_.size());
   for (std::uint32_t i = 0; i < robots_.size(); ++i) {
@@ -154,12 +146,11 @@ void Engine::start_programs() {
     index_of_[r.id] = i;
     r.proc = r.factory(Ctx(this, i));
     r.leaf = r.proc.handle();
-    r.wake_round = r.start_round;
-    if (r.start_round == 0) {
+    if (r.park.due == Round(0)) {
       next_round_.push_back(i);
-      ++readers_[r.pos];
+      ++nodes_[r.pos].readers;
     } else {
-      wake_queue_.push({r.start_round, i});  // a reader once popped
+      wake_queue_.push({r.park.due, i});  // a reader once popped
     }
     if (r.faultiness == Faultiness::kHonest) ++honest_live_;
   }
@@ -174,7 +165,8 @@ void Engine::resume_robot(Robot& r) {
   r.leaf.resume();
   if (r.proc.done()) {
     r.done = true;
-    --(r.armed ? armed_at_ : readers_)[r.pos];
+    NodeCount& at = nodes_[r.pos];
+    --(r.armed ? at.armed : at.readers);
     if (r.faultiness == Faultiness::kHonest) --honest_live_;
     if (observer_ != nullptr) observer_->on_done(r.id, round_);
     r.proc.rethrow_if_failed();
@@ -195,40 +187,37 @@ std::uint64_t Engine::budget_for(std::uint64_t need) {
   return cfg_.max_resumes - stats_.resumes;
 }
 
-void Engine::relocate(Robot& r, NodeId to) {
+void Engine::relocate(Robot& r, NodeId to, Port arrival) {
   if (r.armed) {
     if (!r.ahead) {
-      --armed_at_[r.pos];
-      ++armed_at_[to];
+      --nodes_[r.pos].armed;
+      ++nodes_[to].armed;
     }
   } else {
-    --readers_[r.pos];
-    ++readers_[to];
+    --nodes_[r.pos].readers;
+    ++nodes_[to].readers;
   }
   r.pos = to;
+  r.arrival = arrival;
 }
 
-std::uint64_t Engine::walk(Robot& r, std::uint64_t steps,
-                           std::span<const std::uint64_t> draws, WalkMove move,
-                           std::uint64_t emitted, std::uint32_t activations,
-                           Rng& rng, const std::uint32_t* stop_at) {
+std::uint64_t Engine::walk(Robot& r, std::uint64_t steps, const AmbientPlan& p,
+                           const NodeCount* stop_at) {
+  const std::span<const std::uint64_t> draws = p.draws;
   // Step `last` (0-based) is the one whose resumes would exceed the
   // budget.
   std::uint64_t need = 0;
-  if (__builtin_mul_overflow(steps, activations, &need))
+  if (__builtin_mul_overflow(steps, p.activations, &need))
     need = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t last = budget_for(need) / activations;
+  const std::uint64_t last = budget_for(need) / p.activations;
   const std::uint32_t* begin = csr_begin_.data();
   const HalfEdge* edges = csr_edges_.data();
-  Rng::Words rng_s = Rng::words(rng);
+  Rng::Words rng_s = Rng::words(*p.rng);
   NodeId pos = r.pos;
   Port arrival = r.arrival;
   std::uint64_t moved = 0;
   std::uint64_t done = 0;
-  // A long chance walk within the budget, from a node with a port, whose
-  // draws are powers of two: whole blocks go through the fused path, the
-  // rest (and everything after a redrawn port draw) through the loop.
-  if (move == WalkMove::kChancePort && steps >= kWalkFusedMin &&
+  if (p.move == WalkMove::kChancePort && steps >= kWalkFusedMin &&
       steps <= last && stop_at == nullptr && begin[pos + 1] != begin[pos] &&
       std::all_of(draws.begin(), draws.end(),
                   [](std::uint64_t b) { return (b & (b - 1)) == 0; })) {
@@ -241,11 +230,11 @@ std::uint64_t Engine::walk(Robot& r, std::uint64_t steps,
     done = c.done;
   }
   for (; done < steps; ++done) {
-    if (stop_at != nullptr && stop_at[pos] != 0) break;
+    if (stop_at != nullptr && stop_at[pos].readers != 0) break;
     for (const std::uint64_t bound : draws)
       (void)Rng::below_inline(rng_s, bound);
-    bool hop = move == WalkMove::kRandomPort;
-    if (move == WalkMove::kChancePort)
+    bool hop = p.move == WalkMove::kRandomPort;
+    if (p.move == WalkMove::kChancePort)
       hop = Rng::below_inline(rng_s, 2) < 1;  // chance(1, 2)
     const std::uint32_t first = begin[pos];
     const std::uint32_t degree = begin[pos + 1] - first;
@@ -260,46 +249,48 @@ std::uint64_t Engine::walk(Robot& r, std::uint64_t steps,
       ++moved;
     }
   }
-  Rng::words(rng) = rng_s;
-  relocate(r, pos);
-  r.arrival = arrival;
+  Rng::words(*p.rng) = rng_s;
+  relocate(r, pos, arrival);
   stats_.moves += moved;
-  stats_.messages += done * emitted;
-  stats_.resumes += done * activations;  // within budget by `last`
-  if (done == last && done < steps) account_resumes(activations);  // throws
+  stats_.messages += done * p.emitted;
+  stats_.resumes += done * p.activations;  // within budget by `last`
+  if (done == last && done < steps) account_resumes(p.activations);  // throws
   return done;
 }
 
-void Engine::join_ahead() {
+void Engine::wake_ambient() {
+  // Robots walked ahead to this round or before stand at their node from
+  // now on; all join before `heard` counts the armed robots anywhere.
   std::erase_if(ahead_, [&](const Ahead& a) {
     Robot& r = robots_[a.idx];
-    if (r.wake_round > round_) return false;
+    if (r.park.due > round_) return false;
     r.ahead = false;
-    ++armed_at_[r.pos];
+    ++nodes_[r.pos].armed;
     return true;
   });
-}
-
-void Engine::wake_ambient() {
-  if (!ahead_.empty()) join_ahead();
+  // Heard: a reader at the node is no parked listener, or a listener there
+  // may wake (its quorum of armed senders stands there, or a deadline is due).
+  const auto heard = [&](const NodeCount& c) {
+    return c.readers != 0 && (c.readers != c.listeners ||
+                              c.armed >= c.quorum || round_ >= listen_due_);
+  };
   // A live round that outlasts the round's sub-rounds spills into the
   // next round: one engine step cannot stand for it.
   const std::uint32_t subs = subround_count();
   std::size_t kept = 0;
   for (const std::uint32_t idx : ambient_) {
     Robot& r = robots_[idx];
-    if (r.ahead) {  // walked ahead past this round
-      ambient_[kept++] = idx;
-      continue;
+    Park& p = r.park;
+    // Not walked past this round, within its horizon, unheard, caught up
+    // (it acted in the previous round): step the round it would run live.
+    const bool step = !r.ahead && p.plan && p.covered() < p.plan->horizon &&
+                      p.due == round_ && p.plan->activations <= subs &&
+                      observer_ == nullptr && !heard(nodes_[r.pos]);
+    if (step) {
+      walk(r, 1, *p.plan);
+      p.due = round_ + 1;
     }
-    // Within its horizon, unheard, caught up (it acted in the previous
-    // round): step the round it would have run live.
-    if (r.covered < r.plan.horizon && r.wake_round == round_ &&
-        r.plan.activations <= subs && observer_ == nullptr && !heard(r.pos)) {
-      walk(r, 1, r.plan.draws, r.plan.move, r.plan.emitted,
-           r.plan.activations, *r.plan.rng);
-      ++r.covered;
-      r.wake_round = round_ + 1;
+    if (r.ahead || step) {
       ambient_[kept++] = idx;
     } else {
       runnable_.push_back(idx);
@@ -321,34 +312,28 @@ Round Engine::walk_ahead(Round max_rounds) {
   for (const std::uint32_t idx : ambient_) {
     Robot& r = robots_[idx];
     // Skipped round: every parked robot was stepped in it or walked past it.
-    if (r.ahead || readers_[r.pos] != 0) {
-      next = std::min(next, r.wake_round);
+    if (r.ahead || nodes_[r.pos].readers != 0) {
+      next = std::min(next, r.park.due);
       continue;
     }
-    const AmbientPlan& p = r.plan;
+    const AmbientPlan& p = *r.park.plan;
     // The walk never throws: the budget left bounds it like the horizon.
-    std::uint64_t steps = std::min(span, p.horizon - r.covered);
-    std::uint64_t need = 0;
-    const std::uint64_t left = cfg_.max_resumes - stats_.resumes;
-    if (__builtin_mul_overflow(steps, p.activations, &need) || need > left)
-      steps = left / p.activations;
+    const std::uint64_t steps =
+        std::min({span, p.horizon - r.park.covered(),
+                  (cfg_.max_resumes - stats_.resumes) / p.activations});
     if (steps == 0) {
       next = from;
       continue;
     }
     // It stands elsewhere before its due round: counted nowhere.
-    Ahead a{idx, from, Rng::words(*p.rng), r.pos, r.arrival, r.covered, 0};
-    --armed_at_[r.pos];
+    Ahead a{idx, from, Rng::words(*p.rng), r.pos, r.arrival, 0};
+    --nodes_[r.pos].armed;
     r.ahead = true;
     const std::uint64_t moves = stats_.moves;
-    const std::uint64_t walked =
-        walk(r, steps, p.draws, p.move, p.emitted, p.activations, *p.rng,
-             readers_.data());
+    r.park.due = from + Round(walk(r, steps, p, nodes_.data()));
     a.moved = stats_.moves - moves;
-    r.covered += walked;
-    r.wake_round = from + Round(walked);
     ahead_.push_back(a);
-    next = std::min(next, r.wake_round);
+    next = std::min(next, r.park.due);
   }
   return next;
 }
@@ -359,67 +344,59 @@ void Engine::rewind_ahead() {
   // run out of budget.
   for (const Ahead& a : ahead_) {
     Robot& r = robots_[a.idx];
-    if (r.wake_round <= next) continue;
-    const AmbientPlan& p = r.plan;
-    const std::uint64_t steps = (r.wake_round - a.from).low_u64();
+    if (r.park.due <= next) continue;
+    const AmbientPlan& p = *r.park.plan;
+    const std::uint64_t steps = (r.park.due - a.from).low_u64();
     stats_.moves -= a.moved;
     stats_.messages -= steps * p.emitted;
     stats_.resumes -= steps * p.activations;
     Rng::words(*p.rng) = a.rng;
     r.pos = a.pos;
     r.arrival = a.arrival;
-    r.covered = a.covered;
   }
   for (const Ahead& a : ahead_) {
     Robot& r = robots_[a.idx];
-    if (r.wake_round <= next) continue;
-    const AmbientPlan& p = r.plan;
-    const std::uint64_t steps = (next - a.from).low_u64();
-    walk(r, steps, p.draws, p.move, p.emitted, p.activations, *p.rng);
-    r.covered += steps;
-    r.wake_round = next;
+    if (r.park.due <= next) continue;
+    walk(r, (next - a.from).low_u64(), *r.park.plan);
+    r.park.due = next;
   }
-}
-
-std::uint32_t Engine::distinct_sources(const Inbox& box, std::uint32_t kind) {
-  seen_sources_.clear();
-  for (const Msg& m : box) {
-    if (m.kind == kind && std::find(seen_sources_.begin(), seen_sources_.end(),
-                                    m.source) == seen_sources_.end())
-      seen_sources_.push_back(m.source);
-  }
-  return static_cast<std::uint32_t>(seen_sources_.size());
 }
 
 void Engine::wake_listeners() {
   if (round_ < listen_due_ &&
       std::none_of(delivered_dirty_.begin(), delivered_dirty_.end(),
-                   [&](NodeId v) { return listening_[v] != 0; }))
+                   [&](NodeId v) { return nodes_[v].listeners != 0; }))
     return;
-  // Listeners crowd a few rally nodes: count each (node, kind) once.
+  // Listeners crowd a few rally nodes: count the distinct senders of each
+  // (node, kind) once.
   NodeId counted_at = kNoNode;
   std::uint32_t counted_kind = 0;
-  std::uint32_t sources = 0;
   std::size_t kept = 0;
   listen_due_ = Round::saturated();
   for (const std::uint32_t idx : listeners_) {
     Robot& r = robots_[idx];
-    if (r.pos != counted_at || r.listen_kind != counted_kind) {
+    Park& p = r.park;
+    if (r.pos != counted_at || p.kind != counted_kind) {
       counted_at = r.pos;
-      counted_kind = r.listen_kind;
-      sources = distinct_sources(delivered_[r.pos], r.listen_kind);
+      counted_kind = p.kind;
+      seen_sources_.clear();
+      for (const Msg& m : delivered_[r.pos])
+        if (m.kind == p.kind && std::find(seen_sources_.begin(),
+                                          seen_sources_.end(),
+                                          m.source) == seen_sources_.end())
+          seen_sources_.push_back(m.source);
     }
-    if (sources < r.listen_quorum && round_ < r.listen_deadline) {
+    if (seen_sources_.size() < p.quorum && round_ < p.due) {
       listeners_[kept++] = idx;
-      listen_due_ = std::min(listen_due_, r.listen_deadline);
+      listen_due_ = std::min(listen_due_, p.due);
       continue;
     }
     // Parked at sub-round 0 of round S, woken at sub-round 1 of round W:
     // the per-round loop would have resumed it at S's sub-round 1, at both
     // sub-rounds of S+1 .. W-1 and at W's sub-round 0.
-    r.covered = (round_ - r.listen_start).low_u64();
-    account_resumes(2 * r.covered - r.listen_accounted);
-    --listening_[r.pos];
+    p.due = round_;
+    account_resumes(2 * p.covered() - p.accounted);
+    --nodes_[r.pos].listeners;
     runnable_.push_back(idx);
   }
   listeners_.resize(kept);
@@ -467,15 +444,7 @@ void Engine::run_subrounds() {
   for (const NodeId v : pending_dirty_) release_inbox(pending_[v]);
   delivered_dirty_.clear();
   pending_dirty_.clear();
-  // Robots still awaiting a sub-round when the round ends stay put and
-  // resume at sub-round 0 of the next round.
-  for (const std::uint32_t idx : runnable_) {
-    Robot& r = robots_[idx];
-    r.move = std::nullopt;
-    r.wake_round = round_ + 1;
-    next_round_.push_back(idx);
-  }
-  runnable_.clear();
+  assert(runnable_.empty() && "a last sub-round wait is due next round");
 }
 
 void Engine::apply_moves() {
@@ -486,15 +455,12 @@ void Engine::apply_moves() {
     std::sort(movers_.begin(), movers_.end());
   for (const std::uint32_t idx : movers_) {
     Robot& r = robots_[idx];
-    if (r.done || !r.move.has_value()) continue;
-    const Port p = *r.move;
+    const Port p = *r.park.move;
     if (p >= graph_.degree(r.pos))
       throw std::logic_error("Engine: robot moved through invalid port");
     const HalfEdge he = graph_.hop(r.pos, p);
     if (observer_ != nullptr) observer_->on_move(r.id, r.pos, he.to, p);
-    relocate(r, he.to);
-    r.arrival = he.reverse;
-    r.move = std::nullopt;
+    relocate(r, he.to, he.reverse);
     ++stats_.moves;
   }
   movers_.clear();
@@ -508,16 +474,13 @@ RunStats Engine::run(Round max_rounds) {
     // Listeners hold every round, as their per-round loop would.
     if (next_round_.empty() && listeners_.empty() && wake_queue_.empty())
       break;
-    // Nobody is scheduled next round: nothing is delivered before the
-    // earliest scheduled wake or listener deadline, so jump there. Rounds
-    // a listener holds are simulated ones: they count as such, and they
-    // are jumped only when no parked ambient robot must run in them and no
-    // observer must see them.
+    // Nobody is due next round: jump to the earliest wake or listener
+    // deadline. Rounds a listener holds count as simulated, and are jumped
+    // only when no ambient robot must run in them and no observer see them.
     if (next_round_.empty() &&
         (listeners_.empty() || (ambient_.empty() && observer_ == nullptr))) {
-      Round to = max_rounds;
+      Round to = std::min(max_rounds, listen_due_);  // saturated: none
       if (!wake_queue_.empty()) to = std::min(to, wake_queue_.top().first);
-      if (!listeners_.empty()) to = std::min(to, listen_due_);
       if (to > round_) {
         if (!listeners_.empty())
           stats_.simulated_rounds += (to - round_).low_u64();
@@ -530,15 +493,13 @@ RunStats Engine::run(Round max_rounds) {
     runnable_.swap(next_round_);
     while (!wake_queue_.empty() && wake_queue_.top().first <= round_) {
       const std::uint32_t idx = wake_queue_.top().second;
-      if (!robots_[idx].armed) ++readers_[robots_[idx].pos];
+      if (!robots_[idx].armed) ++nodes_[robots_[idx].pos].readers;
       runnable_.push_back(idx);
       wake_queue_.pop();
     }
-    // Parked ambient robots run in every simulated round: merged here (and
-    // ID-sorted below with everyone else) their live broadcasts land in
-    // exactly the rounds — and the inbox order — the per-round path would
-    // produce, while skipped rounds are theirs to replay. Those nobody can
-    // hear are stepped under their plan instead and stay parked.
+    // Parked ambient robots run in every simulated round (ID-sorted with
+    // everyone else, so their broadcasts land where the per-round path's
+    // would), unless stepped or walked past it.
     if (!ambient_.empty()) wake_ambient();
     // The bucket is usually filled in ID order already (robots suspend in
     // the sorted order they ran); is_sorted is O(k) vs the sort's k log k.
@@ -563,31 +524,32 @@ RunStats Engine::run(Round max_rounds) {
     reader_ran_ = false;
     round_ += 1;
   }
-  join_ahead();  // all due by now
-  assert(ahead_.empty());
-  // Listeners still asleep owe the resumes of the rounds run since they
-  // parked: their per-round loop would have run S's sub-round 1 and both
-  // sub-rounds of S+1 .. round_-1. Accounted before the ambient drain,
-  // whose resumes come after the loop's on the per-round path too.
-  for (const std::uint32_t idx : listeners_) {
+  // Settle every parked robot, in ID order: one walked ahead joins its node
+  // (every walk ends by now); a listener parked in round S owes S's
+  // sub-round 1 and both sub-rounds of S+1 .. round_-1; an ambient robot is
+  // drained: one final resume (draining_ set) replays the rounds skipped
+  // since its last live action, so totals match in a cut-short run too.
+  ahead_.clear();
+  runnable_.swap(ambient_);
+  runnable_.insert(runnable_.end(), listeners_.begin(), listeners_.end());
+  std::sort(runnable_.begin(), runnable_.end());
+  draining_ = true;
+  for (const std::uint32_t idx : runnable_) {
     Robot& r = robots_[idx];
-    const std::uint64_t owed = 2 * (round_ - r.listen_start).low_u64() - 1;
-    account_resumes(owed - r.listen_accounted);
-    r.listen_accounted = owed;
+    if (r.ahead) {
+      assert(r.park.due <= round_);
+      r.ahead = false;
+      ++nodes_[r.pos].armed;
+    }
+    if (r.park.quorum != 0) {
+      const std::uint64_t owed = 2 * (round_ - r.park.from).low_u64() - 1;
+      account_resumes(owed - std::exchange(r.park.accounted, owed));
+    } else {
+      resume_robot(r);
+    }
   }
-  // Drain parked ambient robots: one final resume each (with draining_
-  // set) replays any rounds fast-forwarded past after their last live
-  // action, so moves and message totals match the per-round path exactly
-  // even when the run was cut off by max_rounds or by the honest robots
-  // finishing before the adversary's tail.
-  if (!ambient_.empty()) {
-    draining_ = true;
-    std::vector<std::uint32_t> parked;
-    parked.swap(ambient_);
-    std::sort(parked.begin(), parked.end());
-    for (const std::uint32_t idx : parked) resume_robot(robots_[idx]);
-    draining_ = false;
-  }
+  draining_ = false;
+  runnable_.clear();
   stats_.rounds = round_;
   stats_.all_honest_done = honest_all_done();
   return stats_;
@@ -651,16 +613,16 @@ void Ctx::ambient_round(std::optional<Port> port, std::uint64_t messages) {
   if (*port >= e.graph_.degree(r.pos))
     throw std::logic_error("Engine: robot moved through invalid port");
   const HalfEdge he = e.graph_.hop(r.pos, *port);
-  e.relocate(r, he.to);
-  r.arrival = he.reverse;
+  e.relocate(r, he.to, he.reverse);
   ++e.stats_.moves;
 }
 
 void Ctx::ambient_walk(std::uint64_t steps,
                        std::span<const std::uint64_t> draws, WalkMove move,
                        std::uint64_t emitted, Rng& rng) {
-  engine_->walk(engine_->robots_[idx_], steps, draws, move, emitted,
-                /*activations=*/1, rng);
+  const AmbientPlan per_round{.draws = draws, .move = move,
+                              .emitted = emitted, .rng = &rng};
+  engine_->walk(engine_->robots_[idx_], steps, per_round);
 }
 
 bool Ctx::draining() const { return engine_->draining_; }

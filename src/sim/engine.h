@@ -15,44 +15,29 @@
 //  * presence is observable only through messages: a silent robot is
 //    invisible to co-located robots.
 //
-// Efficiency: scheduling is event-driven. Sleeping robots wait in a
-// min-heap wake queue keyed by wake round, so stretches where every robot
-// sleeps fast-forward in O(1) and each simulated round touches only the
-// robots that actually run (a runnable list per sub-round, a movers list
-// at the round boundary) — never the whole population. Message inboxes
-// are inline-small vectors maintained with dirty-node lists, and payloads
-// are refcounted pooled blocks shared by every recipient, so delivering
-// and clearing costs O(active nodes), not O(n), per sub-round, with no
-// allocator traffic. This lets benchmarks charge the paper's imported round
-// bounds (gathering, Find-Map) without paying per-round simulation cost,
-// while round accounting stays exact.
+// Scheduling is event-driven, and every wait is one Park record: a due
+// round, an optional early-wake condition (a message kind and a quorum of
+// distinct senders), an optional step rule (an AmbientPlan) and the rounds
+// the engine covered for the robot meanwhile. Each Ctx awaitable builds
+// one, and Engine::set_command files it where the robot waits:
 //
-// Robots waiting for a quorum of messages (Ctx::await_delivery) sleep
-// outside the wake queues too. They hold every round as simulated, as their
-// per-round loop would, but such a round costs nothing unless something
-// can reach them: with no robot due and no ambient robot parked the engine
-// jumps to the earliest listener deadline or scheduled wake, a round in
-// which every parked adversary was stepped (below) skips its sub-rounds,
-// and per-node listener counts let a sub-round with no delivery at a
-// listener's node skip the listener scan.
+//  * due in the next sub-round (next_subround): the next runnable list;
+//  * due next round (end_round, sleep_rounds(1), ambient parks with an
+//    observer attached): the next-round bucket;
+//  * due later (sleep_rounds): a min-heap keyed by due round, so stretches
+//    where every robot sleeps fast-forward in O(1);
+//  * ambient (end_round_ambient): merged into whichever round the engine
+//    simulates next; the robot holds no round and replays any gap itself;
+//  * with a wake condition (await_delivery): the listeners, who hold every
+//    round as simulated but cost nothing in a round no quorum can reach.
 //
-// Robots that never read their inbox can go further. A robot that parks
-// ambient with an AmbientPlan (Ctx::end_round_ambient) declares what one of
-// its live rounds does; in every simulated round where no robot at its node
-// can hear it, the engine steps that round itself through the replay kernel
-// instead of resuming the coroutine. Per-node counts decide: of readers
-// (robots not done, not asleep in the wake queue and never parked with a
-// plan), of parked listeners with their smallest quorum, and of armed
-// robots, which bound the senders a listener can hear. So the step is
-// invisible to every robot that reads, and all counts stay those of the
-// per-round execution. In a round where every adversary was stepped and
-// nobody else runs, each one on a reader-free node walks on, in one kernel
-// call, to the first round it stands beside a reader; the engine jumps to
-// the earliest such round (README, "Hearing rule and quiet stretches").
-//
-// Every wait is one awaitable that takes its inputs and returns what the
-// engine did for the robot meanwhile: end_round_ambient the rounds it
-// stepped under the plan, await_delivery the rounds the robot slept.
+// Per-node counts (NodeCount) decide whether a robot parked ambient is
+// heard. One nobody hears is stepped through the replay kernel instead of
+// resumed; in a round nobody else runs it walks ahead to its next reader,
+// and is rewound if a reader runs first. Covered rounds count toward
+// RunStats::resumes as the per-round loop would have counted them, so only
+// coroutine_resumes, iterated_rounds and visited_rounds show the skipped
+// work (README, "How the engine parks robots").
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
@@ -201,6 +186,8 @@ class Ctx {
                               const util::PayloadRef& payload);
 
   // --- awaitables ----------------------------------------------------------
+  // Each builds the robot's Park (engine.h header) and yields, on resume,
+  // the rounds the engine covered for it meanwhile (0 for the plain waits).
   /// Suspend until the next sub-round of the same round. If the current
   /// sub-round is the last, the robot stays put this round and resumes at
   /// sub-round 0 of the next round.
@@ -213,82 +200,56 @@ class Ctx {
   /// further sub-round participation this round. A saturated duration
   /// sleeps past any feasible run budget (the robot never runs again).
   [[nodiscard]] auto sleep_rounds(Round rounds);
-  /// Finish this round like end_round, but park "ambient": the robot is
-  /// re-run in EVERY simulated round — whatever its number — instead of
-  /// holding the engine awake each round. Parked robots live outside both
-  /// wake queues, so stretches where every queued robot sleeps still
-  /// fast-forward in O(1); on resume ctx.round() may have jumped, and the
-  /// program is responsible for replaying the skipped rounds (see
-  /// ambient_round and ambient_walk) so its RNG draws, moves and message
-  /// totals stay bit-identical to the per-round execution. Compiled
-  /// Byzantine strategies (core/byzantine.h) are the intended caller.
-  /// Ambient robots never keep the run alive by themselves (matching the
-  /// rule that Byzantine programs that never finish do not block
-  /// completion).
-  /// While an observer is attached the park is a plain end_round(port):
-  /// the robot runs live in every round, so the observer sees all of its
-  /// messages and moves, and it never has a gap to replay or a drain.
-  ///
+  /// Finish this round like end_round, but park "ambient": the robot runs
+  /// again in whichever round the engine simulates next, and never holds a
+  /// round or keeps the run alive by itself. On resume ctx.round() may have
+  /// jumped: the program replays the skipped rounds (ambient_round,
+  /// ambient_walk) so its draws, moves and message totals stay those of
+  /// the per-round execution. Compiled Byzantine strategies
+  /// (core/byzantine.h) are the intended caller. With an observer attached
+  /// it is a plain end_round(port), so the observer sees everything.
   /// With a `plan` (nullptr: none) the robot declares what one of its live
   /// rounds does, and from then on it is not a reader: it must never call
-  /// inbox() again. While it stays parked and caught up (no fast-forward
-  /// gap pending), each simulated round in which no robot at its node is a
-  /// reader — one that is not done and never parked with a plan — is
-  /// stepped by the engine: the plan's draws and move are made from
-  /// `*plan->rng` at once, its `emitted` broadcasts are counted and its
-  /// `activations` resumes accounted (budgeted), at most `plan->horizon`
-  /// rounds in a row. The engine copies the plan, which covers this park
-  /// only; `plan->draws` and `plan->rng` must outlive it. The plan is
-  /// ignored with an observer attached and when a live round needs more
-  /// sub-rounds than a round has. The co_await yields the rounds stepped
-  /// under it (0 without a plan): the program advances its own round
-  /// cursor and phase budget by them.
+  /// inbox() again. While it stays parked and caught up, the engine steps
+  /// each round in which nobody at its node can read, at most
+  /// `plan->horizon` rounds in a row: the plan's draws and move are made
+  /// from `*plan->rng`, its `emitted` broadcasts counted and its
+  /// `activations` resumes accounted (budgeted). The plan is copied and
+  /// covers this park only; `plan->draws` and `plan->rng` must outlive it.
+  /// It is ignored when a live round needs more sub-rounds than a round
+  /// has. The co_await yields the rounds stepped.
   [[nodiscard]] auto end_round_ambient(std::optional<Port> port,
                                        const AmbientPlan* plan = nullptr);
   /// Called at sub-round 0: behaves like next_subround(), but the robot
   /// sleeps, staying put, through every round in which messages of `kind`
   /// from at least `min_sources` (0 counts as 1) distinct physical senders
-  /// (Msg::source) do not reach its node in sub-round 0. It resumes at
-  /// sub-round 1 of the first round whose sub-round 1 inbox at its node
-  /// holds such a quorum, and at the latest at sub-round 1 of round
-  /// ctx.round() + max_silent, whatever the inbox holds. A caller that
-  /// treats a round with fewer sources like a silent one (a quorum tally
-  /// that finds no winner) thus sees exactly the rounds its per-round loop
-  /// would act on. The co_await yields the whole rounds slept through (0
-  /// when it acted as a plain next_subround()). Those rounds count toward
-  /// RunStats::resumes exactly as the per-round loop (next_subround, inbox
-  /// scan, end_round) would have counted them, two per round, also when
-  /// the run ends mid-wait. While any robot sleeps here the engine does not
-  /// end the run for lack of scheduled robots, and rounds it jumps count as
-  /// simulated (RunStats). With an observer attached, with max_silent == 0,
-  /// anywhere but sub-round 0, or with fewer than two sub-rounds it is a
-  /// plain next_subround().
+  /// (Msg::source) do not reach its node in sub-round 0, resuming at
+  /// sub-round 1 of the first round that brings them, or of round
+  /// ctx.round() + max_silent at the latest. A caller that treats a round
+  /// with fewer sources like a silent one thus sees exactly the rounds its
+  /// per-round loop would act on. The co_await yields the whole rounds
+  /// slept through, simulated and counted toward RunStats::resumes as that
+  /// loop (next_subround, inbox scan, end_round) would have, two a round,
+  /// also when the run ends mid-wait. With an observer attached, with
+  /// max_silent == 0, anywhere but sub-round 0, or with fewer than two
+  /// sub-rounds it is a plain next_subround().
   [[nodiscard]] auto await_delivery(std::uint32_t kind, Round max_silent,
                                     std::uint32_t min_sources = 1);
 
   // --- ambient replay accounting ---------------------------------------
-  /// Account one fast-forwarded round on behalf of a parked ambient
-  /// robot: apply an immediate hop through `port` (nullopt = stay,
-  /// invalid port throws exactly like a live move) and add `messages`
-  /// suppressed broadcasts to the run totals — nobody was awake to hear
-  /// them, but the per-round path would still have counted them. Each
-  /// call also counts toward the resume budget, so a runaway replay is
-  /// caught like a livelocked coroutine. Only meaningful while the
-  /// calling robot is catching up rounds strictly before ctx.round().
+  /// Account one fast-forwarded round of a parked ambient robot, catching
+  /// up rounds strictly before ctx.round(): hop through `port` at once
+  /// (nullopt = stay; an invalid port throws like a live move), count
+  /// `messages` suppressed broadcasts, as the per-round path would, and
+  /// one resume, budgeted, so a runaway replay fails like a livelock.
   void ambient_round(std::optional<Port> port, std::uint64_t messages);
-  /// Batched ambient_round, the replay kernel: replay `steps`
-  /// fast-forwarded rounds in one call. Each round draws rng.below(b) for
-  /// every b in `draws`, in order, then draws its move by `move` from the
-  /// current node and counts `emitted` suppressed broadcasts — exactly
-  /// what `steps` calls of ambient_round fed by those draws would do, so
-  /// the RNG stream, position, arrival port, moves, messages and resumes
-  /// (one per round) all come out bit-identical. Position, arrival port
-  /// and generator state stay in locals over a flat copy of the graph,
-  /// and the counters are committed once per call; long chance walks take
-  /// a fused path with the same result (Engine::walk). If the resume budget
-  /// runs out mid-stretch it throws at the same step the per-round loop
-  /// would, after that step's draws. The engine steps the rounds of an
-  /// AmbientPlan (end_round_ambient) through the same kernel.
+  /// Batched ambient_round, the replay kernel (Engine::walk, which also
+  /// steps plans): replay `steps` fast-forwarded rounds in one call, each
+  /// drawing rng.below(b) for every b in `draws`, in order, then its move
+  /// by `move`, and counting `emitted` suppressed broadcasts. The RNG
+  /// stream, position, arrival port and every count (one resume a round)
+  /// come out as from `steps` calls of ambient_round fed by those draws,
+  /// and a budget that runs out mid-stretch throws at the same step.
   void ambient_walk(std::uint64_t steps, std::span<const std::uint64_t> draws,
                     WalkMove move, std::uint64_t emitted, Rng& rng);
   /// True while the engine is draining parked ambient robots after the
@@ -309,12 +270,10 @@ struct WakeAwaiter;
 
 /// Optional engine instrumentation: register with Engine::set_observer to
 /// receive model-level events (used by the trace recorder, the CLI and
-/// debugging sessions; zero cost when unset). Attaching one keeps
-/// end_round_ambient robots live in every round (no fast-forward replay,
-/// no rounds stepped under a plan) and turns await_delivery into a plain
-/// next_subround, so their events are reported like everyone else's; for
-/// the compiled adversary only simulated_rounds, resumes and
-/// coroutine_resumes change.
+/// debugging sessions; zero cost when unset). Attaching one makes every
+/// park plain (end_round_ambient an end_round, await_delivery a
+/// next_subround), so every event is reported; for the compiled adversary
+/// only simulated_rounds, resumes and coroutine_resumes change.
 class Observer {
  public:
   virtual ~Observer() = default;
@@ -345,20 +304,17 @@ struct RunStats {
   /// Ctx::await_delivery holds but in which nobody could act.
   std::uint64_t simulated_rounds = 0;
   /// The simulated rounds whose sub-rounds actually ran; the others were
-  /// jumped or skipped while only listeners waited, including the quiet
-  /// stretches the engine walked parked adversaries through. Like
+  /// jumped, skipped or walked through while only listeners waited. Like
   /// coroutine_resumes and visited_rounds it depends on how the engine
   /// skipped work, so no report carries it (bench_hotpaths' work CSV
   /// gates the three).
   std::uint64_t iterated_rounds = 0;
   /// The simulated rounds the run loop took one at a time: the iterated
-  /// ones and those skipped after stepping every parked adversary. The
-  /// rest were jumped a stretch at a time.
+  /// ones and the skipped ones. The rest were jumped a stretch at a time.
   std::uint64_t visited_rounds = 0;
   /// Robot activations of the per-round schedule: coroutine resumptions
-  /// plus the rounds accounted on a robot's behalf instead (ambient
-  /// replay, deferred ambient rounds, await_delivery sleeps), so it does
-  /// not depend on how the engine skipped them. Counts toward
+  /// plus the rounds accounted on a robot's behalf instead (replayed,
+  /// stepped and slept rounds), whatever the engine skipped. Counts toward
   /// EngineConfig::max_resumes.
   std::uint64_t resumes = 0;
   /// Coroutine resumptions actually performed (resume_robot calls); the
@@ -406,21 +362,33 @@ class Engine {
   friend class Ctx;
   friend struct detail::WakeAwaiter;
 
-  enum class WakeKind : std::uint8_t {
-    kSubround,
-    kEndRound,
-    kSleep,
-    kAmbient,
-    kListen,
+  /// How a robot waits between two resumes (engine.h header): built by
+  /// each Ctx awaitable, filed by set_command.
+  struct Park {
+    /// The engine covers the rounds from `from` up to `due` for the robot,
+    /// and it runs again in `due`. Parked ambient, due is the round it
+    /// would run live next, and each round stepped moves it on; listening,
+    /// due is the deadline until a wake sets it to the wake round.
+    Round from = 0;
+    Round due = 0;
+    std::optional<Port> move = std::nullopt;  ///< hop at the round's end
+    /// Wake condition: `quorum` distinct senders of `kind` (0: none).
+    std::uint32_t kind = 0;
+    std::uint32_t quorum = 0;
+    bool ambient = false;  ///< runs in whichever round is simulated next
+    std::optional<AmbientPlan> plan = std::nullopt;  ///< step rule
+    /// Resumes accounted for a listener's covered rounds so far (a run
+    /// that ends mid-wait accounts those already passed).
+    std::uint64_t accounted = 0;
+    [[nodiscard]] std::uint64_t covered() const {
+      return (due - from).low_u64();
+    }
   };
 
-  /// Engine-side per-robot state. The program coroutine is resumed only via
-  /// resume_robot(); between resumptions the queue that holds it (runnable,
-  /// next round, wake queue, ambient or listeners) is its wake condition.
-  /// Robots live contiguously in Engine::robots_; the vector never grows
-  /// after start_programs(), so handles created then stay valid. Defined in
-  /// the header so the Ctx accessors protocol coroutines hit every
-  /// sub-round (inbox/degree/self) inline into their call sites.
+  /// Engine-side per-robot state, resumed only via resume_robot(). Robots
+  /// live contiguously in robots_, which never grows after
+  /// start_programs(), so handles created then stay valid. Defined here so
+  /// the Ctx accessors (inbox/degree/self) inline.
   struct Robot {
     RobotId id = 0;
     Faultiness faultiness = Faultiness::kHonest;
@@ -428,46 +396,50 @@ class Engine {
     Port arrival = kNoPort;
     ProgramFactory factory;
     Proc proc;
-    Round start_round = 0;  ///< first round the program runs
     bool done = false;
-
-    // Park parameters, written by WakeAwaiter via set_command().
-    std::optional<Port> move;  // for kEndRound
-    Round wake_round = 0;      // for kSleep / kEndRound: first round in
-                               // which the robot runs again
+    /// Ever parked with a plan: counted in NodeCount::armed, not readers.
+    bool armed = false;
+    /// Walked past the next round: in ahead_, counted nowhere until due.
+    bool ahead = false;
     // Innermost suspended coroutine; the engine resumes this, not the
     // root, so protocols can nest phases as Task<T> children.
     std::coroutine_handle<> leaf;
-    // kListen: the watched message kind and the distinct senders that
-    // wake the robot, the round it parked in, the last round it may sleep
-    // through, and the resumes accounted for it so far (run end accounts
-    // the rounds already passed).
-    std::uint32_t listen_kind = 0;
-    std::uint32_t listen_quorum = 1;
-    Round listen_start = 0;
-    Round listen_deadline = 0;
-    std::uint64_t listen_accounted = 0;
-    // kAmbient: the plan passed with the current park (horizon 0 without
-    // one, so it is never stepped), whether the robot ever passed one (it
-    // then counts toward armed_at_, not readers_), and whether the engine
-    // walked it past the next round (it is then in ahead_, not armed_at_).
-    AmbientPlan plan;
-    bool armed = false;
-    bool ahead = false;
-    /// Rounds the engine covered for the robot during its current wait
-    /// (stepped under its plan, or slept in await_delivery); reset by
-    /// set_command, returned by the awaiter on resume.
-    std::uint64_t covered = 0;
+    Park park;  ///< before start_programs: due at the robot's start_round
   };
-  void set_command(std::uint32_t idx, const detail::WakeAwaiter& wish,
-                   std::coroutine_handle<> leaf);
+  /// Write robot `idx`'s park `p` without its ambient flag and plan (only
+  /// end_round_ambient sets them, after); the awaiter returned files it.
+  detail::WakeAwaiter park(std::uint32_t idx, const Park& p);
+  /// File suspended robot `idx` where its park says it waits: the one
+  /// place that decides which list, bucket or heap holds it.
+  void set_command(std::uint32_t idx, std::coroutine_handle<> leaf);
+
+  /// Per node, what decides whether a robot parked ambient there is heard
+  /// (README, "How the engine parks robots").
+  struct NodeCount {
+    /// Robots not done, not asleep past the next round (sleep_rounds or a
+    /// start_round ahead) and never armed: those that might read. Exact at
+    /// each round start while planless robots replay moves only for rounds
+    /// fast-forwarded while parked ambient (everyone beside them owes it).
+    std::uint32_t readers = 0;
+    /// Armed robots not done, not walked ahead: senders a listener can hear.
+    std::uint32_t armed = 0;
+    /// Parked listeners (they never move while parked), and the smallest
+    /// quorum among those parked since the node last had none (a lower
+    /// bound once some left, which only makes a node heard more often).
+    std::uint32_t listeners = 0;
+    std::uint32_t quorum = 0;
+  };
 
   /// Per-node inbox. Co-location counts are tiny on dispersive paths, so a
   /// few inline slots cover the common case; gathered-phase rally nodes
   /// spill once and keep their spill capacity for the run.
   using Inbox = util::SmallVec<Msg, 4>;
 
-  [[nodiscard]] std::uint32_t subround_count() const;
+  [[nodiscard]] std::uint32_t subround_count() const {
+    return cfg_.subrounds != 0
+               ? cfg_.subrounds
+               : static_cast<std::uint32_t>(robots_.size()) + 6;
+  }
   void start_programs();
   void run_subrounds();
   void apply_moves();
@@ -476,68 +448,37 @@ class Engine {
   /// Add `count` resumes accounted on a robot's behalf, throwing like
   /// resume_robot when they exhaust the budget.
   void account_resumes(std::uint64_t count);
-  /// Resumes left in the budget for `need` more: when they do not fit,
-  /// robots walked ahead first give back the rounds after this one, so a
-  /// throw comes exactly when the per-round path's would.
+  /// Resumes left in the budget for `need` more; when they do not fit,
+  /// robots walked ahead first give back the rounds after this one.
   [[nodiscard]] std::uint64_t budget_for(std::uint64_t need);
-  /// The replay kernel behind Ctx::ambient_walk and plan-stepped rounds: walk
-  /// `r` through `steps` rounds of `draws` + `move`, counting `emitted`
-  /// messages and `activations` resumes per round, and return the rounds
-  /// walked. With `stop_at` set it stops before the first round in which
-  /// the robot stands on a node v with stop_at[v] != 0 (walk_ahead passes
-  /// readers_). The per-step loop keeps the generator's words
-  /// (Rng::words), position and arrival port in locals. A kChancePort
-  /// stretch of at least kWalkFusedMin steps without `stop_at` that stays
-  /// within the resume budget, from a node with a port, whose draws all
-  /// have power-of-two bounds, first runs its whole kWalkFusedBlock
-  /// blocks through the fused path (engine.cpp, walk_chance_blocks): there
-  /// the stream alone fixes each step's next() calls, so one block's
-  /// stream runs branch-free while the position chain follows the block
-  /// before. A port draw that would be redrawn sends its block back to the
-  /// per-step loop, which also takes every other stretch and the tail.
-  std::uint64_t walk(Robot& r, std::uint64_t steps,
-                     std::span<const std::uint64_t> draws, WalkMove move,
-                     std::uint64_t emitted, std::uint32_t activations,
-                     Rng& rng, const std::uint32_t* stop_at = nullptr);
-  /// Move `r` to `to` outside apply_moves, keeping readers_ and armed_at_
-  /// right.
-  void relocate(Robot& r, NodeId to);
-  /// Whether a robot parked at `v` is heard this round: some reader there
-  /// can read, i.e. one that is not a parked listener, or a listener that
-  /// may wake (the armed robots there could make its quorum, or a listener
-  /// deadline is due).
-  [[nodiscard]] bool heard(NodeId v) const {
-    const std::uint32_t readers = readers_[v];
-    return readers != 0 && (readers != listening_[v] ||
-                            armed_at_[v] >= quorum_at_[v] ||
-                            round_ >= listen_due_);
-  }
-  /// Robots walked ahead to this round or before stand at their node from
-  /// now on: they leave ahead_ and join armed_at_.
-  void join_ahead();
-  /// Start of a simulated round: join_ahead, then step every parked ambient
-  /// robot whose plan allows it and whom nobody hears, keep those walked
-  /// ahead past it, and move the rest into runnable_.
+  /// The replay kernel behind Ctx::ambient_walk and stepped rounds: walk
+  /// `r` through `steps` rounds of `p` and return the rounds walked; with
+  /// `stop_at` set it stops before the first round the robot stands on a
+  /// node with readers. A long kChancePort stretch without `stop_at` runs
+  /// its whole blocks through the fused path when it can (README, "The
+  /// fused chance walk").
+  std::uint64_t walk(Robot& r, std::uint64_t steps, const AmbientPlan& p,
+                     const NodeCount* stop_at = nullptr);
+  /// Move `r` to `to` through `arrival`, keeping the node counts right.
+  void relocate(Robot& r, NodeId to, Port arrival);
+  /// Start of a simulated round: robots walked ahead to it join their
+  /// node, those its plan lets the engine step unheard are stepped, and
+  /// the rest not walked past it move into runnable_.
   void wake_ambient();
   /// End of a skipped round (every parked ambient robot stepped, nobody
-  /// else ran): walk each one on a reader-free node ahead to the first
-  /// round it stands on a node with a reader, within its horizon, the
-  /// budget and the cap (the earliest wake, listener deadline and
-  /// `max_rounds`). Returns the next round anything can happen in.
+  /// else ran): walk each one on a reader-free node ahead to its first
+  /// round beside a reader, within its horizon, the budget and the cap
+  /// (earliest wake and listener deadline, `max_rounds`). Returns the next
+  /// round anything can happen in.
   [[nodiscard]] Round walk_ahead(Round max_rounds);
-  /// Restore every robot walked past the next round to where its walk
-  /// started, taking back its counts, and walk it to the next round only.
-  /// Called after an iterated round in which a reader ran (it may read
-  /// elsewhere from then on) and by budget_for.
+  /// Walk every robot walked past the next round to the next round only,
+  /// from where its walk started, taking back its counts: after a round a
+  /// reader ran in (it may read elsewhere now), and for budget_for.
   void rewind_ahead();
-  /// Sub-round 1: move every listener that hears its kind from its quorum
-  /// of senders, or reached its deadline, into runnable_ (ID order) with
-  /// its slept rounds accounted. Returns at once when no listener is due
-  /// and no delivery landed on a listener's node.
+  /// Sub-round 1: move every listener whose quorum or deadline came into
+  /// runnable_ (ID order), its rounds accounted. Returns at once when no
+  /// deadline is due and no delivery landed on a listener's node.
   void wake_listeners();
-  /// Distinct physical senders of `kind` messages in `box`.
-  [[nodiscard]] std::uint32_t distinct_sources(const Inbox& box,
-                                               std::uint32_t kind);
   /// Clear an inbox, recycling unique payload blocks into the pool.
   void release_inbox(Inbox& box);
   void push_msg(std::uint32_t idx, RobotId claimed, std::uint32_t kind,
@@ -562,53 +503,25 @@ class Engine {
   RunStats stats_;
   std::uint32_t honest_live_ = 0;  ///< honest robots not yet done
 
-  /// Wake queue, split by horizon. Robots waking next round (end_round,
-  /// sleep_rounds(1), sub-round budget exhaustion — the overwhelmingly
-  /// common case) go to the next_round_ bucket: a plain vector, no heap
-  /// toll per suspension. Longer sleeps go to the (wake_round, robot
-  /// index) min-heap, which also drives the O(1) fast-forward over rounds
-  /// where everybody sleeps. At every round boundary each live robot is in
-  /// exactly one of the two; the merged wake set is sorted so robots run
-  /// in index (= ID) order, preserving the deterministic schedule.
+  /// Where parked robots wait (set_command, engine.h header); the merged
+  /// wake set is sorted, so robots run in index (= ID) order.
   std::vector<std::uint32_t> next_round_;
   using WakeEntry = std::pair<Round, std::uint32_t>;
   std::priority_queue<WakeEntry, std::vector<WakeEntry>,
                       std::greater<WakeEntry>>
       wake_queue_;
-  /// Robots parked via end_round_ambient: merged into runnable_ at every
-  /// simulated round unless stepped or walked past it (Robot::ahead),
-  /// never consulted by the fast-forward logic. Drained
-  /// (one final resume each, with draining_ set) after the run loop so
-  /// their replay accounting covers rounds cut off by max_rounds or by
-  /// the honest robots finishing.
+  /// Robots parked ambient: run at every simulated round unless stepped or
+  /// walked past it, ignored by the fast-forward, drained at run end.
   std::vector<std::uint32_t> ambient_;
   bool draining_ = false;
-  /// Per node: robots there that are not done, not asleep in wake_queue_
-  /// (sleep_rounds past the next round, or a start_round still ahead: they
-  /// count again once popped) and never parked with an AmbientPlan, i.e.
-  /// every robot that might read the node's inbox this round. Exact at the
-  /// start of each simulated round as long as planless robots replay moves
-  /// (ambient_round, ambient_walk) only for rounds fast-forwarded while
-  /// they were parked ambient: every robot parked beside them then owes
-  /// the same gap, and a robot owing a gap is resumed, never stepped.
-  std::vector<std::uint32_t> readers_;
-  /// Per node: robots there that are not done, ever parked with a plan
-  /// and not walked ahead (those join at their due round). They bound the
-  /// distinct senders a parked listener there can hear.
-  std::vector<std::uint32_t> armed_at_;
-  /// Robots sleeping in await_delivery. Nonempty, they keep every round
-  /// simulated, as the per-round loop's next_round_ entries would; the
-  /// rounds are iterated only when a robot runs or a deadline is due.
+  /// Robots parked with a wake condition: nonempty, they keep every round
+  /// simulated, as their per-round loops would.
   std::vector<std::uint32_t> listeners_;
-  /// Per node: listeners parked there (they never move while parked), and
-  /// the smallest quorum among those parked since the node last had none
-  /// (a lower bound once some left, which only makes heard() true more
-  /// often).
-  std::vector<std::uint32_t> listening_;
-  std::vector<std::uint32_t> quorum_at_;
-  /// Parked ambient robots walk_ahead walked past the next round, with
-  /// where each walk started: the first round it stepped, the generator
-  /// words, node, arrival port and covered count then, and the hops it
+  /// Earliest due round among listeners_ (saturated when none).
+  Round listen_due_ = Round::saturated();
+  std::vector<NodeCount> nodes_;
+  /// Robots walked past the next round, with where each walk started (its
+  /// first round, generator words, node and arrival port) and the hops it
   /// made. Reserved to the robot count, so walking never allocates.
   struct Ahead {
     std::uint32_t idx;
@@ -616,16 +529,13 @@ class Engine {
     Rng::Words rng;
     NodeId pos;
     Port arrival;
-    std::uint64_t covered;
     std::uint64_t moved;
   };
   std::vector<Ahead> ahead_;
   /// A robot that is not armed ran this round (it may have changed who
   /// reads where): robots walked ahead are rewound after the round.
   bool reader_ran_ = false;
-  /// Earliest listen_deadline among listeners_ (saturated when none).
-  Round listen_due_ = Round::saturated();
-  /// wake_listeners scratch: distinct sources seen in one inbox (reserved
+  /// wake_listeners scratch: distinct senders seen in one inbox (reserved
   /// to the robot count, so counting never allocates).
   std::vector<std::uint32_t> seen_sources_;
   /// Robots participating in the current / next sub-round, in ID order.
@@ -652,98 +562,71 @@ class Engine {
 };
 
 namespace detail {
-/// Shared awaiter for every suspension kind; records the robot's wish in
-/// the engine, yields control back to the scheduler and, on resume, hands
-/// the program the rounds the engine covered for it meanwhile (0 for the
-/// plain waits).
+/// The one awaiter behind every Ctx awaitable: files the robot's park and,
+/// on resume, hands the program the rounds the engine covered meanwhile.
 struct WakeAwaiter {
   Engine* engine;
   std::uint32_t idx;
-  Engine::WakeKind kind;
-  std::optional<Port> port;
-  Round rounds;
-  std::uint32_t listen_kind = 0;
-  std::uint32_t listen_quorum = 1;
-  const AmbientPlan* plan = nullptr;
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
-    engine->set_command(idx, *this, h);
+    engine->set_command(idx, h);
   }
   std::uint64_t await_resume() const noexcept {
-    return engine->robots_[idx].covered;
+    return engine->robots_[idx].park.covered();
   }
 };
 }  // namespace detail
 
+inline detail::WakeAwaiter Engine::park(std::uint32_t idx, const Park& p) {
+  // Field by field: copying the whole record (plan storage included) goes
+  // through a stack temporary on every wait.
+  Park& q = robots_[idx].park;
+  q.from = p.from;
+  q.due = p.due;
+  q.move = p.move;
+  q.kind = p.kind;
+  q.quorum = p.quorum;
+  q.ambient = false;
+  q.plan.reset();
+  q.accounted = 0;
+  return {this, idx};
+}
+
 inline void Engine::set_command(std::uint32_t idx,
-                                const detail::WakeAwaiter& wish,
                                 std::coroutine_handle<> leaf) {
   Robot& r = robots_[idx];
-  WakeKind kind = wish.kind;
-  r.covered = 0;
-  if (kind == WakeKind::kAmbient) {
-    assert((wish.plan == nullptr || wish.plan->activations >= 1) &&
-           "a live round is at least one resume");
-    if (wish.plan != nullptr && !r.armed) {
-      r.armed = true;
-      --readers_[r.pos];
-      ++armed_at_[r.pos];
-    }
-    r.plan = wish.plan != nullptr ? *wish.plan : AmbientPlan{};
-    // Observed runs keep ambient robots live (see Ctx::end_round_ambient).
-    if (observer_ != nullptr) kind = WakeKind::kEndRound;
-  }
-  // Ctx::await_delivery's plain-next_subround cases.
-  if (kind == WakeKind::kListen &&
-      (observer_ != nullptr || wish.rounds == 0 || subround_ != 0 ||
-       subround_count() < 2))
-    kind = WakeKind::kSubround;
+  const Park& p = r.park;
+  assert((!p.plan || p.plan->activations >= 1) &&
+         "a live round is at least one resume");
   r.leaf = leaf;
-  r.move = std::nullopt;
-  switch (kind) {
-    case WakeKind::kSubround:
-      next_runnable_.push_back(idx);
-      break;
-    case WakeKind::kEndRound:
-      r.move = wish.port;
-      r.wake_round = round_ + 1;
-      next_round_.push_back(idx);
-      if (wish.port.has_value()) movers_.push_back(idx);
-      break;
-    case WakeKind::kSleep:
-      r.wake_round = round_ + std::max<Round>(wish.rounds, 1);
-      if (r.wake_round == round_ + 1) {
-        next_round_.push_back(idx);
-      } else {
-        // Reads nothing before its wake round: a reader again once popped.
-        wake_queue_.push({r.wake_round, idx});
-        if (!r.armed) --readers_[r.pos];
-      }
-      break;
-    case WakeKind::kAmbient:
-      // Park outside both wake queues: the robot moves this round like
-      // end_round, then waits to be merged into whichever round the
-      // engine simulates next (possibly far ahead).
-      r.move = wish.port;
-      r.wake_round = round_ + 1;
-      ambient_.push_back(idx);
-      if (wish.port.has_value()) movers_.push_back(idx);
-      break;
-    case WakeKind::kListen:
-      // Park outside every wake queue until wake_listeners() finds a
-      // quorum of `listen_kind` senders at the robot's node or the deadline.
-      r.listen_kind = wish.listen_kind;
-      r.listen_quorum = std::max<std::uint32_t>(wish.listen_quorum, 1);
-      r.listen_start = round_;
-      r.listen_deadline = round_ + wish.rounds;
-      r.listen_accounted = 0;
-      assert(!r.armed && "a robot with a plan never reads");
-      listeners_.push_back(idx);
-      if (listening_[r.pos]++ == 0 || r.listen_quorum < quorum_at_[r.pos])
-        quorum_at_[r.pos] = r.listen_quorum;
-      listen_due_ = std::min(listen_due_, r.listen_deadline);
-      break;
+  if (p.due == round_) {
+    // A sub-round wait (no move, plan or wake condition); in the round's
+    // last sub-round it ends the round.
+    (subround_ + 1 < subround_count() ? next_runnable_ : next_round_)
+        .push_back(idx);
+    return;
+  }
+  NodeCount& at = nodes_[r.pos];
+  if (p.plan && !r.armed) {
+    r.armed = true;
+    --at.readers;
+    ++at.armed;
+  }
+  if (p.move) movers_.push_back(idx);
+  if (p.quorum != 0) {
+    assert(!r.armed && "a robot with a plan never reads");
+    listeners_.push_back(idx);
+    if (at.listeners++ == 0 || p.quorum < at.quorum) at.quorum = p.quorum;
+    listen_due_ = std::min(listen_due_, p.due);
+  } else if (p.ambient) {
+    ambient_.push_back(idx);
+  } else if (p.due == round_ + 1) {
+    next_round_.push_back(idx);
+  } else {
+    // Reads nothing before its due round: a reader again once popped.
+    wake_queue_.push({p.due, idx});
+    if (!r.armed) --at.readers;
   }
 }
 
@@ -771,34 +654,39 @@ inline InboxView Ctx::inbox() const {
 }
 
 inline auto Ctx::next_subround() {
-  return detail::WakeAwaiter{engine_, idx_, Engine::WakeKind::kSubround,
-                             std::nullopt, 0};
+  return engine_->park(idx_, {.from = round(), .due = round()});
 }
 
 inline auto Ctx::end_round(std::optional<Port> port) {
-  return detail::WakeAwaiter{engine_, idx_, Engine::WakeKind::kEndRound, port,
-                             0};
+  const Round next = round() + 1;
+  return engine_->park(idx_, {.from = next, .due = next, .move = port});
 }
 
 inline auto Ctx::sleep_rounds(Round rounds) {
-  return detail::WakeAwaiter{engine_, idx_, Engine::WakeKind::kSleep,
-                             std::nullopt, rounds};
+  const Round due = round() + std::max<Round>(rounds, 1);
+  return engine_->park(idx_, {.from = due, .due = due});
 }
 
 inline auto Ctx::end_round_ambient(std::optional<Port> port,
                                    const AmbientPlan* plan) {
-  return detail::WakeAwaiter{.engine = engine_,
-                             .idx = idx_,
-                             .kind = Engine::WakeKind::kAmbient,
-                             .port = port,
-                             .rounds = 0,
-                             .plan = plan};
+  detail::WakeAwaiter wait = end_round(port);
+  Engine::Park& p = engine_->robots_[idx_].park;
+  p.ambient = engine_->observer_ == nullptr;
+  if (plan != nullptr) p.plan = *plan;
+  return wait;
 }
 
 inline auto Ctx::await_delivery(std::uint32_t kind, Round max_silent,
                                 std::uint32_t min_sources) {
-  return detail::WakeAwaiter{engine_,    idx_, Engine::WakeKind::kListen,
-                             std::nullopt, max_silent, kind, min_sources};
+  const Engine& e = *engine_;
+  if (e.observer_ != nullptr || max_silent == Round(0) || e.subround_ != 0 ||
+      e.subround_count() < 2)
+    return next_subround();
+  return engine_->park(idx_,
+                       {.from = round(),
+                        .due = round() + max_silent,
+                        .kind = kind,
+                        .quorum = std::max<std::uint32_t>(min_sources, 1)});
 }
 
 }  // namespace bdg::sim

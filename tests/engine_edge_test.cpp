@@ -2024,5 +2024,94 @@ TEST(QuietStretch, RewindWhenTheRunEndsKeepsTheBudget) {
   EXPECT_LT(quiet.stats[0].rounds + Round(40), Round(80));
 }
 
+/// A random quiet case: a ring, path or star; 1-3 adversaries, armed or
+/// planless readers, with random scripts; 1-4 honest robots with random
+/// start rounds mixing reads, listens, sleeps and steps; 1-3 run() cuts.
+/// Each robot changes wait kind many times, so a park that keeps a stale
+/// field of the one before it shows up as a count or read that differs
+/// from the live twin. The first honest robot never sleeps and ends in a
+/// listen no quorum can wake: it holds every round, as the twin comparison
+/// needs (a round nobody holds is fast-forwarded, and the adversaries
+/// replay it at one resume a round, unobserved only). Phases have fixed
+/// lengths and a live round fits in a round: a phase's length draw and the
+/// replay of a spilled round come at the adversary's next resume, which
+/// the final drain makes and the live twin never does.
+QuietCase generated_case(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto pick = [&](std::uint64_t lo, std::uint64_t hi) {
+    return lo + rng.below(hi - lo + 1);
+  };
+  QuietCase c;
+  const std::size_t n = pick(3, 7);
+  const std::uint64_t shape = rng.below(3);
+  c.g = shape == 0 ? make_oriented_ring(n)
+                   : shape == 1 ? make_path(n) : make_star(n);
+  // Port 0 exists at every node of the three shapes.
+  const std::uint32_t ports = shape == 0 ? 2 : 1;
+  c.subrounds = static_cast<std::uint32_t>(pick(2, 4));
+  const auto node = [&] { return static_cast<NodeId>(rng.below(n)); };
+  for (std::uint64_t i = pick(1, 3); i > 0; --i) {
+    QuietAdv a;
+    a.start = node();
+    a.arm = rng.below(4) != 0;
+    Script& s = a.script;
+    s.kind = rng.chance(1, 2) ? kWatched : kScripted;
+    s.draws.clear();
+    for (std::uint64_t d = rng.below(3); d > 0; --d)
+      s.draws.push_back(pick(2, 9));
+    s.move = static_cast<WalkMove>(rng.below(3));
+    s.extra_subs = static_cast<std::uint32_t>(rng.below(c.subrounds));
+    if (rng.chance(1, 2)) s.phase_base = pick(1, 30);
+    if (rng.chance(1, 2)) {
+      s.charged_begin = Round(pick(1, 80));
+      s.charged_end = s.charged_begin + Round(pick(1, 40));
+    }
+    s.replay_per_round = rng.chance(1, 4);
+    c.advs.push_back(std::move(a));
+  }
+  for (std::uint64_t j = pick(1, 4); j > 0; --j) {
+    const bool holder = c.honest.empty();
+    QuietHonest h;
+    h.start = node();
+    if (!holder && rng.chance(1, 3)) h.start_round = Round(pick(1, 40));
+    for (std::uint64_t k = pick(1, 8); k > 0; --k) {
+      switch (rng.below(holder ? 3 : 4)) {
+        case 0:
+          h.acts = h.acts + reads(pick(1, 3));
+          break;
+        case 1:
+          h.acts.push_back(listen_for(pick(1, 60),
+                                      static_cast<std::uint32_t>(pick(1, 3))));
+          break;
+        case 2:
+          h.acts.push_back(step(static_cast<Port>(rng.below(ports))));
+          break;
+        default:
+          h.acts.push_back(sleep_for(Round(pick(1, 40))));
+          break;
+      }
+    }
+    if (holder) h.acts.push_back(listen_for(1'000'000, 4));
+    c.honest.push_back(std::move(h));
+  }
+  c.run_to.clear();
+  std::uint64_t cut = 0;
+  for (std::uint64_t k = pick(1, 3); k > 1; --k) {
+    cut += pick(1, 120);
+    c.run_to.emplace_back(cut);
+  }
+  c.run_to.emplace_back(cut + 400);
+  return c;
+}
+
+TEST(QuietStretch, GeneratedCases) {
+  constexpr std::uint64_t kSeeds = 400;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_quiet_matches_live(generated_case(seed));
+    if (HasFailure()) break;  // one seed's report is enough
+  }
+}
+
 }  // namespace
 }  // namespace bdg::sim

@@ -155,7 +155,7 @@ TEST(PinnedCounts, Mix) {
                        0xfe5c147802902e80ULL, 24});
 }
 
-/// Quiet stretches (README, "Hearing rule and quiet stretches"), recorded
+/// Quiet stretches (README, "How the engine parks robots"), recorded
 /// before the engine walked adversaries ahead. A slice of perfbench's
 /// sweepd_live grid: cheap points of five algorithms against their own
 /// adversaries, with short walks between listener deadlines. And
